@@ -1,6 +1,9 @@
 """CLI subcommands, formats, and exit codes."""
 
+import hashlib
 import json
+
+import pytest
 
 from modmax.cli import EXIT_LOAD, EXIT_OK, EXIT_SOUNDNESS, EXIT_USAGE, main
 
@@ -79,6 +82,23 @@ def test_verify_output_identical_across_runs(capsys):
     _, out2, _ = run(capsys, "verify", "--suite", "lemmas",
                      "--groups", "S3,A4", "--format", "json")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("flags, size, digest", [
+    ((), 97125,
+     "164cf7f98e8fbe8bc29292993c8abd5e61e2a98c877df244681dc35e039431dd"),
+    (("--fast",), 91809,
+     "f81aeae8534fb7fe258f68bfdd902ef1509d86d29ff9b74772a55bc677e6fd0a"),
+], ids=["all", "all-fast"])
+def test_verify_gate_bytes_are_pinned(capsys, flags, size, digest):
+    """The full soundness gate's JSON, byte for byte: a refactor that adds,
+    drops or reorders a witness changes the digest even when every verdict
+    stays the same."""
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--format", "json",
+                       *flags)
+    assert code == EXIT_OK
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
 def test_verify_depth_pin(capsys):
