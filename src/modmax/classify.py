@@ -35,7 +35,6 @@ from .groups import (
     bits,
     close_mask,
     factorize,
-    image_mask,
     is_prime,
     prime_spectrum,
     quotient,
@@ -469,9 +468,3 @@ def classify(G: Group) -> ClassProfile:
         ore_dispersive=descending in orderings,
         dispersive_orderings=orderings,
     )
-
-
-def quotient_subgroup_image(G: Group, N: SubgroupSet, H: SubgroupSet):
-    """Image of H in G/N as a SubgroupSet of the quotient group."""
-    Q, proj = quotient(G, N)
-    return Q, SubgroupSet(Q, image_mask(proj, H.mask))

@@ -65,13 +65,6 @@ def bits(mask: int):
         mask ^= low
 
 
-def mask_of(indices) -> int:
-    out = 0
-    for i in indices:
-        out |= 1 << i
-    return out
-
-
 def close_mask(table, seed, ambient_order: int | None = None,
                forced_divisor: int = 1) -> int:
     """Multiplicative closure of ``seed`` (iterable of indices) plus identity.
@@ -513,12 +506,12 @@ def quotient(G: Group, N: SubgroupSet) -> tuple[Group, tuple[int, ...]]:
     Cosets are indexed by ascending least member, which puts the coset of
     the identity first.
     """
-    if not is_normal_subgroup(G, N):
-        raise NotNormal(f"subgroup of order {N.order} is not normal in {G.name}")
     key = ("quotient", N.mask)
     hit = G._cache.get(key)
     if hit is not None:
-        return hit
+        return hit  # normality was checked when the entry was built
+    if not is_normal_subgroup(G, N):
+        raise NotNormal(f"subgroup of order {N.order} is not normal in {G.name}")
     t = G.table
     proj = [-1] * G.order
     reps: list[int] = []
@@ -750,18 +743,6 @@ def image_mask(proj: tuple[int, ...], mask: int) -> int:
     return out
 
 
-def generating_sequence(G: Group) -> tuple[int, ...]:
-    """Greedy generating sequence: repeatedly adjoin the least new element."""
-    gens: list[int] = []
-    mask = 1
-    full = (1 << G.order) - 1
-    while mask != full:
-        x = next(i for i in range(G.order) if not (mask >> i) & 1)
-        gens.append(x)
-        mask = close_mask(G.table, gens, G.order)
-    return tuple(gens)
-
-
 def _extend_partial_map(A: Group, B: Group, span, fmap, g, img):
     """Extend a partial isomorphism by one generator image and re-close.
 
@@ -795,35 +776,36 @@ def _extend_partial_map(A: Group, B: Group, span, fmap, g, img):
     return (span, fmap)
 
 
+def _isomorphisms(A: Group, B: Group):
+    """Yield every isomorphism A -> B as an image tuple.
+
+    Backtracking over the images of A's greedy generators, each image
+    restricted to elements of the same order; exponential in the worst case.
+    """
+    gens = A._greedy_generators()
+    orders_a, orders_b = A.element_orders(), B.element_orders()
+    candidates = [tuple(b for b in range(B.order) if orders_b[b] == orders_a[g])
+                  for g in gens]
+
+    def backtrack(i, span, fmap):
+        if i == len(gens):
+            if len(span) == A.order:
+                yield tuple(fmap[x] for x in range(A.order))
+            return
+        for img in candidates[i]:
+            ext = _extend_partial_map(A, B, span, fmap, gens[i], img)
+            if ext is not None:
+                yield from backtrack(i + 1, *ext)
+
+    return backtrack(0, [0], {0: 0})
+
+
 def find_isomorphism(A: Group, B: Group) -> tuple[int, ...] | None:
-    """Backtracking generator-image search; exponential in the worst case."""
     if A.order != B.order:
         return None
     if sorted(A.element_orders()) != sorted(B.element_orders()):
         return None
-    gens = generating_sequence(A)
-    orders_a = A.element_orders()
-    orders_b = B.element_orders()
-    candidates = {
-        g: tuple(b for b in range(B.order) if orders_b[b] == orders_a[g])
-        for g in gens
-    }
-
-    def backtrack(i, span, fmap):
-        if i == len(gens):
-            return fmap if len(span) == A.order else None
-        for img in candidates[gens[i]]:
-            ext = _extend_partial_map(A, B, span, fmap, gens[i], img)
-            if ext is not None:
-                result = backtrack(i + 1, *ext)
-                if result is not None:
-                    return result
-        return None
-
-    fmap = backtrack(0, [0], {0: 0})
-    if fmap is None:
-        return None
-    return tuple(fmap[i] for i in range(A.order))
+    return next(_isomorphisms(A, B), None)
 
 
 def is_isomorphic(A: Group, B: Group) -> bool:
@@ -832,23 +814,4 @@ def is_isomorphic(A: Group, B: Group) -> bool:
 
 def automorphisms(G: Group) -> list[tuple[int, ...]]:
     """All automorphisms as index permutations, sorted.  Desk scale only."""
-    gens = generating_sequence(G)
-    orders = G.element_orders()
-    candidates = {
-        g: tuple(b for b in range(G.order) if orders[b] == orders[g])
-        for g in gens
-    }
-    found = set()
-
-    def backtrack(i, span, fmap):
-        if i == len(gens):
-            if len(span) == G.order:
-                found.add(tuple(fmap[x] for x in range(G.order)))
-            return
-        for img in candidates[gens[i]]:
-            ext = _extend_partial_map(G, G, span, fmap, gens[i], img)
-            if ext is not None:
-                backtrack(i + 1, *ext)
-
-    backtrack(0, [0], {0: 0})
-    return sorted(found)
+    return sorted(_isomorphisms(G, G))

@@ -26,7 +26,6 @@ from .groups import (
     conjugate_mask,
     factorize,
     product_mask,
-    subgroup_as_group,
 )
 
 
@@ -417,12 +416,3 @@ def lattice_of(G: Group) -> SubgroupLattice:
         lat = enumerate_lattice(G)
         G._cache["lattice"] = lat
     return lat
-
-
-def sublattice_of_subgroup(G: Group, S: SubgroupSet):
-    """The lattice of a subgroup viewed as its own group.
-
-    Returns (subgroup_group, elements, lattice); cached via the parent.
-    """
-    sub, elems = subgroup_as_group(G, S)
-    return sub, elems, lattice_of(sub)

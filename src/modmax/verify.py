@@ -28,20 +28,27 @@ Check identifiers, fixed as part of the report schema:
 - SharpnessA, SharpnessB: the two narratives showing the bounds in
   ThmA/ThmB cannot be weakened (evaluated on A4 and A4xC2).
 
+Every check is a hypothesis and a conclusion evaluated by one runner.
 Hypotheses with an empty quantification domain (no n-maximal subgroups)
 are reported as "vacuous" and count as satisfied.  Conclusions are always
 evaluated, even under a failed hypothesis, so that sharpness runs can
 report them; the --fast mode skips them in exactly that case and reports
-"not-evaluated".
+"not-evaluated".  A group the statement does not speak about gets a fixed
+verdict without its conclusion being evaluated: Prop3.2 and Cor4.4 report
+a failed hypothesis and "not-evaluated" on supersoluble groups, Lem2.10
+holds vacuously outside soluble primitive non-nearly-nilpotent groups.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import catalog
 from .classify import (
@@ -85,7 +92,8 @@ MAX_WITNESSES = 10
 
 
 class UnknownSelector(Exception):
-    """Suite selector does not name a known group set or check set."""
+    """Suite selector does not name a known group set or check set, or the
+    worker count is below one."""
 
 
 @dataclass(frozen=True)
@@ -133,10 +141,90 @@ def _offender_witnesses(lat, offenders, cap: int = 4) -> list[str]:
     return out
 
 
-def _finish(G, theorem, hypothesis, conclusion, witnesses, t0) -> VerdictReport:
+# ---------------------------------------------------------------------------
+# the check runner
+
+class _Check(NamedTuple):
+    """One numbered result as functions of (G, lattice, *args).
+
+    ``hypothesis`` gives (status, witnesses) and ``conclusion`` gives
+    (ok, witnesses).  ``scope``, when set, gives None for a group the
+    statement speaks about and a settled (hypothesis, conclusion, witnesses)
+    verdict otherwise, with the conclusion left unevaluated.
+    """
+    hypothesis: Callable
+    conclusion: Callable
+    scope: Callable | None = None
+
+
+def _run(check: _Check, G: Group, theorem: str, fast: bool, *args) -> VerdictReport:
+    t0 = time.perf_counter()
+    lat = lattice_of(G)
+    verdict = check.scope(G, lat, *args) if check.scope else None
+    if verdict is None:
+        hypothesis, witnesses = check.hypothesis(G, lat, *args)
+        if fast and hypothesis == FAILS:
+            conclusion = NOT_EVALUATED
+        else:
+            ok, more = check.conclusion(G, lat, *args)
+            conclusion, witnesses = (HOLDS if ok else FAILS), witnesses + more
+    else:
+        hypothesis, conclusion, witnesses = verdict
     ms = (time.perf_counter() - t0) * 1000.0
     return VerdictReport(G.name, theorem, hypothesis, conclusion,
                          _cap_witnesses(witnesses), ms)
+
+
+def _nmax_runner(theorem: str, with_squasi: bool, slack: int, conclusion):
+    """``verify(G, n, fast=False)`` for a theorem on n-maximal subgroups."""
+    check = _Check(functools.partial(_nmax_hypothesis, with_squasi=with_squasi,
+                                     slack=slack), conclusion)
+
+    def verify(G: Group, n: int, fast: bool = False) -> VerdictReport:
+        if n < 1:
+            raise BadDepth(f"depth must be >= 1, got {n}")
+        return _run(check, G, f"{theorem}(n={n})", fast, n)
+    return verify
+
+
+def _single_runner(theorem: str, hypothesis, conclusion, scope=None):
+    """``verify(G, fast=False)`` for a check without a depth."""
+    check = _Check(hypothesis, conclusion, scope)
+
+    def verify(G: Group, fast: bool = False) -> VerdictReport:
+        return _run(check, G, theorem, fast)
+    return verify
+
+
+def _holds(G: Group, lat, *args):
+    """The hypothesis of a property suite, true of every group in scope."""
+    return HOLDS, []
+
+
+def _well_placed(lat, n: int, modular: bool, s_quasinormal: bool, cap: int = 4):
+    """Status of "every n-maximal subgroup is well placed", with witnesses:
+    the empty domain, or the offenders."""
+    idxs = lat.n_maximal_indices(n)
+    if not idxs:
+        return VACUOUS, [f"no {n}-maximal subgroups"]
+    offenders = [
+        i for i in idxs
+        if not ((modular and lat.is_modular(i))
+                or (s_quasinormal and lat.is_s_quasinormal(i)))
+    ]
+    return (FAILS if offenders else HOLDS), _offender_witnesses(lat, offenders, cap)
+
+
+def _every_n_maximal(n: int, modular: bool, s_quasinormal: bool):
+    return lambda G, lat: _well_placed(lat, n, modular, s_quasinormal)
+
+
+def _is_class(label: str, predicate):
+    """The conclusion "G is <label>", witnessed only when it fails."""
+    def conclusion(G: Group, lat):
+        ok = predicate(G)
+        return ok, [] if ok else [f"group is not {label}"]
+    return conclusion
 
 
 # ---------------------------------------------------------------------------
@@ -188,40 +276,36 @@ def census(G: Group) -> ModularityCensus:
     return ModularityCensus(G.name, tuple(rows), min_n)
 
 
-def _depth_quantifier(lat, n: int, modular: bool, s_quasinormal: bool):
-    """Status of "every n-maximal subgroup is well placed" plus offenders."""
-    idxs = lat.n_maximal_indices(n)
-    if not idxs:
-        return VACUOUS, []
-    offenders = [
-        i for i in idxs
-        if not ((modular and lat.is_modular(i))
-                or (s_quasinormal and lat.is_s_quasinormal(i)))
-    ]
-    return (HOLDS if not offenders else FAILS), offenders
-
-
 # ---------------------------------------------------------------------------
 # n-maximal theorems
 
-def _conclusion_strong_supersoluble(G: Group, n: int):
+def _nmax_hypothesis(G: Group, lat, n: int, with_squasi: bool, slack: int):
+    """Soluble, n at most |pi(G)| + slack, and every n-maximal subgroup
+    modular (or S-quasinormal, with ``with_squasi``)."""
+    bound = len(prime_spectrum(G)) + slack
+    if not is_soluble(G):
+        return FAILS, ["group is not soluble"]
+    if n > bound:
+        return FAILS, [f"n={n} exceeds the bound {bound}"]
+    return _well_placed(lat, n, True, with_squasi)
+
+
+def _strongly_supersoluble_conclusion(G: Group, lat, n: int):
     """Strongly supersoluble, and each non-Frattini chief factor has a
     square-free automizer order with at most n prime factors."""
     witnesses = []
-    ok = is_strongly_supersoluble(G)
-    if not ok:
+    if not is_strongly_supersoluble(G):
         witnesses.append("group is not strongly supersoluble")
     for f in all_chief_factors(G):
         if f.is_frattini:
             continue
         aut = f.automizer_order
         if not squarefree(aut) or len(factorize(aut)) > n:
-            ok = False
             witnesses.append(f"automizer bound fails: {f.descriptor()}")
-    return ok, witnesses
+    return not witnesses, witnesses
 
 
-def _conclusion_residual_hall(G: Group, n: int):
+def _residual_hall_conclusion(G: Group, lat, n: int):
     """The strongly supersoluble residual is a nilpotent Hall subgroup."""
     r = residual_strongly_supersoluble(G)
     ok = is_nilpotent_hall(G, r)
@@ -229,117 +313,51 @@ def _conclusion_residual_hall(G: Group, n: int):
     return ok, [f"residual(order {r.order}) {word} nilpotent Hall in order {G.order}"]
 
 
-def _nmax_theorem(G: Group, n: int, theorem: str, with_squasi: bool,
-                  slack: int, conclusion_fn, fast: bool) -> VerdictReport:
-    if n < 1:
-        raise BadDepth(f"depth must be >= 1, got {n}")
-    t0 = time.perf_counter()
-    lat = lattice_of(G)
-    bound = len(prime_spectrum(G)) + slack
-    witnesses = []
-    if not is_soluble(G):
-        hypothesis = FAILS
-        witnesses.append("group is not soluble")
-    elif n > bound:
-        hypothesis = FAILS
-        witnesses.append(f"n={n} exceeds the bound {bound}")
-    else:
-        hypothesis, offenders = _depth_quantifier(lat, n, True, with_squasi)
-        if hypothesis == VACUOUS:
-            witnesses.append(f"no {n}-maximal subgroups")
-        else:
-            witnesses.extend(_offender_witnesses(lat, offenders))
-    if fast and hypothesis == FAILS:
-        conclusion = NOT_EVALUATED
-    else:
-        ok, cw = conclusion_fn(G, n)
-        conclusion = HOLDS if ok else FAILS
-        witnesses.extend(cw)
-    return _finish(G, theorem, hypothesis, conclusion, witnesses, t0)
-
-
-def verify_theorem_A(G: Group, n: int, fast: bool = False) -> VerdictReport:
-    return _nmax_theorem(G, n, f"ThmA(n={n})", False, 0,
-                         _conclusion_strong_supersoluble, fast)
-
-
-def verify_theorem_2_12(G: Group, n: int, fast: bool = False) -> VerdictReport:
-    return _nmax_theorem(G, n, f"Thm2.12(n={n})", True, 0,
-                         _conclusion_strong_supersoluble, fast)
-
-
-def verify_theorem_B(G: Group, n: int, fast: bool = False) -> VerdictReport:
-    return _nmax_theorem(G, n, f"ThmB(n={n})", False, 1,
-                         _conclusion_residual_hall, fast)
-
-
-def verify_theorem_3_4(G: Group, n: int, fast: bool = False) -> VerdictReport:
-    return _nmax_theorem(G, n, f"Thm3.4(n={n})", True, 1,
-                         _conclusion_residual_hall, fast)
-
-
 # ---------------------------------------------------------------------------
 # propositions
 
-def verify_prop_2_9(G: Group, fast: bool = False) -> VerdictReport:
+def _prop_2_9_cases(G: Group, lat) -> tuple[bool, bool]:
+    """(G nearly nilpotent, G over its Frattini subgroup nearly nilpotent)."""
+    q_phi, _ = quotient(G, lat.frattini())
+    return is_nearly_nilpotent(G), is_nearly_nilpotent(q_phi)
+
+
+def _prop_2_9_hypothesis(G: Group, lat):
+    if any(_prop_2_9_cases(G, lat)):
+        return HOLDS, []
+    return VACUOUS, ["group is not nearly nilpotent (no closure to check)"]
+
+
+def _prop_2_9_conclusion(G: Group, lat):
     """Closure facts: a nearly nilpotent group is strongly supersoluble and
     all its quotients are nearly nilpotent; recovering the property from the
     Frattini quotient is also checked."""
-    t0 = time.perf_counter()
-    lat = lattice_of(G)
-    nn_here = is_nearly_nilpotent(G)
-    phi = lat.frattini()
-    q_phi, _ = quotient(G, phi)
-    nn_frattini_quotient = is_nearly_nilpotent(q_phi)
-    hypothesis = HOLDS if (nn_here or nn_frattini_quotient) else VACUOUS
+    nn_here, nn_frattini_quotient = _prop_2_9_cases(G, lat)
     witnesses = []
-    ok = True
     if nn_here:
         if not is_strongly_supersoluble(G):
-            ok = False
             witnesses.append("nearly nilpotent but not strongly supersoluble")
         for N in normal_subgroups(G):
             Q, _ = quotient(G, N)
             if not is_nearly_nilpotent(Q):
-                ok = False
                 witnesses.append(
                     f"quotient by normal subgroup of order {N.order} "
                     "is not nearly nilpotent")
     if nn_frattini_quotient and not nn_here:
-        ok = False
         witnesses.append("Frattini quotient nearly nilpotent, group is not")
-    if hypothesis == VACUOUS:
-        witnesses.append("group is not nearly nilpotent (no closure to check)")
-    conclusion = HOLDS if ok else FAILS
-    return _finish(G, "Prop2.9", hypothesis, conclusion, witnesses, t0)
+    return not witnesses, witnesses
 
 
-def verify_prop_2_11(G: Group, fast: bool = False) -> VerdictReport:
-    """All maximal, or all 2-maximal, subgroups modular or S-quasinormal
-    forces nearly nilpotent (hence strongly supersoluble)."""
-    t0 = time.perf_counter()
-    lat = lattice_of(G)
-    s1, off1 = _depth_quantifier(lat, 1, True, True)
-    s2, off2 = _depth_quantifier(lat, 2, True, True)
-    witnesses = []
+def _prop_2_11_hypothesis(G: Group, lat):
+    """All maximal, or all 2-maximal, subgroups modular or S-quasinormal."""
+    s1, w1 = _well_placed(lat, 1, True, True, cap=2)
+    s2, w2 = _well_placed(lat, 2, True, True, cap=2)
     if s1 == VACUOUS and s2 == VACUOUS:
-        hypothesis = VACUOUS
-        witnesses.append("no maximal subgroups at all")
-    elif s1 != FAILS or s2 != FAILS:
+        return VACUOUS, ["no maximal subgroups at all"]
+    if s1 != FAILS or s2 != FAILS:
         # either disjunct suffices; an empty depth counts as satisfied
-        hypothesis = HOLDS
-    else:
-        hypothesis = FAILS
-        witnesses.extend(_offender_witnesses(lat, off1, cap=2))
-        witnesses.extend(_offender_witnesses(lat, off2, cap=2))
-    if fast and hypothesis == FAILS:
-        conclusion = NOT_EVALUATED
-    else:
-        ok = is_nearly_nilpotent(G) and is_strongly_supersoluble(G)
-        conclusion = HOLDS if ok else FAILS
-        if not ok:
-            witnesses.append("group is not nearly nilpotent")
-    return _finish(G, "Prop2.11", hypothesis, conclusion, witnesses, t0)
+        return HOLDS, []
+    return FAILS, w1 + w2
 
 
 def _quaternion_complement_structure(G: Group) -> bool:
@@ -366,72 +384,35 @@ def _quaternion_complement_structure(G: Group) -> bool:
     return False
 
 
-def _pq2_order(G: Group) -> bool:
-    return sorted(factorize(G.order).values()) == [1, 2]
-
-
-def verify_prop_3_2(G: Group, fast: bool = False) -> VerdictReport:
-    """Non-supersoluble with every 3-maximal subgroup modular or
-    S-quasinormal: order p*q^2 or quaternion-by-3 structure."""
-    return _three_maximal_structure(G, "Prop3.2", with_squasi=True, fast=fast)
-
-
-def _three_maximal_structure(G: Group, theorem: str, with_squasi: bool,
-                             fast: bool) -> VerdictReport:
-    t0 = time.perf_counter()
-    lat = lattice_of(G)
-    witnesses = []
+def _supersoluble_out_of_scope(G: Group, lat):
+    # Prop3.2 and Cor4.4 describe non-supersoluble groups only
     if is_supersoluble(G):
-        # conclusion describes non-supersoluble groups only
-        witnesses.append("group is supersoluble, statement out of scope")
-        return _finish(G, theorem, FAILS, NOT_EVALUATED, witnesses, t0)
-    status, offenders = _depth_quantifier(lat, 3, True, with_squasi)
-    hypothesis = status
-    if status == VACUOUS:
-        witnesses.append("no 3-maximal subgroups")
-    else:
-        witnesses.extend(_offender_witnesses(lat, offenders))
-    if fast and hypothesis == FAILS:
-        conclusion = NOT_EVALUATED
-    else:
-        if _pq2_order(G):
-            conclusion = HOLDS
-            witnesses.append(f"order {G.order} has shape p*q^2")
-        elif _quaternion_complement_structure(G):
-            conclusion = HOLDS
-            witnesses.append("normal self-centralising quaternion Sylow "
-                             "2-subgroup with order-3 complement")
-        else:
-            conclusion = FAILS
-            witnesses.append("neither the p*q^2 shape nor the quaternion shape")
-    return _finish(G, theorem, hypothesis, conclusion, witnesses, t0)
+        return FAILS, NOT_EVALUATED, ["group is supersoluble, statement out of scope"]
+    return None
+
+
+def _three_maximal_conclusion(G: Group, lat):
+    """Order p*q^2, or the quaternion-by-3 structure."""
+    if sorted(factorize(G.order).values()) == [1, 2]:
+        return True, [f"order {G.order} has shape p*q^2"]
+    if _quaternion_complement_structure(G):
+        return True, ["normal self-centralising quaternion Sylow "
+                      "2-subgroup with order-3 complement"]
+    return False, ["neither the p*q^2 shape nor the quaternion shape"]
 
 
 # ---------------------------------------------------------------------------
 # lemma suites
 
-def verify_lemma_2_1(G: Group, M: SubgroupSet, fast: bool = False) -> VerdictReport:
+def _lemma_2_1_conclusion(G: Group, lat, mi: int):
     """For one modular subgroup M: M over its core is nilpotent, the normal
     closure over the core is hypercyclically embedded, and a core-free M
     exhibits the coprime power-split-by-permutable decomposition."""
-    t0 = time.perf_counter()
-    lat = lattice_of(G)
-    mi = lat.index(M)
-    label = f"Lem2.1[{_descriptor(lat, mi)}]"
-    if not lat.is_modular(mi):
-        return _finish(G, label, VACUOUS, NOT_EVALUATED,
-                       ["subgroup is not modular"], t0)
-    ok, witnesses = _lemma_2_1_conclusion(G, lat, mi)
-    return _finish(G, label, HOLDS, HOLDS if ok else FAILS, witnesses, t0)
-
-
-def _lemma_2_1_conclusion(G: Group, lat, mi: int):
     M = lat.subgroups[mi]
     witnesses = []
     ok = True
     mg = core(G, M)
     Q, proj = quotient(G, mg)
-    qlat = lattice_of(Q)
     m_bar = SubgroupSet(Q, image_mask(proj, M.mask))
     m_bar_group, _ = subgroup_as_group(Q, m_bar)
     if not is_nilpotent(m_bar_group):
@@ -450,6 +431,22 @@ def _lemma_2_1_conclusion(G: Group, lat, mi: int):
         else:
             witnesses.append(decomposition)
     return ok, witnesses
+
+
+def _not_modular_out_of_scope(G: Group, lat, mi: int):
+    if not lat.is_modular(mi):
+        return VACUOUS, NOT_EVALUATED, ["subgroup is not modular"]
+    return None
+
+
+_LEMMA_2_1 = _Check(_holds, _lemma_2_1_conclusion, _not_modular_out_of_scope)
+
+
+def verify_lemma_2_1(G: Group, M: SubgroupSet, fast: bool = False) -> VerdictReport:
+    """Lem2.1 for one subgroup M; out of scope unless M is modular."""
+    lat = lattice_of(G)
+    mi = lat.index(M)
+    return _run(_LEMMA_2_1, G, f"Lem2.1[{_descriptor(lat, mi)}]", fast, mi)
 
 
 def _core_free_decomposition(G: Group, lat, M: SubgroupSet) -> str | None:
@@ -536,32 +533,21 @@ def _is_nonnormal_sylow_of(G: Group, S: SubgroupSet, q_mask: int) -> bool:
     return not sublat.is_normal(sublat.index_of_mask(local))
 
 
-def lemma_2_1_suite(G: Group, fast: bool = False) -> VerdictReport:
-    """Aggregate Lem2.1 over every modular subgroup of G."""
-    t0 = time.perf_counter()
-    lat = lattice_of(G)
-    witnesses = []
-    ok = True
-    checked = 0
-    for i in range(lat.size):
-        if not lat.is_modular(i):
-            continue
-        checked += 1
+def _lemma_2_1_suite_conclusion(G: Group, lat):
+    """Lem2.1 over every modular subgroup of G."""
+    modular = [i for i in range(lat.size) if lat.is_modular(i)]
+    bad = []
+    for i in modular:
         ok_i, w = _lemma_2_1_conclusion(G, lat, i)
         if not ok_i:
-            ok = False
-            witnesses.append(f"{_descriptor(lat, i)}: " + "; ".join(w))
-    witnesses.insert(0, f"{checked} modular subgroups checked")
-    return _finish(G, "Lem2.1", HOLDS, HOLDS if ok else FAILS, witnesses, t0)
+            bad.append(f"{_descriptor(lat, i)}: " + "; ".join(w))
+    return not bad, [f"{len(modular)} modular subgroups checked"] + bad
 
 
-def verify_lemma_2_2(G: Group, fast: bool = False) -> VerdictReport:
+def _lemma_2_2_conclusion(G: Group, lat):
     """Modular subgroups: closed under joins, stable in quotients, include
     all normals, and restrict to intermediate subgroups."""
-    t0 = time.perf_counter()
-    lat = lattice_of(G)
-    witnesses = []
-    ok = True
+    bad = []
     modular = [i for i in range(lat.size) if lat.is_modular(i)]
     mod_set = set(modular)
     for a in modular:
@@ -569,14 +555,12 @@ def verify_lemma_2_2(G: Group, fast: bool = False) -> VerdictReport:
             if b < a:
                 continue
             if lat.join_t[a][b] not in mod_set:
-                ok = False
-                witnesses.append(
+                bad.append(
                     f"join of {_descriptor(lat, a)} and {_descriptor(lat, b)}"
                     " is not modular")
     for i in lat.normal_indices():
         if i not in mod_set:
-            ok = False
-            witnesses.append(f"normal {_descriptor(lat, i)} is not modular")
+            bad.append(f"normal {_descriptor(lat, i)} is not modular")
     for ni in lat.normal_indices():
         N = lat.subgroups[ni]
         Q, proj = quotient(G, N)
@@ -584,8 +568,7 @@ def verify_lemma_2_2(G: Group, fast: bool = False) -> VerdictReport:
         for a in modular:
             img = image_mask(proj, lat.subgroups[a].mask)
             if not qlat.is_modular(qlat.index_of_mask(img)):
-                ok = False
-                witnesses.append(
+                bad.append(
                     f"image of {_descriptor(lat, a)} not modular in quotient "
                     f"by order {N.order}")
     for a in modular:
@@ -597,20 +580,15 @@ def verify_lemma_2_2(G: Group, fast: bool = False) -> VerdictReport:
             sublat = lattice_of(sub)
             local = restrict_mask(elems, lat.subgroups[a].mask)
             if not sublat.is_modular(sublat.index_of_mask(local)):
-                ok = False
-                witnesses.append(
+                bad.append(
                     f"{_descriptor(lat, a)} not modular inside {_descriptor(lat, b)}")
-    witnesses.insert(0, f"{len(modular)} modular subgroups")
-    return _finish(G, "Lem2.2", HOLDS, HOLDS if ok else FAILS, witnesses, t0)
+    return not bad, [f"{len(modular)} modular subgroups"] + bad
 
 
-def verify_lemma_2_3(G: Group, fast: bool = False) -> VerdictReport:
+def _lemma_2_3_conclusion(G: Group, lat):
     """S-quasinormal subgroups restrict to intermediates, correspond through
     quotients, and are subnormal with nilpotent closure-over-core."""
-    t0 = time.perf_counter()
-    lat = lattice_of(G)
-    witnesses = []
-    ok = True
+    bad = []
     squasi = [i for i in range(lat.size) if lat.is_s_quasinormal(i)]
     for h in squasi:
         H = lat.subgroups[h]
@@ -622,8 +600,7 @@ def verify_lemma_2_3(G: Group, fast: bool = False) -> VerdictReport:
             sublat = lattice_of(sub)
             local = restrict_mask(elems, H.mask)
             if not sublat.is_s_quasinormal(sublat.index_of_mask(local)):
-                ok = False
-                witnesses.append(
+                bad.append(
                     f"{_descriptor(lat, h)} not S-quasinormal inside "
                     f"{_descriptor(lat, k)}")
     for hi in lat.normal_indices():
@@ -635,26 +612,22 @@ def verify_lemma_2_3(G: Group, fast: bool = False) -> VerdictReport:
             upstairs = lat.is_s_quasinormal(k)
             downstairs = qlat.is_s_quasinormal(qlat.index_of_mask(img))
             if upstairs != downstairs:
-                ok = False
-                witnesses.append(
+                bad.append(
                     f"quotient correspondence fails for {_descriptor(lat, k)} "
                     f"over normal of order {H.order}")
     for h in squasi:
         H = lat.subgroups[h]
         if not lat.is_subnormal(h):
-            ok = False
-            witnesses.append(f"{_descriptor(lat, h)} is not subnormal")
+            bad.append(f"{_descriptor(lat, h)} is not subnormal")
         hg = normal_closure(G, H)
         hcore = core(G, H)
         closure_group, elems = subgroup_as_group(G, hg)
         Qc, _ = quotient(closure_group,
                          SubgroupSet(closure_group, restrict_mask(elems, hcore.mask)))
         if not is_nilpotent(Qc):
-            ok = False
-            witnesses.append(
+            bad.append(
                 f"closure over core of {_descriptor(lat, h)} is not nilpotent")
-    witnesses.insert(0, f"{len(squasi)} S-quasinormal subgroups")
-    return _finish(G, "Lem2.3", HOLDS, HOLDS if ok else FAILS, witnesses, t0)
+    return not bad, [f"{len(squasi)} S-quasinormal subgroups"] + bad
 
 
 def _primitive_pairs(G: Group, lat):
@@ -684,24 +657,24 @@ def _primitive_pairs(G: Group, lat):
     return pairs
 
 
-def verify_lemma_2_10(G: Group, fast: bool = False) -> VerdictReport:
-    """In a soluble primitive group R x| M that is not nearly nilpotent:
-    no nontrivial proper subgroup of the point stabiliser is modular or
+def _lemma_2_10_scope(G: Group, lat):
+    # the lemma speaks about soluble primitive groups R x| M that are not
+    # nearly nilpotent; it holds vacuously on every other group
+    if not is_soluble(G) or is_nearly_nilpotent(G):
+        return VACUOUS, HOLDS, ["group is not a primitive non-nearly-nilpotent "
+                                "soluble group"]
+    if not _primitive_pairs(G, lat):
+        return VACUOUS, HOLDS, ["no self-centralising minimal normal with "
+                                "core-free complement"]
+    return None
+
+
+def _lemma_2_10_conclusion(G: Group, lat):
+    """No nontrivial proper subgroup of the point stabiliser is modular or
     S-quasinormal, and for prime |M| each intermediate size below |R| has
     a subgroup that is neither."""
-    t0 = time.perf_counter()
-    lat = lattice_of(G)
-    witnesses = []
-    if not is_soluble(G) or is_nearly_nilpotent(G):
-        return _finish(G, "Lem2.10", VACUOUS, HOLDS,
-                       ["group is not a primitive non-nearly-nilpotent "
-                        "soluble group"], t0)
+    bad = []
     pairs = _primitive_pairs(G, lat)
-    if not pairs:
-        return _finish(G, "Lem2.10", VACUOUS, HOLDS,
-                       ["no self-centralising minimal normal with core-free "
-                        "complement"], t0)
-    ok = True
     for ri, mi in pairs:
         R, M = lat.subgroups[ri], lat.subgroups[mi]
         for ti in lat.below[mi]:
@@ -709,8 +682,7 @@ def verify_lemma_2_10(G: Group, fast: bool = False) -> VerdictReport:
             if T.order in (1, M.order):
                 continue
             if lat.is_modular(ti) or lat.is_s_quasinormal(ti):
-                ok = False
-                witnesses.append(
+                bad.append(
                     f"{_descriptor(lat, ti)} inside the stabiliser is "
                     "modular or S-quasinormal")
         if is_prime(M.order):
@@ -722,129 +694,65 @@ def verify_lemma_2_10(G: Group, fast: bool = False) -> VerdictReport:
                     for v in lat.below[ri]
                     if lat.subgroups[v].order == size)
                 if not found:
-                    ok = False
-                    witnesses.append(
+                    bad.append(
                         f"every subgroup of order {size} inside the socle is "
                         "modular or S-quasinormal")
-    witnesses.insert(0, f"{len(pairs)} primitive decompositions checked")
-    return _finish(G, "Lem2.10", HOLDS, HOLDS if ok else FAILS, witnesses, t0)
-
-
-# ---------------------------------------------------------------------------
-# corollaries
-
-def _two_maximal_corollary(G: Group, theorem: str, modular: bool,
-                           s_quasinormal: bool, conclusion_pred, label: str,
-                           fast: bool) -> VerdictReport:
-    t0 = time.perf_counter()
-    lat = lattice_of(G)
-    hypothesis, offenders = _depth_quantifier(lat, 2, modular, s_quasinormal)
-    witnesses = []
-    if hypothesis == VACUOUS:
-        witnesses.append("no 2-maximal subgroups")
-    else:
-        witnesses.extend(_offender_witnesses(lat, offenders))
-    if fast and hypothesis == FAILS:
-        conclusion = NOT_EVALUATED
-    else:
-        ok = conclusion_pred(G)
-        conclusion = HOLDS if ok else FAILS
-        if not ok:
-            witnesses.append(f"group is not {label}")
-    return _finish(G, theorem, hypothesis, conclusion, witnesses, t0)
-
-
-def verify_corollary_4_1(G: Group, fast: bool = False) -> VerdictReport:
-    return _two_maximal_corollary(G, "Cor4.1", True, False,
-                                  is_nearly_nilpotent, "nearly nilpotent", fast)
-
-
-def verify_corollary_4_2(G: Group, fast: bool = False) -> VerdictReport:
-    return _two_maximal_corollary(G, "Cor4.2", False, True,
-                                  is_nearly_nilpotent, "nearly nilpotent", fast)
-
-
-def verify_corollary_4_3(G: Group, fast: bool = False) -> VerdictReport:
-    return _two_maximal_corollary(G, "Cor4.3", False, True,
-                                  is_supersoluble, "supersoluble", fast)
-
-
-def verify_corollary_4_4(G: Group, fast: bool = False) -> VerdictReport:
-    return _three_maximal_structure(G, "Cor4.4", with_squasi=False, fast=fast)
-
-
-def verify_corollaries(G: Group, fast: bool = False) -> list[VerdictReport]:
-    return [
-        verify_corollary_4_1(G, fast),
-        verify_corollary_4_2(G, fast),
-        verify_corollary_4_3(G, fast),
-        verify_corollary_4_4(G, fast),
-    ]
+    return not bad, [f"{len(pairs)} primitive decompositions checked"] + bad
 
 
 # ---------------------------------------------------------------------------
 # sharpness narratives
 
-def verify_sharpness_A(G: Group, fast: bool = False) -> VerdictReport:
+def _sharpness_A_hypothesis(G: Group, lat):
     """The bound n <= |pi(G)| cannot be dropped: on the order-12
     alternating group the only 3-maximal subgroup is trivial (hence
     modular), yet 3 exceeds |pi| = 2 and the group is not even
     supersoluble, so the hypothesis fails only through the bound."""
-    t0 = time.perf_counter()
-    lat = lattice_of(G)
-    spectrum = prime_spectrum(G)
     n3 = lat.n_maximal_indices(3)
+    if (is_soluble(G) and len(n3) == 1 and lat.subgroups[n3[0]].order == 1
+            and all(lat.is_modular(i) for i in n3)):
+        return HOLDS, ["3-maximal set is exactly the trivial subgroup"]
+    return FAILS, ["group does not have the expected 3-maximal shape"]
+
+
+def _sharpness_A_conclusion(G: Group, lat):
+    spectrum = prime_spectrum(G)
     witnesses = []
-    structural = (is_soluble(G)
-                  and len(n3) == 1
-                  and lat.subgroups[n3[0]].order == 1
-                  and all(lat.is_modular(i) for i in n3))
-    hypothesis = HOLDS if structural else FAILS
-    if structural:
-        witnesses.append("3-maximal set is exactly the trivial subgroup")
-    else:
-        witnesses.append("group does not have the expected 3-maximal shape")
     bound_blocks = 3 > len(spectrum)
     conclusion_false = not is_supersoluble(G)
-    ok = bound_blocks and conclusion_false
     if bound_blocks:
         witnesses.append(f"3 > |pi(G)| = {len(spectrum)}, the bound is what fails")
     if conclusion_false:
         witnesses.append("group is not supersoluble, so the conclusion "
                          "would be false without the bound")
-    return _finish(G, "SharpnessA", hypothesis,
-                   HOLDS if ok else FAILS, witnesses, t0)
+    return bound_blocks and conclusion_false, witnesses
 
 
-def verify_sharpness_B(G: Group, fast: bool = False) -> VerdictReport:
+def _sharpness_B_hypothesis(G: Group, lat):
     """The bound n <= |pi(G)|+1 cannot be raised: on the order-24 direct
     product the strongly supersoluble residual has order 4 and is not a
     Hall subgroup, while the least depth at which all n-maximal subgroups
     are modular exceeds |pi|+1 = 3."""
-    t0 = time.perf_counter()
+    if G.order == 24 and len(prime_spectrum(G)) == 2 and is_soluble(G):
+        return HOLDS, []
+    return FAILS, ["group does not have the expected order-24 shape"]
+
+
+def _sharpness_B_conclusion(G: Group, lat):
     spectrum = prime_spectrum(G)
-    witnesses = []
-    structural = G.order == 24 and len(spectrum) == 2 and is_soluble(G)
-    hypothesis = HOLDS if structural else FAILS
-    if not structural:
-        witnesses.append("group does not have the expected order-24 shape")
     r = residual_strongly_supersoluble(G)
-    cen = census(G)
-    min_n = cen.min_n_all_modular
-    ok = (r.order == 4
-          and not is_nilpotent_hall(G, r)
+    hall = is_nilpotent_hall(G, r)
+    min_n = census(G).min_n_all_modular
+    ok = (r.order == 4 and not hall
           and (min_n is None or min_n > len(spectrum) + 1))
-    witnesses.append(f"residual order {r.order} in group order {G.order}")
-    witnesses.append("residual is not a Hall subgroup"
-                     if not is_nilpotent_hall(G, r)
-                     else "residual unexpectedly Hall")
-    witnesses.append(f"min n with all n-maximal modular: {min_n}")
-    return _finish(G, "SharpnessB", hypothesis,
-                   HOLDS if ok else FAILS, witnesses, t0)
+    return ok, [f"residual order {r.order} in group order {G.order}",
+                "residual is not a Hall subgroup" if not hall
+                else "residual unexpectedly Hall",
+                f"min n with all n-maximal modular: {min_n}"]
 
 
 # ---------------------------------------------------------------------------
-# the suite runner
+# the check tables
 
 THEOREM_CHECKS = ("ThmA", "Thm2.12", "ThmB", "Thm3.4")
 LEMMA_CHECKS = ("Lem2.1", "Lem2.2", "Lem2.3", "Lem2.10")
@@ -862,29 +770,71 @@ CHECK_SELECTORS = {
     "sharpness": SHARPNESS_CHECKS,
 }
 
+# id -> verify(G, n, fast=False); ThmA and Thm2.12 conclude strong
+# supersolubility, ThmB and Thm3.4 relax the bound by one and conclude a
+# nilpotent Hall residual; the .12 and .4 variants also accept S-quasinormal
 _NMAX_RUNNERS = {
-    "ThmA": verify_theorem_A,
-    "Thm2.12": verify_theorem_2_12,
-    "ThmB": verify_theorem_B,
-    "Thm3.4": verify_theorem_3_4,
+    theorem: _nmax_runner(theorem, with_squasi, slack, conclusion)
+    for theorem, with_squasi, slack, conclusion in (
+        ("ThmA", False, 0, _strongly_supersoluble_conclusion),
+        ("Thm2.12", True, 0, _strongly_supersoluble_conclusion),
+        ("ThmB", False, 1, _residual_hall_conclusion),
+        ("Thm3.4", True, 1, _residual_hall_conclusion),
+    )
 }
 
+# id -> verify(G, fast=False)
 _SINGLE_RUNNERS = {
-    "Prop2.9": verify_prop_2_9,
-    "Prop2.11": verify_prop_2_11,
-    "Prop3.2": verify_prop_3_2,
-    "Lem2.1": lemma_2_1_suite,
-    "Lem2.2": verify_lemma_2_2,
-    "Lem2.3": verify_lemma_2_3,
-    "Lem2.10": verify_lemma_2_10,
-    "Cor4.1": verify_corollary_4_1,
-    "Cor4.2": verify_corollary_4_2,
-    "Cor4.3": verify_corollary_4_3,
-    "Cor4.4": verify_corollary_4_4,
-    "SharpnessA": verify_sharpness_A,
-    "SharpnessB": verify_sharpness_B,
+    theorem: _single_runner(theorem, *parts)
+    for theorem, *parts in (
+        ("Prop2.9", _prop_2_9_hypothesis, _prop_2_9_conclusion),
+        ("Prop2.11", _prop_2_11_hypothesis,
+         _is_class("nearly nilpotent",
+                   lambda G: is_nearly_nilpotent(G) and is_strongly_supersoluble(G))),
+        ("Prop3.2", _every_n_maximal(3, True, True), _three_maximal_conclusion,
+         _supersoluble_out_of_scope),
+        ("Lem2.1", _holds, _lemma_2_1_suite_conclusion),
+        ("Lem2.2", _holds, _lemma_2_2_conclusion),
+        ("Lem2.3", _holds, _lemma_2_3_conclusion),
+        ("Lem2.10", _holds, _lemma_2_10_conclusion, _lemma_2_10_scope),
+        ("Cor4.1", _every_n_maximal(2, True, False),
+         _is_class("nearly nilpotent", is_nearly_nilpotent)),
+        ("Cor4.2", _every_n_maximal(2, False, True),
+         _is_class("nearly nilpotent", is_nearly_nilpotent)),
+        ("Cor4.3", _every_n_maximal(2, False, True),
+         _is_class("supersoluble", is_supersoluble)),
+        ("Cor4.4", _every_n_maximal(3, True, False), _three_maximal_conclusion,
+         _supersoluble_out_of_scope),
+        ("SharpnessA", _sharpness_A_hypothesis, _sharpness_A_conclusion),
+        ("SharpnessB", _sharpness_B_hypothesis, _sharpness_B_conclusion),
+    )
 }
 
+verify_theorem_A = _NMAX_RUNNERS["ThmA"]
+verify_theorem_2_12 = _NMAX_RUNNERS["Thm2.12"]
+verify_theorem_B = _NMAX_RUNNERS["ThmB"]
+verify_theorem_3_4 = _NMAX_RUNNERS["Thm3.4"]
+verify_prop_2_9 = _SINGLE_RUNNERS["Prop2.9"]
+verify_prop_2_11 = _SINGLE_RUNNERS["Prop2.11"]
+verify_prop_3_2 = _SINGLE_RUNNERS["Prop3.2"]
+lemma_2_1_suite = _SINGLE_RUNNERS["Lem2.1"]
+verify_lemma_2_2 = _SINGLE_RUNNERS["Lem2.2"]
+verify_lemma_2_3 = _SINGLE_RUNNERS["Lem2.3"]
+verify_lemma_2_10 = _SINGLE_RUNNERS["Lem2.10"]
+verify_corollary_4_1 = _SINGLE_RUNNERS["Cor4.1"]
+verify_corollary_4_2 = _SINGLE_RUNNERS["Cor4.2"]
+verify_corollary_4_3 = _SINGLE_RUNNERS["Cor4.3"]
+verify_corollary_4_4 = _SINGLE_RUNNERS["Cor4.4"]
+verify_sharpness_A = _SINGLE_RUNNERS["SharpnessA"]
+verify_sharpness_B = _SINGLE_RUNNERS["SharpnessB"]
+
+
+def verify_corollaries(G: Group, fast: bool = False) -> list[VerdictReport]:
+    return [_SINGLE_RUNNERS[c](G, fast) for c in COROLLARY_CHECKS]
+
+
+# ---------------------------------------------------------------------------
+# the suite runner
 
 def reports_for_group(name: str, checks, fast: bool = False,
                       depth: int | None = None) -> list[VerdictReport]:
@@ -1001,21 +951,32 @@ def run_suite(groups="all", theorems="all", jobs: int = 1,
               fast: bool = False, depth: int | None = None) -> SuiteResult:
     """Run the selected checks over the selected groups.
 
-    Reports are merged in deterministic order (group name, then check id)
-    regardless of worker scheduling.
+    Reports are merged in deterministic order (group name, check id, depth
+    as a number) regardless of worker scheduling.  The worker pool is
+    capped at one process per group and per CPU, because a fork pool
+    starts all its workers at once.
     """
     if depth is not None and depth < 1:
         raise BadDepth(f"depth must be >= 1, got {depth}")
+    if jobs < 1:
+        raise UnknownSelector(f"jobs must be >= 1, got {jobs}")
     names = resolve_group_selector(groups)
     checks = resolve_check_selector(theorems)
+    workers = min(jobs, len(names), os.cpu_count() or 1)
     all_reports: list[VerdictReport] = []
-    if jobs > 1 and len(names) > 1:
+    if workers > 1:
         work = [(name, checks, fast, depth) for name in names]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk in pool.map(_suite_worker, work):
                 all_reports.extend(chunk)
     else:
         for name in names:
             all_reports.extend(reports_for_group(name, checks, fast, depth))
-    all_reports.sort(key=lambda r: (r.group, r.theorem))
+    all_reports.sort(key=_report_order)
     return SuiteResult(tuple(all_reports))
+
+
+def _report_order(r: VerdictReport):
+    # "ThmA(n=10)" -> ("ThmA", 10), so that depth 2 sorts before depth 10
+    check, _, depth = r.theorem.partition("(n=")
+    return r.group, check, int(depth.rstrip(")") or 0)

@@ -175,3 +175,9 @@ def test_soundness_exit_code_mapping():
     good = VerdictReport("X", "ThmA(n=1)", "fails", "fails", (), 0.0)
     assert not SuiteResult((good,)).has_failures()
     assert EXIT_SOUNDNESS == 3
+
+
+def test_verify_jobs_below_one_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "verify", "--groups", "S3", "--jobs", "0")
+    assert code == EXIT_USAGE
+    assert "jobs must be >= 1" in err

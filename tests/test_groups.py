@@ -12,6 +12,7 @@ from modmax.groups import (
     NotAnAction,
     NotNormal,
     NotPrime,
+    automorphisms,
     center,
     centralizer,
     core,
@@ -292,6 +293,19 @@ def test_isomorphism_backtracking():
                            direct_product(catalog.construct("C2"),
                                           catalog.construct("C3")))
     assert iso is not None and iso[0] == 0
+
+
+@pytest.mark.parametrize("name, count", [
+    ("1", 1), ("C6", 2), ("V4", 6), ("S3", 6), ("D8", 8), ("Q8", 24)])
+def test_automorphisms_share_the_isomorphism_search(name, count):
+    G = catalog.construct(name)
+    auts = automorphisms(G)
+    assert len(auts) == len(set(auts)) == count
+    assert tuple(range(G.order)) in auts
+    for f in auts:
+        assert all(f[G.table[a][b]] == G.table[f[a]][f[b]]
+                   for a in range(G.order) for b in range(G.order))
+    assert find_isomorphism(G, G) in auts
 
 
 def test_pq2_3_2_is_the_alternating_group():

@@ -303,3 +303,68 @@ def test_contrapositive_separating_examples(suite_groups):
     r = verify_corollary_4_3(suite_groups["A4"])
     assert not is_supersoluble(suite_groups["A4"])
     assert r.hypothesis == FAILS
+
+
+def test_fast_mode_covers_the_sharpness_narratives(suite_groups):
+    # S3 lacks the narrative's 3-maximal shape, so --fast skips the conclusion
+    r = verify_sharpness_A(suite_groups["S3"], fast=True)
+    assert (r.hypothesis, r.conclusion) == (FAILS, NOT_EVALUATED)
+    r = verify_sharpness_A(suite_groups["S3"])
+    assert r.hypothesis == FAILS and r.conclusion != NOT_EVALUATED
+
+
+def test_run_suite_orders_depths_numerically(monkeypatch):
+    from modmax import verify
+
+    def fake_reports(name, checks, fast=False, depth=None):
+        return [verify.VerdictReport(name, theorem, HOLDS, HOLDS, (), 0.0)
+                for theorem in ("ThmB(n=2)", "ThmA(n=10)", "Lem2.10",
+                                "ThmA(n=2)", "Lem2.1", "ThmA(n=1)")]
+
+    monkeypatch.setattr(verify, "reports_for_group", fake_reports)
+    result = run_suite("S3", "all")
+    assert [r.theorem for r in result.reports] == [
+        "Lem2.1", "Lem2.10", "ThmA(n=1)", "ThmA(n=2)", "ThmA(n=10)", "ThmB(n=2)"]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size and runs the
+    work in this process, so no worker is ever started."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, work):
+        return map(fn, work)
+
+
+@pytest.mark.parametrize("jobs, cpus, expected", [
+    (64, 8, 4),     # one worker per group at most
+    (64, 3, 3),     # and one per CPU
+    (2, 2, 2),
+    (3, None, None),  # unknown CPU count: serial
+    (1, 8, None),
+])
+def test_run_suite_caps_the_worker_pool(monkeypatch, jobs, cpus, expected):
+    from modmax import verify
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    _RecordingPool.sizes = []
+    result = run_suite("S3,Q8,C6,V4", "lemmas", jobs=jobs)
+    assert _RecordingPool.sizes == ([] if expected is None else [expected])
+    serial = run_suite("S3,Q8,C6,V4", "lemmas")
+    assert result.to_json_obj() == serial.to_json_obj()
+
+
+def test_run_suite_rejects_fewer_than_one_job():
+    for jobs in (0, -3):
+        with pytest.raises(UnknownSelector, match="jobs must be >= 1"):
+            run_suite("S3", "lemmas", jobs=jobs)
