@@ -212,29 +212,33 @@ def is_abelian(G: Group) -> bool:
     return all(t[a][b] == t[b][a] for a in range(G.order) for b in range(G.order))
 
 
-def is_soluble(G: Group) -> bool:
-    """Derived series reaches the trivial subgroup."""
-    table = G.table
+def _series_reaches_one(G: Group, key: str, step) -> bool:
+    """Iterate ``step`` from the whole group to a fixpoint; memoised on G."""
+    hit = G._cache.get(key)
+    if hit is not None:
+        return hit
     cur = (1 << G.order) - 1
     while True:
-        members = tuple(bits(cur))
-        comms = {G.commutator(a, b) for a in members for b in members}
-        nxt = close_mask(table, comms, G.order)
+        nxt = close_mask(G.table, step(cur), G.order)
         if nxt == cur:
+            G._cache[key] = cur == 1
             return cur == 1
         cur = nxt
+
+
+def is_soluble(G: Group) -> bool:
+    """Derived series reaches the trivial subgroup."""
+    def step(cur):
+        members = tuple(bits(cur))
+        return {G.commutator(a, b) for a in members for b in members}
+    return _series_reaches_one(G, "soluble", step)
 
 
 def is_nilpotent(G: Group) -> bool:
     """Lower central series reaches the trivial subgroup."""
-    table = G.table
-    cur = (1 << G.order) - 1
-    while True:
-        comms = {G.commutator(a, b) for a in bits(cur) for b in range(G.order)}
-        nxt = close_mask(table, comms, G.order)
-        if nxt == cur:
-            return cur == 1
-        cur = nxt
+    def step(cur):
+        return {G.commutator(a, b) for a in bits(cur) for b in range(G.order)}
+    return _series_reaches_one(G, "nilpotent", step)
 
 
 # ---------------------------------------------------------------------------

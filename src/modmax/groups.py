@@ -65,21 +65,18 @@ def bits(mask: int):
         mask ^= low
 
 
-def close_mask(table, seed, ambient_order: int | None = None,
-               forced_divisor: int = 1) -> int:
+def close_mask(table, seed, ambient_order: int | None = None) -> int:
     """Multiplicative closure of ``seed`` (iterable of indices) plus identity.
 
     Closure under products alone suffices in a finite group: inverses are
     positive powers.  When ``ambient_order`` is given, growth is cut short
-    by Lagrange: the final order is a multiple of ``forced_divisor``
-    dividing the ambient order, so once the working set outgrows the
-    largest proper candidate the closure is the whole group.
+    by Lagrange: once the working set outgrows the largest proper divisor
+    of the ambient order, the closure is the whole group.
     """
     threshold = None
-    if ambient_order is not None and ambient_order % forced_divisor == 0:
-        # largest proper divisor of the ambient order that the forced
-        # divisor divides: forced * (cofactor / its smallest prime)
-        m = ambient_order // forced_divisor
+    if ambient_order is not None:
+        # largest proper divisor: the order over its smallest prime
+        m = ambient_order
         if m == 1:
             threshold = 0
         else:
@@ -90,7 +87,7 @@ def close_mask(table, seed, ambient_order: int | None = None,
                     spf = d
                     break
                 d += 1
-            threshold = forced_divisor * (m // spf)
+            threshold = m // spf
     mask = 1
     elems = [0]
     stack = sorted({int(x) for x in seed} - {0}, reverse=True)
@@ -474,11 +471,17 @@ def core(G: Group, H: SubgroupSet) -> SubgroupSet:
 
 
 def normal_closure(G: Group, H: SubgroupSet) -> SubgroupSet:
-    """Smallest normal subgroup of G containing H (join of all conjugates)."""
-    seed = 0
-    for g in range(G.order):
-        seed |= conjugate_mask(G, g, H.mask)
-    return SubgroupSet(G, close_mask(G.table, bits(seed), G.order, H.order))
+    """Smallest normal subgroup of G containing H: H closed, together with
+    its conjugates by the generators of G, until those conjugates add
+    nothing (a subgroup the generators normalise is normal)."""
+    mask = H.mask
+    while True:
+        seed = mask
+        for g in G.generator_indices:
+            seed |= conjugate_mask(G, g, mask)
+        if seed == mask:
+            return SubgroupSet(G, mask)
+        mask = close_mask(G.table, bits(seed), G.order)
 
 
 def derived_subgroup(G: Group) -> SubgroupSet:
@@ -497,7 +500,8 @@ def center(G: Group) -> SubgroupSet:
 
 
 def is_normal_subgroup(G: Group, S: SubgroupSet) -> bool:
-    return all(conjugate_mask(G, g, S.mask) == S.mask for g in range(G.order))
+    """S is fixed by conjugation with each generator, hence by all of G."""
+    return all(conjugate_mask(G, g, S.mask) == S.mask for g in G.generator_indices)
 
 
 def quotient(G: Group, N: SubgroupSet) -> tuple[Group, tuple[int, ...]]:

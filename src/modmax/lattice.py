@@ -1,11 +1,26 @@
 """Complete subgroup lattices and subgroup embedding predicates.
 
-The lattice of a group is enumerated once (cyclic subgroups closed under
-pairwise joins) and cached on the group.  Subgroups are kept in a canonical
-order: ascending by order, ties broken by the sorted member tuple.  All
-predicates below are decided by literal quantifier evaluation against the
-lattice; the structure theorems they feed are test targets, never the
-computation path.
+The lattice of a group is enumerated once by cyclic extension and cached on
+the group.  Starting from the trivial subgroup, every subgroup H found is
+extended by one generator x of each cyclic subgroup of prime-power order
+with x not in H, and <H, x> is closed from H by adding right cosets of H
+one at a time (Dimino's method).  Every subgroup is generated by its
+prime-power elements, so a chain of such extensions reaches it; perfect
+subgroups included.
+
+Subgroups are kept in a canonical order: ascending by order, ties broken by
+the sorted member tuple.  Inclusion is stored as bitsets over those
+indices (``up[i]``: the subgroups containing i, ``down[j]``: the subgroups
+inside j).  A subgroup's proper subgroups have smaller order, so the join of
+i and j is the lowest index of ``up[i] & up[j]`` and the meet the highest of
+``down[i] & down[j]``; covers and both tables need no closure.
+
+All predicates below are decided against the lattice and never by the
+structure theorems they feed, which are test targets.  Modularity and
+subnormality are literal quantifier evaluation.  Permutability is decided by
+counting: HP is the set of products, |HP| = |H||P|/|H^P|, and HP = PH
+exactly when HP is a subgroup, that is when |HP| = |<H, P>|.  The literal
+comparison of the product sets stays in the tests as the oracle.
 
 n-maximality is read existentially: H is n-maximal when some maximal chain
 G = M0 > M1 > ... > Mn ends at H, so one subgroup can be n-maximal for
@@ -15,18 +30,9 @@ relation instead of enumerating chains.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .groups import (
-    Group,
-    SubgroupSet,
-    bits,
-    close_mask,
-    conjugate_mask,
-    factorize,
-    product_mask,
-)
+from .groups import Group, SubgroupSet, bits, conjugate_mask, factorize
 
 
 class BadDepth(Exception):
@@ -60,68 +66,62 @@ class MaximalChain:
 class SubgroupLattice:
     """All subgroups of a group with inclusion, covers, and join/meet tables."""
 
-    def __init__(self, group: Group, masks: list[int], joins: dict[int, int]):
+    def __init__(self, group: Group, masks: list[int], _unused):
+        # The third argument once carried the enumeration's cache of closed
+        # joins.  Joins are now read off the inclusion bitsets; the argument
+        # stays because perfbench's traced run subclasses this class with the
+        # (group, masks, joins) signature.
         order_key = lambda m: (m.bit_count(), tuple(bits(m)))
         canonical = sorted(masks, key=order_key)
         self.group = group
         self.subgroups = tuple(SubgroupSet(group, m) for m in canonical)
         self.index_of = {m: i for i, m in enumerate(canonical)}
         self._masks = canonical
+        self._orders = tuple(m.bit_count() for m in canonical)
         n = len(canonical)
         self.size = n
 
-        above = [[] for _ in range(n)]
-        below = [[] for _ in range(n)]
+        # inclusion bitsets; only a later index can contain an earlier one.
+        # ``rev_up`` is ``up`` with index j at bit n-1-j, so that the lowest
+        # common upper bound is the highest bit of an intersection.
+        up = [0] * n
+        rev_up = [0] * n
+        down = [0] * n
         for i, mi in enumerate(canonical):
-            for j, mj in enumerate(canonical):
-                if mi & mj == mi:
-                    above[i].append(j)
-                    below[j].append(i)
-        self.above = tuple(tuple(v) for v in above)
-        self.below = tuple(tuple(v) for v in below)
-
-        # covers = transitive reduction of inclusion
-        covers_down = [[] for _ in range(n)]  # maximal subgroups of each node
-        covers_up = [[] for _ in range(n)]
-        for j in range(n):
-            strictly_below = [i for i in below[j] if i != j]
-            for i in strictly_below:
-                mi = canonical[i]
-                if not any(k != i and k != j and canonical[k] & mi == mi
-                           and canonical[k] & canonical[j] == canonical[k]
-                           for k in strictly_below):
-                    covers_down[j].append(i)
-                    covers_up[i].append(j)
-        self.covers_down = tuple(tuple(sorted(v)) for v in covers_down)
-        self.covers_up = tuple(tuple(sorted(v)) for v in covers_up)
-
-        index_of = self.index_of
-        table = group.table
-        meet_t = [[0] * n for _ in range(n)]
-        join_t = [[0] * n for _ in range(n)]
-        for i in range(n):
-            mi = canonical[i]
-            row_meet = meet_t[i]
-            row_join = join_t[i]
             for j in range(i, n):
-                mj = canonical[j]
-                row_meet[j] = meet_t[j][i] = index_of[mi & mj]
-                union = mi | mj
-                jm = index_of.get(union)
-                if jm is None:
-                    closed = joins.get(union)
-                    if closed is None:
-                        lcm = (mi.bit_count() * mj.bit_count()
-                               // math.gcd(mi.bit_count(), mj.bit_count()))
-                        closed = close_mask(table, bits(union), group.order, lcm)
-                        joins[union] = closed
-                    jm = index_of[closed]
-                row_join[j] = join_t[j][i] = jm
-        self.meet_t = tuple(tuple(r) for r in meet_t)
-        self.join_t = tuple(tuple(r) for r in join_t)
+                if mi & canonical[j] == mi:
+                    up[i] |= 1 << j
+                    rev_up[i] |= 1 << (n - 1 - j)
+                    down[j] |= 1 << i
+        self.up = tuple(up)
+        self.down = tuple(down)
+        self.above = tuple(tuple(bits(b)) for b in up)
+        self.below = tuple(tuple(bits(b)) for b in down)
 
+        # covers: the strict down-set minus everything below a strict member
+        covers_down = []
+        for j in range(n):
+            strict = down[j] & ~(1 << j)
+            shadow = 0
+            for i in bits(strict):
+                shadow |= down[i] & ~(1 << i)
+            covers_down.append(tuple(bits(strict & ~shadow)))
+        covers_up = [[] for _ in range(n)]
+        for j, kids in enumerate(covers_down):
+            for i in kids:
+                covers_up[i].append(j)
+        self.covers_down = tuple(covers_down)
+        self.covers_up = tuple(tuple(v) for v in covers_up)
+
+        self.join_t = tuple(
+            tuple(n - (ri & rj).bit_length() for rj in rev_up) for ri in rev_up)
+        self.meet_t = tuple(
+            tuple((di & dj).bit_length() - 1 for dj in down) for di in down)
+
+        # a subgroup fixed by conjugation with each generator is normal
+        gens = group.generator_indices
         self.normal = tuple(
-            all(conjugate_mask(group, g, m) == m for g in range(group.order))
+            all(conjugate_mask(group, g, m) == m for g in gens)
             for m in canonical
         )
 
@@ -139,8 +139,6 @@ class SubgroupLattice:
         self.max_chain_length = max(depth[0]) if depth[0] else 0
 
         self._modular: dict[int, bool] = {}
-        self._quasinormal: dict[int, bool] = {}
-        self._s_quasinormal: dict[int, bool] = {}
         self._subnormal: dict[int, bool] = {}
         self._sylow_members: tuple[int, ...] | None = None
 
@@ -167,7 +165,7 @@ class SubgroupLattice:
         return 0
 
     def orders(self) -> tuple[int, ...]:
-        return tuple(s.order for s in self.subgroups)
+        return self._orders
 
     def is_normal(self, H) -> bool:
         return self.normal[self.index(H)]
@@ -176,8 +174,7 @@ class SubgroupLattice:
         return tuple(i for i in range(self.size) if self.normal[i])
 
     def leq(self, a, b) -> bool:
-        ma, mb = self._masks[self.index(a)], self._masks[self.index(b)]
-        return ma & mb == ma
+        return bool(self.up[self.index(a)] >> self.index(b) & 1)
 
     # -- maximality ---------------------------------------------------------
 
@@ -280,20 +277,15 @@ class SubgroupLattice:
 
     # -- permutability ------------------------------------------------------
 
-    def _permutes_with(self, a_mask: int, b_mask: int) -> bool:
-        G = self.group
-        return product_mask(G, a_mask, b_mask) == product_mask(G, b_mask, a_mask)
+    def _permutes_with_all(self, i: int, others) -> bool:
+        """HP = PH for every P in ``others``, by |H||P| = |<H,P>||H^P|."""
+        o, join_i, meet_i = self._orders, self.join_t[i], self.meet_t[i]
+        oi = o[i]
+        return all(oi * o[j] == o[join_i[j]] * o[meet_i[j]] for j in others)
 
     def is_quasinormal(self, H) -> bool:
         """HP = PH as sets for every subgroup P."""
-        mi = self.index(H)
-        hit = self._quasinormal.get(mi)
-        if hit is not None:
-            return hit
-        hm = self._masks[mi]
-        result = all(self._permutes_with(hm, m) for m in self._masks)
-        self._quasinormal[mi] = result
-        return result
+        return self._permutes_with_all(self.index(H), range(self.size))
 
     def sylow_member_indices(self) -> tuple[int, ...]:
         """Indices of every Sylow p-subgroup, for every prime p dividing |G|."""
@@ -308,17 +300,7 @@ class SubgroupLattice:
 
     def is_s_quasinormal(self, H) -> bool:
         """HP = PH as sets for every Sylow subgroup P (all primes, all conjugates)."""
-        mi = self.index(H)
-        hit = self._s_quasinormal.get(mi)
-        if hit is not None:
-            return hit
-        hm = self._masks[mi]
-        result = all(
-            self._permutes_with(hm, self._masks[i])
-            for i in self.sylow_member_indices()
-        )
-        self._s_quasinormal[mi] = result
-        return result
+        return self._permutes_with_all(self.index(H), self.sylow_member_indices())
 
     # -- subnormality ---------------------------------------------------------
 
@@ -330,12 +312,15 @@ class SubgroupLattice:
             return hit
         G = self.group
         hm = self._masks[mi]
-        cur = self._masks[self.top()]
-        while cur != hm:
-            seed = 0
-            for g in bits(cur):
-                seed |= conjugate_mask(G, g, hm)
-            nxt = close_mask(G.table, bits(seed), G.order, hm.bit_count())
+        join_t, index_of = self.join_t, self.index_of
+        cur = self.top()
+        while cur != mi:
+            # normal closure of H in cur: the join of its conjugates there
+            # (a conjugate by a member of the join so far lies inside it)
+            nxt = mi
+            for g in bits(self._masks[cur]):
+                if not (self._masks[nxt] >> g) & 1:
+                    nxt = join_t[nxt][index_of[conjugate_mask(G, g, hm)]]
             if nxt == cur:
                 self._subnormal[mi] = False
                 return False
@@ -380,33 +365,54 @@ class SubgroupLattice:
         return f"SubgroupLattice({self.group.name}, {self.size} subgroups)"
 
 
+def _extend(table, elems: tuple[int, ...], mask: int,
+            gens: tuple[int, ...], order: int) -> int:
+    """Mask of <H, x>, where H = <gens[:-1]> has members ``elems`` and mask
+    ``mask`` and x = gens[-1] lies outside H.  Right cosets Hr are added
+    until every rep times every generator lands in the union (Dimino).  A
+    subgroup of more than half the group's order is the whole group."""
+    reps = [0]
+    for r in reps:
+        row = table[r]
+        for s in gens:
+            y = row[s]
+            if not (mask >> y) & 1:
+                reps.append(y)
+                if 2 * len(reps) * len(elems) > order:
+                    return (1 << order) - 1
+                for h in elems:
+                    mask |= 1 << table[h][y]
+    return mask
+
+
 def enumerate_lattice(G: Group) -> SubgroupLattice:
-    """Enumerate every subgroup: all cyclic subgroups, closed under joins."""
+    """Enumerate every subgroup by cyclic extension (see the module docstring)."""
     table = G.table
-    masks = {1}
+    orders = G.element_orders()
+    cyclic: dict[int, int] = {}  # prime-power cyclic subgroup -> least generator
     for x in range(1, G.order):
-        masks.add(close_mask(table, (x,), G.order))
-    joins: dict[int, int] = {}
-    frontier = list(masks)
+        if len(factorize(orders[x])) == 1:
+            m, y = 1, x
+            while y:
+                m |= 1 << y
+                y = table[y][x]
+            cyclic.setdefault(m, x)
+    found = {1: ()}  # subgroup mask -> the generators it was built from
+    frontier = [1]
     while frontier:
         new = []
-        current = list(masks)
-        for a in frontier:
-            for b in current:
-                union = a | b
-                if union == a or union == b or union in masks:
+        for h in frontier:
+            gens = found[h]
+            elems = tuple(bits(h))
+            for x in cyclic.values():
+                if (h >> x) & 1:
                     continue
-                j = joins.get(union)
-                if j is None:
-                    lcm = (a.bit_count() * b.bit_count()
-                           // math.gcd(a.bit_count(), b.bit_count()))
-                    j = close_mask(table, bits(union), G.order, lcm)
-                    joins[union] = j
-                if j not in masks:
-                    masks.add(j)
-                    new.append(j)
+                k = _extend(table, elems, h, gens + (x,), G.order)
+                if k not in found:
+                    found[k] = gens + (x,)
+                    new.append(k)
         frontier = new
-    return SubgroupLattice(G, sorted(masks), joins)
+    return SubgroupLattice(G, list(found), None)
 
 
 def lattice_of(G: Group) -> SubgroupLattice:

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import modmax
 from modmax.cli import EXIT_LOAD, EXIT_OK, EXIT_SOUNDNESS, EXIT_USAGE, main
 
 
@@ -84,9 +89,12 @@ def test_verify_output_identical_across_runs(capsys):
     assert out1 == out2
 
 
+GATE_ALL = (97125,
+            "164cf7f98e8fbe8bc29292993c8abd5e61e2a98c877df244681dc35e039431dd")
+
+
 @pytest.mark.parametrize("flags, size, digest", [
-    ((), 97125,
-     "164cf7f98e8fbe8bc29292993c8abd5e61e2a98c877df244681dc35e039431dd"),
+    ((), *GATE_ALL),
     (("--fast",), 91809,
      "f81aeae8534fb7fe258f68bfdd902ef1509d86d29ff9b74772a55bc677e6fd0a"),
 ], ids=["all", "all-fast"])
@@ -99,6 +107,20 @@ def test_verify_gate_bytes_are_pinned(capsys, flags, size, digest):
     assert code == EXIT_OK
     data = out.encode()
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+def test_verify_gate_bytes_across_processes():
+    """A fresh interpreter asked for two worker processes prints the same
+    pinned bytes, with no cache of this process warmed."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(modmax.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "modmax.cli", "verify", "--suite", "all",
+         "--format", "json", "--jobs", "2"],
+        capture_output=True, env=env, timeout=600)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    data = proc.stdout
+    assert (len(data), hashlib.sha256(data).hexdigest()) == GATE_ALL
 
 
 def test_verify_depth_pin(capsys):

@@ -13,8 +13,10 @@ from modmax.groups import (
     NotNormal,
     NotPrime,
     automorphisms,
+    bits,
     center,
     centralizer,
+    conjugate_mask,
     core,
     cycles_to_perm,
     derived_subgroup,
@@ -144,6 +146,20 @@ def test_core_and_closure_of_normal_subgroup(suite_groups):
     v4 = next(s for s in _subgroups_of_order(a4, 4))
     assert core(a4, v4).mask == v4.mask
     assert normal_closure(a4, v4).mask == v4.mask
+
+
+def test_normality_by_generators_matches_all_elements(suite_groups):
+    """Normality and normal closure read off the generators agree with the
+    definitions over every element, on every subgroup of the suite."""
+    from modmax.lattice import lattice_of
+    for G in suite_groups.values():
+        for S in lattice_of(G).subgroups:
+            conjugates = [conjugate_mask(G, g, S.mask) for g in range(G.order)]
+            assert is_normal_subgroup(G, S) == all(c == S.mask for c in conjugates)
+            union = 0
+            for c in conjugates:
+                union |= c
+            assert normal_closure(G, S) == subgroup_generated(G, bits(union))
 
 
 def _subgroups_of_order(G, k):
