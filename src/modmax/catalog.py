@@ -48,8 +48,7 @@ def cyclic(n: int, name: str | None = None) -> Group:
         raise BadParameters(f"cyclic order must be positive, got {n}")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     gens = [1] if n > 1 else []
-    return Group(table, name=name or f"C{n}", generators=gens,
-                 max_order_cap=max(DEFAULT_MAX_ORDER, n))
+    return Group(table, name=name or f"C{n}", generators=gens)
 
 
 def elementary_abelian(p: int, k: int, name: str | None = None) -> Group:
@@ -70,8 +69,7 @@ def elementary_abelian(p: int, k: int, name: str | None = None) -> Group:
                 mult *= p
             table[i][j] = total
     gens = [p ** i for i in range(k)]
-    return Group(table, name=name or f"E{p}^{k}", generators=gens,
-                 max_order_cap=max(DEFAULT_MAX_ORDER, n))
+    return Group(table, name=name or f"E{p}^{k}", generators=gens)
 
 
 def dihedral(order: int, name: str | None = None) -> Group:
@@ -290,72 +288,69 @@ def power_split_group(p: int, k: int, q: int, power: int,
 # ---------------------------------------------------------------------------
 # the name registry
 
-_NAMED: dict[str, Callable[[], Group]] = {
-    "1": lambda: cyclic(1, name="1"),
-    "V4": lambda: elementary_abelian(2, 2, name="V4"),
-    "E9": lambda: elementary_abelian(3, 2, name="E9"),
-    "Q8": quaternion8,
-    "S3": lambda: symmetric(3),
-    "S4": lambda: symmetric(4),
-    "S5": lambda: symmetric(5),
-    "A4": lambda: alternating(4),
-    "A5": lambda: alternating(5),
-    "C3:C4": dicyclic12,
-    "SL23": sl23,
-    "A4xC2": lambda: direct_product(alternating(4), cyclic(2), name="A4xC2"),
+_NAMED: dict[str, tuple[int, Callable[[], Group]]] = {
+    "1": (1, lambda: cyclic(1, name="1")),
+    "V4": (4, lambda: elementary_abelian(2, 2, name="V4")),
+    "E9": (9, lambda: elementary_abelian(3, 2, name="E9")),
+    "Q8": (8, quaternion8),
+    "S3": (6, lambda: symmetric(3)),
+    "S4": (24, lambda: symmetric(4)),
+    "S5": (120, lambda: symmetric(5)),
+    "A4": (12, lambda: alternating(4)),
+    "A5": (60, lambda: alternating(5)),
+    "C3:C4": (12, dicyclic12),
+    "SL23": (24, sl23),
+    "A4xC2": (24, lambda: direct_product(alternating(4), cyclic(2), name="A4xC2")),
 }
 
-_PATTERNS: tuple[tuple[re.Pattern, Callable], ...] = (
-    (re.compile(r"^C(\d+)$"), lambda m: cyclic(int(m.group(1)))),
-    (re.compile(r"^D(\d+)$"), lambda m: dihedral(int(m.group(1)))),
-    (re.compile(r"^E(\d+)\^(\d+)$"),
-     lambda m: elementary_abelian(int(m.group(1)), int(m.group(2)))),
-    (re.compile(r"^hol_C(\d+)$"), lambda m: holomorph_cyclic(int(m.group(1)))),
-    (re.compile(r"^pq2_(\d+)_(\d+)$"),
-     lambda m: pq2(int(m.group(1)), int(m.group(2)))),
+# (pattern, order of the integer parameters, builder of the same parameters)
+_PATTERNS: tuple[tuple[re.Pattern, Callable[..., int], Callable[..., Group]], ...] = (
+    (re.compile(r"^C(\d+)$"), lambda n: n, cyclic),
+    (re.compile(r"^D(\d+)$"), lambda n: n, dihedral),
+    (re.compile(r"^E(\d+)\^(\d+)$"), lambda p, k: p ** k, elementary_abelian),
+    (re.compile(r"^hol_C(\d+)$"), lambda p: p * (p - 1), holomorph_cyclic),
+    (re.compile(r"^pq2_(\d+)_(\d+)$"), lambda p, q: p * q * q, pq2),
     (re.compile(r"^pgroup_(\d+)\^(\d+):(\d+):(\d+)$"),
-     lambda m: power_split_group(int(m.group(1)), int(m.group(2)),
-                                 int(m.group(3)), int(m.group(4)))),
+     lambda p, k, q, power: p ** k * q, power_split_group),
 )
 
 
-def construct(name: str, max_order_cap: int | None = None) -> Group:
-    """Build a catalog group by name; raises UnknownName or BadParameters.
+def _resolve(name: str) -> tuple[int, Callable[[], Group]]:
+    """Map a catalog name to ``(order, builder)`` without building anything.
 
-    Besides the registered names and parameter patterns, ``AxB`` builds the
-    direct product of two constructible names (leftmost split that parses).
+    Besides the registered names and parameter patterns, ``AxB`` is the
+    direct product of two resolvable names (leftmost split that resolves).
+    The order is what the builder returns when its parameters are valid;
+    invalid parameters raise BadParameters only when the builder runs.
     """
-    builder = _NAMED.get(name)
-    if builder is not None:
-        G = builder()
-    else:
-        for pattern, make in _PATTERNS:
-            m = pattern.match(name)
-            if m:
-                G = make(m)
-                break
-        else:
-            G = _construct_product(name)
-            if G is None:
-                raise UnknownName(f"no catalog group named {name!r}")
-    if max_order_cap is not None and G.order > max_order_cap:
-        raise ClosureExceedsCap(
-            f"{name} has order {G.order}, above the requested cap {max_order_cap}")
-    return G
-
-
-def _construct_product(name: str) -> Group | None:
+    entry = _NAMED.get(name)
+    if entry is not None:
+        return entry
+    for pattern, order, build in _PATTERNS:
+        m = pattern.match(name)
+        if m:
+            args = [int(v) for v in m.groups()]
+            return order(*args), lambda: build(*args)
     for pos in range(1, len(name) - 1):
         if name[pos] != "x":
             continue
-        left, right = name[:pos], name[pos + 1:]
         try:
-            a = construct(left)
-            b = construct(right)
-        except (UnknownName, BadParameters):
+            order_a, build_a = _resolve(name[:pos])
+            order_b, build_b = _resolve(name[pos + 1:])
+        except UnknownName:
             continue
-        return direct_product(a, b, name=name)
-    return None
+        return order_a * order_b, lambda: direct_product(build_a(), build_b(), name=name)
+    raise UnknownName(f"no catalog group named {name!r}")
+
+
+def construct(name: str, max_order_cap: int = DEFAULT_MAX_ORDER) -> Group:
+    """Build a catalog group by name; raises UnknownName, BadParameters, or
+    ClosureExceedsCap when the order is above the cap, before building."""
+    order, build = _resolve(name)
+    if order > max_order_cap:
+        raise ClosureExceedsCap(
+            f"{name} has order {order}, above the requested cap {max_order_cap}")
+    return build()
 
 
 _shared: dict[str, Group] = {}

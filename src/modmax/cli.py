@@ -38,6 +38,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_group(source: str, max_order: int) -> Group:
+    if max_order < 1:
+        raise _UsageError(f"--max-order must be >= 1, got {max_order}")
     if source.startswith("catalog:"):
         name = source[len("catalog:"):]
         try:
@@ -219,7 +221,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.fn(args)
-    except (UnknownSelector, BadDepth) as exc:
+    except (_UsageError, UnknownSelector, BadDepth) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (LoadError, GroupError) as exc:

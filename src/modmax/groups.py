@@ -35,7 +35,7 @@ class InvalidPermutation(GroupError):
 
 
 class ClosureExceedsCap(GroupError):
-    """Generated closure grew past the construction-time order cap."""
+    """A requested group's order, or a closure in progress, is above the order cap."""
 
 
 class NotNormal(GroupError):
@@ -74,20 +74,11 @@ def close_mask(table, seed, ambient_order: int | None = None) -> int:
     of the ambient order, the closure is the whole group.
     """
     threshold = None
-    if ambient_order is not None:
+    if ambient_order == 1:
+        threshold = 0
+    elif ambient_order is not None:
         # largest proper divisor: the order over its smallest prime
-        m = ambient_order
-        if m == 1:
-            threshold = 0
-        else:
-            spf = m
-            d = 2
-            while d * d <= m:
-                if m % d == 0:
-                    spf = d
-                    break
-                d += 1
-            threshold = m // spf
+        threshold = ambient_order // min(factorize(ambient_order))
     mask = 1
     elems = [0]
     stack = sorted({int(x) for x in seed} - {0}, reverse=True)
@@ -150,15 +141,11 @@ class Group:
     :func:`group_from_cayley_table` calls on untrusted input.
     """
 
-    def __init__(self, table, name: str = "G", generators=None,
-                 max_order_cap: int = DEFAULT_MAX_ORDER):
+    def __init__(self, table, name: str = "G", generators=None):
         rows = tuple(tuple(int(v) for v in row) for row in table)
         n = len(rows)
         if n == 0:
             raise NotAGroup("empty multiplication table")
-        if n > max_order_cap:
-            raise ClosureExceedsCap(
-                f"order {n} exceeds max_order_cap {max_order_cap}")
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise NotAGroup(f"table row {i} has length {len(row)}, expected {n}")
@@ -185,7 +172,6 @@ class Group:
         self.order = n
         self.table = rows
         self.inverse = tuple(inverse)
-        self.max_order_cap = max_order_cap
         self._cache: dict = {}
         if generators is None:
             gens = self._greedy_generators()
@@ -371,13 +357,19 @@ def group_from_permutations(degree: int, generators, name: str = "G",
         for j, q in enumerate(elems):
             table[i][j] = index[tuple(q[p[k]] for k in range(degree))]
     gen_idx = [index[g] for g in gens]
-    return Group(table, name=name, generators=gen_idx, max_order_cap=max_order_cap)
+    return Group(table, name=name, generators=gen_idx)
 
 
 def group_from_cayley_table(table, name: str = "G",
                             max_order_cap: int = DEFAULT_MAX_ORDER) -> Group:
-    """Build a group from an explicit table, with full axiom validation."""
-    return Group(table, name=name, max_order_cap=max_order_cap).validate()
+    """Build a group from an explicit table, with full axiom validation.
+
+    The order cap is compared with the number of rows before any row is read.
+    """
+    if len(table) > max_order_cap:
+        raise ClosureExceedsCap(
+            f"order {len(table)} exceeds max_order_cap {max_order_cap}")
+    return Group(table, name=name).validate()
 
 
 def cycles_to_perm(degree: int, cycles) -> tuple[int, ...]:
@@ -461,13 +453,17 @@ def normalizer(G: Group, S: SubgroupSet) -> SubgroupSet:
 
 
 def core(G: Group, H: SubgroupSet) -> SubgroupSet:
-    """Largest normal subgroup of G inside H (intersection of conjugates)."""
-    out = H.mask
-    for g in range(1, G.order):
-        out &= conjugate_mask(G, g, H.mask)
-        if out == 1:
-            break
-    return SubgroupSet(G, out)
+    """Largest normal subgroup of G inside H: H intersected with its
+    conjugates by the generators of G until the intersection stops
+    shrinking (a subgroup the generators normalise is normal)."""
+    mask = H.mask
+    while True:
+        meet = mask
+        for g in G.generator_indices:
+            meet &= conjugate_mask(G, g, mask)
+        if meet == mask:
+            return SubgroupSet(G, mask)
+        mask = meet
 
 
 def normal_closure(G: Group, H: SubgroupSet) -> SubgroupSet:
@@ -530,8 +526,7 @@ def quotient(G: Group, N: SubgroupSet) -> tuple[Group, tuple[int, ...]]:
     m = len(reps)
     qtable = [[proj[t[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
     qgens = tuple(dict.fromkeys(proj[g] for g in G.generator_indices if proj[g] != 0))
-    Q = Group(qtable, name=f"{G.name}/{N.order}", generators=qgens,
-              max_order_cap=G.max_order_cap)
+    Q = Group(qtable, name=f"{G.name}/{N.order}", generators=qgens)
     result = (Q, tuple(proj))
     G._cache[key] = result
     return result
@@ -554,9 +549,7 @@ def direct_product(A: Group, B: Group, name: str | None = None) -> Group:
                 for b2 in range(nb):
                     row[off + b2] = base + rb[b2]
     gens = [g * nb for g in A.generator_indices] + list(B.generator_indices)
-    cap = max(A.max_order_cap, B.max_order_cap, n)
-    return Group(table, name=name or f"{A.name}x{B.name}", generators=gens,
-                 max_order_cap=cap)
+    return Group(table, name=name or f"{A.name}x{B.name}", generators=gens)
 
 
 def _compose(p, q):
@@ -612,9 +605,7 @@ def semidirect_product(N: Group, H: Group, action,
                 for h2 in range(nh):
                     row[off + h2] = base + rh[h2]
     gens = [g * nh for g in N.generator_indices] + list(H.generator_indices)
-    cap = max(N.max_order_cap, H.max_order_cap, n)
-    return Group(table, name=name or f"{N.name}:{H.name}", generators=gens,
-                 max_order_cap=cap)
+    return Group(table, name=name or f"{N.name}:{H.name}", generators=gens)
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +715,7 @@ def subgroup_as_group(G: Group, S: SubgroupSet) -> tuple[Group, tuple[int, ...]]
     elems = S.members()
     local = {x: i for i, x in enumerate(elems)}
     table = [[local[G.table[x][y]] for y in elems] for x in elems]
-    sub = Group(table, name=f"{G.name}<{S.order}>", max_order_cap=G.max_order_cap)
+    sub = Group(table, name=f"{G.name}<{S.order}>")
     result = (sub, elems)
     G._cache[key] = result
     return result

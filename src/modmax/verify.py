@@ -914,7 +914,10 @@ class SuiteResult:
 
 
 def resolve_group_selector(selector) -> list[str]:
-    """"all", "" (empty), or a comma-separated list of catalog names."""
+    """"all", "" (empty), or a comma-separated list of catalog names.
+
+    Each group is built at the default order cap.
+    """
     if isinstance(selector, (list, tuple)):
         names = list(selector)
     elif selector == "all":
@@ -926,7 +929,7 @@ def resolve_group_selector(selector) -> list[str]:
     for name in names:
         try:
             catalog.shared_group(name)
-        except catalog.UnknownName as exc:
+        except (catalog.UnknownName, catalog.BadParameters) as exc:
             raise UnknownSelector(str(exc)) from exc
     return names
 

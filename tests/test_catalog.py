@@ -1,10 +1,12 @@
 """Golden classification table and construction determinism."""
 
+import tracemalloc
+
 import pytest
 
 from modmax import catalog
 from modmax.classify import PROFILE_FIELDS, classify
-from modmax.groups import is_isomorphic
+from modmax.groups import ClosureExceedsCap, is_isomorphic
 
 
 def test_every_expected_field_matches(suite_entries, suite_groups):
@@ -83,6 +85,52 @@ def test_direct_product_names():
     assert catalog.construct("S3xC5").order == 30
     with pytest.raises(catalog.UnknownName):
         catalog.construct("S3xNope")
+
+
+# one name per parameter pattern, plus a nested product
+_RESOLVED_NAMES = ["C9", "D12", "E2^3", "hol_C7", "pq2_3_2", "pgroup_7^1:3:2",
+                   "S3xC2xC2"]
+
+
+def test_every_pattern_has_a_resolved_name():
+    for pattern, _, _ in catalog._PATTERNS:
+        assert any(pattern.match(name) for name in _RESOLVED_NAMES)
+
+
+@pytest.mark.parametrize("name", sorted(catalog._NAMED) + _RESOLVED_NAMES)
+def test_resolved_order_is_the_built_order(name):
+    order, _ = catalog._resolve(name)
+    assert order == catalog.construct(name).order
+
+
+@pytest.mark.parametrize("name, cap",
+                         [("C2100", 2000), ("E2^10", 500), ("S5xD2000", 2000)])
+def test_over_cap_names_are_rejected_before_building(name, cap):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ClosureExceedsCap):
+            catalog.construct(name, max_order_cap=cap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_default_cap_applies_to_every_family():
+    for name in ("C2002", "D2002", "E2^11", "hol_C47", "C2xD1002"):
+        with pytest.raises(ClosureExceedsCap):
+            catalog.construct(name)
+
+
+def test_cap_is_checked_before_parameters():
+    with pytest.raises(ClosureExceedsCap):
+        catalog.construct("D2001")  # odd dihedral order, over the cap
+    with pytest.raises(catalog.BadParameters):
+        catalog.construct("D7xC2")
+
+
+def test_requested_cap_reaches_the_builder():
+    assert catalog.construct("D2002", max_order_cap=2002).order == 2002
 
 
 def test_power_split_constructor_is_split_power_group():

@@ -188,6 +188,12 @@ def test_max_order_flag(capsys):
     assert code == EXIT_LOAD
 
 
+def test_max_order_below_one_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "classify", "catalog:S4", "--max-order", "0")
+    assert code == EXIT_USAGE
+    assert "--max-order must be >= 1" in err
+
+
 def test_soundness_exit_code_mapping():
     # a real violation is not producible from a correct build; check the
     # mapping through the SuiteResult seam instead
@@ -203,3 +209,17 @@ def test_verify_jobs_below_one_is_a_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--groups", "S3", "--jobs", "0")
     assert code == EXIT_USAGE
     assert "jobs must be >= 1" in err
+
+
+def test_verify_group_with_bad_parameters_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--groups", "D7")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error: ")
+
+
+def test_verify_group_over_the_default_cap_is_a_load_error(capsys):
+    code, out, err = run(capsys, "verify", "--groups", "C3000")
+    assert code == EXIT_LOAD
+    assert out == ""
+    assert "C3000 has order 3000, above the requested cap 2000" in err

@@ -70,6 +70,11 @@ def test_closure_cap_enforced():
                                 max_order_cap=30)
 
 
+def test_cayley_cap_checked_before_any_row_is_read():
+    with pytest.raises(ClosureExceedsCap):
+        group_from_cayley_table([None] * 31, max_order_cap=30)
+
+
 def test_trivial_cayley_table():
     G = group_from_cayley_table([[0]])
     assert G.order == 1
@@ -160,6 +165,20 @@ def test_normality_by_generators_matches_all_elements(suite_groups):
             for c in conjugates:
                 union |= c
             assert normal_closure(G, S) == subgroup_generated(G, bits(union))
+
+
+@pytest.mark.parametrize(
+    "name", catalog.suite_names() + ["S4xC2", "A5", "E2^3xS3", "S5"])
+def test_core_by_generators_matches_all_elements(name):
+    """The core read off the generators is the intersection of the
+    conjugates by every element, on every subgroup."""
+    from modmax.lattice import lattice_of
+    G = catalog.shared_group(name)
+    for S in lattice_of(G).subgroups:
+        meet = S.mask
+        for g in range(G.order):
+            meet &= conjugate_mask(G, g, S.mask)
+        assert core(G, S).mask == meet
 
 
 def _subgroups_of_order(G, k):
