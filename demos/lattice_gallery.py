@@ -36,4 +36,4 @@ print("S-quasinormal. Modularity and S-quasinormality are incomparable.")
 
 out = Path(__file__).with_name("quaternion_lattice.dot")
 out.write_text(lattice_of(catalog.shared_group("Q8")).to_dot())
-print(f"\nwrote {out}")
+print(f"\nwrote {out.name}")
