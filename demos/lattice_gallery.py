@@ -23,7 +23,7 @@ for name in ("S3", "Q8", "A4", "S4"):
             "S" if lat.is_s_quasinormal(i) else "-",
             "s" if lat.is_subnormal(i) else "-",
         ))
-        depths = sorted(lat.depth_sets[i])
+        depths = [n for n, layer in enumerate(lat.layers) if layer >> i & 1]
         print(f"   [{i:>2}] order {s.order:>2}  {flags}  n-maximal for n in {depths}")
     print()
 

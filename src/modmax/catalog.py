@@ -25,6 +25,7 @@ from .groups import (
     Group,
     automorphisms,
     direct_product,
+    factorize,
     group_from_permutations,
     is_prime,
     prime_spectrum,
@@ -125,16 +126,7 @@ def alternating(n: int, name: str | None = None) -> Group:
 
 
 def _least_primitive_root(p: int) -> int:
-    fac = {}
-    m = p - 1
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            fac[d] = True
-            m //= d
-        d += 1
-    if m > 1:
-        fac[m] = True
+    fac = factorize(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
             return g
@@ -303,53 +295,78 @@ _NAMED: dict[str, tuple[int, Callable[[], Group]]] = {
     "A4xC2": (24, lambda: direct_product(alternating(4), cyclic(2), name="A4xC2")),
 }
 
-# (pattern, order of the integer parameters, builder of the same parameters)
+# (pattern, order of the integer parameters, builder of the same
+# parameters).  An order function gets a limit first: p ** k is computed
+# with k at most limit.bit_length(), which is exact or above the limit.
 _PATTERNS: tuple[tuple[re.Pattern, Callable[..., int], Callable[..., Group]], ...] = (
-    (re.compile(r"^C(\d+)$"), lambda n: n, cyclic),
-    (re.compile(r"^D(\d+)$"), lambda n: n, dihedral),
-    (re.compile(r"^E(\d+)\^(\d+)$"), lambda p, k: p ** k, elementary_abelian),
-    (re.compile(r"^hol_C(\d+)$"), lambda p: p * (p - 1), holomorph_cyclic),
-    (re.compile(r"^pq2_(\d+)_(\d+)$"), lambda p, q: p * q * q, pq2),
+    (re.compile(r"^C(\d+)$"), lambda limit, n: n, cyclic),
+    (re.compile(r"^D(\d+)$"), lambda limit, n: n, dihedral),
+    (re.compile(r"^E(\d+)\^(\d+)$"),
+     lambda limit, p, k: p ** min(k, limit.bit_length()), elementary_abelian),
+    (re.compile(r"^hol_C(\d+)$"), lambda limit, p: p * (p - 1), holomorph_cyclic),
+    (re.compile(r"^pq2_(\d+)_(\d+)$"), lambda limit, p, q: p * q * q, pq2),
     (re.compile(r"^pgroup_(\d+)\^(\d+):(\d+):(\d+)$"),
-     lambda p, k, q, power: p ** k * q, power_split_group),
+     lambda limit, p, k, q, power: p ** min(k, limit.bit_length()) * q,
+     power_split_group),
 )
 
+# orders up to this bound are exact, in messages too
+_EXACT_ORDERS = 10 ** 12
 
-def _resolve(name: str) -> tuple[int, Callable[[], Group]]:
+
+def _resolve(name: str, limit: int = _EXACT_ORDERS,
+             memo: dict | None = None) -> tuple[int, Callable[[], Group]]:
     """Map a catalog name to ``(order, builder)`` without building anything.
 
     Besides the registered names and parameter patterns, ``AxB`` is the
     direct product of two resolvable names (leftmost split that resolves).
-    The order is what the builder returns when its parameters are valid;
-    invalid parameters raise BadParameters only when the builder runs.
+    The order is what the builder returns when its parameters are valid,
+    or limit + 1 when that is larger; invalid parameters raise
+    BadParameters only when the builder runs.  ``memo`` maps the sub-names
+    of one product to their resolution (None: unresolvable), so that each
+    is resolved once.
     """
+    memo = {} if memo is None else memo
+    if name not in memo:
+        memo[name] = _resolve_new(name, limit, memo)
+    if memo[name] is None:
+        raise UnknownName(f"no catalog group named {name!r}")
+    return memo[name]
+
+
+def _resolve_new(name: str, limit: int, memo: dict):
     entry = _NAMED.get(name)
     if entry is not None:
         return entry
     for pattern, order, build in _PATTERNS:
         m = pattern.match(name)
         if m:
+            if any(len(v) > 1000 for v in m.groups()):
+                raise BadParameters(f"{name[:20]}... has a parameter over 1000 digits")
             args = [int(v) for v in m.groups()]
-            return order(*args), lambda: build(*args)
+            return min(order(limit, *args), limit + 1), lambda: build(*args)
     for pos in range(1, len(name) - 1):
         if name[pos] != "x":
             continue
         try:
-            order_a, build_a = _resolve(name[:pos])
-            order_b, build_b = _resolve(name[pos + 1:])
+            order_a, build_a = _resolve(name[:pos], limit, memo)
+            order_b, build_b = _resolve(name[pos + 1:], limit, memo)
         except UnknownName:
             continue
-        return order_a * order_b, lambda: direct_product(build_a(), build_b(), name=name)
-    raise UnknownName(f"no catalog group named {name!r}")
+        return (min(order_a * order_b, limit + 1),
+                lambda: direct_product(build_a(), build_b(), name=name))
+    return None
 
 
 def construct(name: str, max_order_cap: int = DEFAULT_MAX_ORDER) -> Group:
     """Build a catalog group by name; raises UnknownName, BadParameters, or
     ClosureExceedsCap when the order is above the cap, before building."""
-    order, build = _resolve(name)
+    limit = max(max_order_cap, _EXACT_ORDERS)
+    order, build = _resolve(name, limit)
     if order > max_order_cap:
+        shown = order if order <= limit else f"more than {limit}"
         raise ClosureExceedsCap(
-            f"{name} has order {order}, above the requested cap {max_order_cap}")
+            f"{name} has order {shown}, above the requested cap {max_order_cap}")
     return build()
 
 

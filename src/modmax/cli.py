@@ -97,15 +97,16 @@ def cmd_lattice(args) -> int:
     if args.format == "dot":
         print(lat.to_dot(), end="")
         return EXIT_OK
+    normal, modular, squasi = lat.normal, lat.modular, lat.s_quasinormal
     rows = []
     for i, s in enumerate(lat.subgroups):
         rows.append({
             "index": i,
             "order": s.order,
             "members": list(s.members()),
-            "normal": lat.is_normal(i),
-            "modular": lat.is_modular(i),
-            "s_quasinormal": lat.is_s_quasinormal(i),
+            "normal": bool(normal >> i & 1),
+            "modular": bool(modular >> i & 1),
+            "s_quasinormal": bool(squasi >> i & 1),
             "maximal_in": list(lat.covers_up[i]),
         })
     obj = {"group": G.name, "order": G.order, "subgroups": rows}

@@ -15,17 +15,28 @@ inside j).  A subgroup's proper subgroups have smaller order, so the join of
 i and j is the lowest index of ``up[i] & up[j]`` and the meet the highest of
 ``down[i] & down[j]``; covers and both tables need no closure.
 
-All predicates below are decided against the lattice and never by the
-structure theorems they feed, which are test targets.  Modularity and
-subnormality are literal quantifier evaluation.  Permutability is decided by
-counting: HP is the set of products, |HP| = |H||P|/|H^P|, and HP = PH
-exactly when HP is a subgroup, that is when |HP| = |<H, P>|.  The literal
-comparison of the product sets stays in the tests as the oracle.
+Each embedding predicate is one int bitset over those indices, a column:
+``normal`` is built with the lattice, ``modular``, ``quasinormal`` and
+``s_quasinormal`` are evaluated for every index on first use.  The
+n-maximal subgroups are one bitset per depth, ``layers[n]``; n-maximality
+is read existentially (some maximal chain G = M0 > ... > Mn ends at H, so
+H can be n-maximal for several n) and each layer is the covers of the one
+above.  "Every n-maximal subgroup is modular" is ``layers[n] & ~modular``
+being 0.
 
-n-maximality is read existentially: H is n-maximal when some maximal chain
-G = M0 > M1 > ... > Mn ends at H, so one subgroup can be n-maximal for
-several n.  Depth sets are computed by dynamic programming over the cover
-relation instead of enumerating chains.
+A predicate can be asked inside a section [lo, hi] as well.  The lattice
+of a subgroup B is the interval [1, B], and that of G/N is isomorphic to
+[N, G] (correspondence theorem: K/N <-> K, the image of K is K v N, and
+|K/N| = |K|/|N|), so no subgroup or quotient is rebuilt as a group;
+``tests/test_lattice_sections.py`` checks every answer against the rebuilt
+group's lattice.
+
+Predicates are decided against the lattice and never by the structure
+theorems they feed, which are test targets.  Modularity and subnormality
+are literal quantifier evaluation.  Permutability is decided by counting:
+|HP| = |H||P|/|H^P|, and HP = PH exactly when HP is a subgroup, that is
+when |HP| = |H v P| (in a quotient both sides divide by |N|^2).  The
+literal comparison of product sets is the oracle in the tests.
 """
 
 from __future__ import annotations
@@ -33,6 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import Group, SubgroupSet, bits, conjugate_mask, factorize
+
+
+PREDICATES = ("modular", "quasinormal", "s_quasinormal")
 
 
 class BadDepth(Exception):
@@ -64,7 +78,8 @@ class MaximalChain:
 
 
 class SubgroupLattice:
-    """All subgroups of a group with inclusion, covers, and join/meet tables."""
+    """All subgroups of a group with inclusion, covers, join/meet tables and
+    predicate columns."""
 
     def __init__(self, group: Group, masks: list[int], _unused):
         # The third argument once carried the enumeration's cache of closed
@@ -99,18 +114,18 @@ class SubgroupLattice:
         self.below = tuple(tuple(bits(b)) for b in down)
 
         # covers: the strict down-set minus everything below a strict member
-        covers_down = []
+        cover_bits = []
         for j in range(n):
             strict = down[j] & ~(1 << j)
             shadow = 0
             for i in bits(strict):
                 shadow |= down[i] & ~(1 << i)
-            covers_down.append(tuple(bits(strict & ~shadow)))
+            cover_bits.append(strict & ~shadow)
         covers_up = [[] for _ in range(n)]
-        for j, kids in enumerate(covers_down):
-            for i in kids:
+        for j, kids in enumerate(cover_bits):
+            for i in bits(kids):
                 covers_up[i].append(j)
-        self.covers_down = tuple(covers_down)
+        self.covers_down = tuple(tuple(bits(b)) for b in cover_bits)
         self.covers_up = tuple(tuple(v) for v in covers_up)
 
         self.join_t = tuple(
@@ -120,27 +135,25 @@ class SubgroupLattice:
 
         # a subgroup fixed by conjugation with each generator is normal
         gens = group.generator_indices
-        self.normal = tuple(
-            all(conjugate_mask(group, g, m) == m for g in gens)
-            for m in canonical
-        )
+        self.normal = sum(
+            1 << i for i, m in enumerate(canonical)
+            if all(conjugate_mask(group, g, m) == m for g in gens))
 
-        # depth sets over the cover DAG, top down (parents precede children
-        # in reverse canonical order because covers strictly shrink)
-        depth: list[set[int]] = [set() for _ in range(n)]
-        depth[n - 1].add(0)
-        for j in range(n - 1, -1, -1):
-            dj = depth[j]
-            if not dj:
-                continue
-            for i in self.covers_down[j]:
-                depth[i].update(d + 1 for d in dj)
-        self.depth_sets = tuple(frozenset(d) for d in depth)
-        self.max_chain_length = max(depth[0]) if depth[0] else 0
+        # layers[k]: the subgroups at the end of some maximal chain of
+        # length k, the covers of the layer above; the last layer is {1}
+        layers = [1 << (n - 1)]
+        while True:
+            nxt = 0
+            for j in bits(layers[-1]):
+                nxt |= cover_bits[j]
+            if not nxt:
+                break
+            layers.append(nxt)
+        self.layers = tuple(layers)
+        self.max_chain_length = len(layers) - 1
 
-        self._modular: dict[int, bool] = {}
-        self._subnormal: dict[int, bool] = {}
-        self._sylow_members: tuple[int, ...] | None = None
+        # (predicate, lo, hi) -> column of the section [lo, hi]
+        self._columns: dict[tuple[str, int, int], int] = {}
 
     # -- indexing helpers ---------------------------------------------------
 
@@ -152,26 +165,14 @@ class SubgroupLattice:
             return H
         raise KeyError(f"{H!r} is not a subgroup of this lattice")
 
-    def index_of_mask(self, mask: int) -> int:
-        return self.index_of[mask]
-
-    def subgroup(self, i: int) -> SubgroupSet:
-        return self.subgroups[i]
-
     def top(self) -> int:
         return self.size - 1
 
-    def bottom(self) -> int:
-        return 0
-
-    def orders(self) -> tuple[int, ...]:
-        return self._orders
-
     def is_normal(self, H) -> bool:
-        return self.normal[self.index(H)]
+        return bool(self.normal >> self.index(H) & 1)
 
     def normal_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.size) if self.normal[i])
+        return tuple(bits(self.normal))
 
     def leq(self, a, b) -> bool:
         return bool(self.up[self.index(a)] >> self.index(b) & 1)
@@ -183,37 +184,34 @@ class SubgroupLattice:
         j = self.top() if H is None else self.index(H)
         return tuple(self.subgroups[i] for i in self.covers_down[j])
 
-    def n_maximal_indices(self, n: int) -> tuple[int, ...]:
+    def n_maximal_bits(self, n: int) -> int:
+        """Bitset of the n-maximal subgroups (0 beyond the longest chain)."""
         if n < 1:
             raise BadDepth(f"depth must be >= 1, got {n}")
-        return tuple(i for i in range(self.size) if n in self.depth_sets[i])
+        return self.layers[n] if n < len(self.layers) else 0
+
+    def n_maximal_indices(self, n: int) -> tuple[int, ...]:
+        return tuple(bits(self.n_maximal_bits(n)))
 
     def n_maximal_set(self, n: int) -> tuple[SubgroupSet, ...]:
         return tuple(self.subgroups[i] for i in self.n_maximal_indices(n))
 
     def is_n_maximal(self, H, n: int) -> bool:
-        if n < 1:
-            raise BadDepth(f"depth must be >= 1, got {n}")
-        return n in self.depth_sets[self.index(H)]
+        return bool(self.n_maximal_bits(n) >> self.index(H) & 1)
 
     def witness_chain(self, H, n: int) -> MaximalChain:
         """One maximal chain of length n from the whole group down to H,
         reconstructed over the cover relation (least parent index at each
         step).  Raises BadDepth when H is not n-maximal."""
-        if n < 1:
-            raise BadDepth(f"depth must be >= 1, got {n}")
         i = self.index(H)
-        if n not in self.depth_sets[i]:
+        if not self.is_n_maximal(i, n):
             raise BadDepth(
                 f"subgroup of order {self.subgroups[i].order} is not "
                 f"{n}-maximal")
         chain = [i]
-        need = n
-        while need > 0:
-            parent = min(p for p in self.covers_up[chain[-1]]
-                         if need - 1 in self.depth_sets[p])
-            chain.append(parent)
-            need -= 1
+        for k in range(n - 1, -1, -1):
+            chain.append(min(p for p in self.covers_up[chain[-1]]
+                             if self.layers[k] >> p & 1))
         return MaximalChain(self, tuple(reversed(chain)))
 
     def frattini(self) -> SubgroupSet:
@@ -223,39 +221,73 @@ class SubgroupLattice:
             mask &= self._masks[i]
         return self.subgroups[self.index_of[mask]]
 
-    # -- modularity (Kurosh conditions, literal quantifiers) -----------------
+    # -- predicate columns ----------------------------------------------------
 
-    def is_modular(self, H) -> bool:
-        """Modular element of the lattice: for all X <= Z,
-        <X, M^Z> = <X, M>^Z, and for all Y, Z with M <= Z,
+    def column(self, predicate: str, section=None) -> int:
+        """Bitset of the members of ``section`` that are ``predicate``
+        ("modular", "quasinormal" or "s_quasinormal") in it, evaluated once
+        for every member.  ``section`` is (lo, hi) with lo <= hi, standing
+        for the lattice of the subgroup hi (lo = 0) or of the quotient by lo
+        (hi = top); it defaults to the whole lattice."""
+        lo, hi = (0, self.top()) if section is None else map(self.index, section)
+        key = (predicate, lo, hi)
+        if key not in self._columns:
+            if predicate not in PREDICATES or not self.up[lo] >> hi & 1:
+                raise KeyError(f"no {predicate!r} column on [{lo}, {hi}]")
+            self._columns[key] = self._evaluate(predicate, lo, hi)
+        return self._columns[key]
+
+    @property
+    def modular(self) -> int:
+        return self.column("modular")
+
+    @property
+    def quasinormal(self) -> int:
+        return self.column("quasinormal")
+
+    @property
+    def s_quasinormal(self) -> int:
+        return self.column("s_quasinormal")
+
+    def _reads(self, predicate: str, H, section) -> bool:
+        i = self.index(H)
+        lo, hi = (0, self.top()) if section is None else map(self.index, section)
+        if not (self.up[lo] & self.down[hi]) >> i & 1:
+            raise KeyError(f"subgroup {i} is not in the section [{lo}, {hi}]")
+        return bool(self.column(predicate, (lo, hi)) >> i & 1)
+
+    def is_modular(self, H, section=None) -> bool:
+        """Modular element of the lattice (or of the section): for all
+        X <= Z, <X, M^Z> = <X, M>^Z, and for all Y, Z with M <= Z,
         <M, Y^Z> = <M, Y>^Z (juxtaposition = join, ^ = meet)."""
-        mi = self.index(H)
-        hit = self._modular.get(mi)
-        if hit is not None:
-            return hit
-        join_t, meet_t = self.join_t, self.meet_t
-        result = True
-        for z in range(self.size):
-            mz = meet_t[mi][z]
-            row_meet_z = meet_t[z]
-            for x in self.below[z]:
-                if join_t[x][mz] != row_meet_z[join_t[x][mi]]:
-                    result = False
-                    break
-            if not result:
-                break
-        if result:
-            for z in self.above[mi]:
-                row_meet_z = meet_t[z]
-                row_join_m = join_t[mi]
-                for y in range(self.size):
-                    if row_join_m[row_meet_z[y]] != row_meet_z[row_join_m[y]]:
-                        result = False
-                        break
-                if not result:
-                    break
-        self._modular[mi] = result
-        return result
+        return self._reads("modular", H, section)
+
+    def is_quasinormal(self, H) -> bool:
+        """HP = PH as sets for every subgroup P."""
+        return self._reads("quasinormal", H, None)
+
+    def is_s_quasinormal(self, H, section=None) -> bool:
+        """HP = PH as sets for every Sylow subgroup P (all primes, all
+        conjugates; of the section)."""
+        return self._reads("s_quasinormal", H, section)
+
+    def _evaluate(self, predicate: str, lo: int, hi: int) -> int:
+        """One column.  The quantifier loops walk index tuples of the
+        section: walking bitsets there is several times slower."""
+        o, join_t, meet_t = self._orders, self.join_t, self.meet_t
+        inside = self.up[lo] & self.down[hi]
+        members = tuple(bits(inside))
+        if predicate == "modular":
+            below = {z: tuple(bits(self.down[z] & inside)) for z in members}
+            return sum(1 << m for m in members if _kurosh(
+                join_t, meet_t, m, members, below, bits(self.up[m] & inside)))
+        others = members
+        if predicate == "s_quasinormal":
+            # Sylow members: |P|/|lo| is the full p-part of |hi|/|lo|
+            parts = {p ** e for p, e in factorize(o[hi] // o[lo]).items()}
+            others = tuple(k for k in members if o[k] // o[lo] in parts)
+        return sum(1 << i for i in members if all(
+            o[i] * o[j] == o[join_t[i][j]] * o[meet_t[i][j]] for j in others))
 
     def is_modular_alt(self, H) -> bool:
         """Independently coded second evaluation of the same two conditions,
@@ -275,41 +307,11 @@ class SubgroupLattice:
                     return False
         return True
 
-    # -- permutability ------------------------------------------------------
-
-    def _permutes_with_all(self, i: int, others) -> bool:
-        """HP = PH for every P in ``others``, by |H||P| = |<H,P>||H^P|."""
-        o, join_i, meet_i = self._orders, self.join_t[i], self.meet_t[i]
-        oi = o[i]
-        return all(oi * o[j] == o[join_i[j]] * o[meet_i[j]] for j in others)
-
-    def is_quasinormal(self, H) -> bool:
-        """HP = PH as sets for every subgroup P."""
-        return self._permutes_with_all(self.index(H), range(self.size))
-
-    def sylow_member_indices(self) -> tuple[int, ...]:
-        """Indices of every Sylow p-subgroup, for every prime p dividing |G|."""
-        if self._sylow_members is None:
-            parts = {}
-            for p, e in factorize(self.group.order).items():
-                parts[p ** e] = True
-            self._sylow_members = tuple(
-                i for i, s in enumerate(self.subgroups) if s.order in parts
-            )
-        return self._sylow_members
-
-    def is_s_quasinormal(self, H) -> bool:
-        """HP = PH as sets for every Sylow subgroup P (all primes, all conjugates)."""
-        return self._permutes_with_all(self.index(H), self.sylow_member_indices())
-
     # -- subnormality ---------------------------------------------------------
 
     def is_subnormal(self, H) -> bool:
         """Iterated normal closure inside the previous term descends to H."""
         mi = self.index(H)
-        hit = self._subnormal.get(mi)
-        if hit is not None:
-            return hit
         G = self.group
         hm = self._masks[mi]
         join_t, index_of = self.join_t, self.index_of
@@ -322,10 +324,8 @@ class SubgroupLattice:
                 if not (self._masks[nxt] >> g) & 1:
                     nxt = join_t[nxt][index_of[conjugate_mask(G, g, hm)]]
             if nxt == cur:
-                self._subnormal[mi] = False
                 return False
             cur = nxt
-        self._subnormal[mi] = True
         return True
 
     # -- export ----------------------------------------------------------------
@@ -342,14 +342,15 @@ class SubgroupLattice:
             "  rankdir=BT;",
             '  node [shape=ellipse fontname="Helvetica"];',
         ]
+        modular, squasi = self.modular, self.s_quasinormal
         for i, s in enumerate(self.subgroups):
             attrs = [f'label="{s.order}:{i}"']
-            if self.normal[i]:
+            if self.normal >> i & 1:
                 attrs.append("shape=box")
-            if self.is_modular(i):
+            if modular >> i & 1:
                 attrs.append("style=filled")
                 attrs.append('fillcolor="#dce9ed"')
-            if self.is_s_quasinormal(i):
+            if squasi >> i & 1:
                 attrs.append("peripheries=2")
             lines.append(f"  s{i} [{' '.join(attrs)}];")
         for i in range(self.size):
@@ -363,6 +364,23 @@ class SubgroupLattice:
 
     def __repr__(self) -> str:
         return f"SubgroupLattice({self.group.name}, {self.size} subgroups)"
+
+
+def _kurosh(join_t, meet_t, m: int, members, below, above_m) -> bool:
+    """Both modularity conditions for m over the members of one section;
+    ``below[z]`` and ``above_m`` are the down-sets and m's up-set in it."""
+    join_m, meet_m = join_t[m], meet_t[m]
+    for z in members:
+        meet_z, mz = meet_t[z], meet_m[z]
+        for x in below[z]:
+            if join_t[x][mz] != meet_z[join_m[x]]:
+                return False
+    for z in above_m:
+        meet_z = meet_t[z]
+        for y in members:
+            if join_m[meet_z[y]] != meet_z[join_m[y]]:
+                return False
+    return True
 
 
 def _extend(table, elems: tuple[int, ...], mask: int,

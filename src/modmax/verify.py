@@ -70,6 +70,7 @@ from .groups import (
     bits,
     centralizer,
     close_mask,
+    conjugate_mask,
     core,
     factorize,
     image_mask,
@@ -204,14 +205,12 @@ def _holds(G: Group, lat, *args):
 def _well_placed(lat, n: int, modular: bool, s_quasinormal: bool, cap: int = 4):
     """Status of "every n-maximal subgroup is well placed", with witnesses:
     the empty domain, or the offenders."""
-    idxs = lat.n_maximal_indices(n)
-    if not idxs:
+    layer = lat.n_maximal_bits(n)
+    if not layer:
         return VACUOUS, [f"no {n}-maximal subgroups"]
-    offenders = [
-        i for i in idxs
-        if not ((modular and lat.is_modular(i))
-                or (s_quasinormal and lat.is_s_quasinormal(i)))
-    ]
+    placed = ((lat.modular if modular else 0)
+              | (lat.s_quasinormal if s_quasinormal else 0))
+    offenders = list(bits(layer & ~placed))
     return (FAILS if offenders else HOLDS), _offender_witnesses(lat, offenders, cap)
 
 
@@ -261,17 +260,15 @@ def census(G: Group) -> ModularityCensus:
     """Classify every n-maximal subgroup by modularity and S-quasinormality,
     for each depth up to the longest maximal chain."""
     lat = lattice_of(G)
+    modular, squasi = lat.modular, lat.s_quasinormal
     rows = []
     min_n = None
     for n in range(1, lat.max_chain_length + 1):
-        idxs = lat.n_maximal_indices(n)
-        mod = sum(1 for i in idxs if lat.is_modular(i))
-        sq = sum(1 for i in idxs if lat.is_s_quasinormal(i))
-        neither = sum(
-            1 for i in idxs
-            if not lat.is_modular(i) and not lat.is_s_quasinormal(i))
-        rows.append(CensusRow(n, len(idxs), mod, sq, neither))
-        if min_n is None and idxs and mod == len(idxs):
+        layer = lat.layers[n]
+        rows.append(CensusRow(n, layer.bit_count(), (layer & modular).bit_count(),
+                              (layer & squasi).bit_count(),
+                              (layer & ~(modular | squasi)).bit_count()))
+        if min_n is None and not layer & ~modular:
             min_n = n
     return ModularityCensus(G.name, tuple(rows), min_n)
 
@@ -434,7 +431,7 @@ def _lemma_2_1_conclusion(G: Group, lat, mi: int):
 
 
 def _not_modular_out_of_scope(G: Group, lat, mi: int):
-    if not lat.is_modular(mi):
+    if not lat.modular >> mi & 1:
         return VACUOUS, NOT_EVALUATED, ["subgroup is not modular"]
     return None
 
@@ -490,11 +487,8 @@ def _core_free_decomposition(G: Group, lat, M: SubgroupSet) -> str | None:
                 mk_mask = M.mask & K.mask
                 if math.prod(piece_orders) * mk_mask.bit_count() != M.order:
                     continue
-                try:
-                    mk_idx = lat.index_of_mask(mk_mask)
-                except KeyError:
-                    continue
-                if not lat.is_quasinormal(mk_idx):
+                mk_idx = lat.index_of.get(mk_mask)
+                if mk_idx is None or not lat.quasinormal >> mk_idx & 1:
                     continue
                 return (f"decomposition r={r}, factor orders "
                         f"{orders + [k_order]}, permutable part order "
@@ -513,29 +507,19 @@ def _is_internal_direct(G: Group, masks: list[int]) -> bool:
 
 
 def _is_nonnormal_sylow_of(G: Group, S: SubgroupSet, q_mask: int) -> bool:
-    sub, elems = subgroup_as_group(G, S)
-    local = restrict_mask(elems, q_mask)
-    size = local.bit_count()
-    if size <= 1:
-        return False
-    fac = factorize(size)
+    """The subgroup ``q_mask`` of S is a Sylow subgroup of S, not normal in S."""
+    fac = factorize(q_mask.bit_count())
     if len(fac) != 1:
         return False
-    (p, _), = fac.items()
-    p_part = 1
-    n = sub.order
-    while n % p == 0:
-        p_part *= p
-        n //= p
-    if size != p_part:
+    (p, e), = fac.items()
+    if e != factorize(S.order)[p]:
         return False
-    sublat = lattice_of(sub)
-    return not sublat.is_normal(sublat.index_of_mask(local))
+    return any(conjugate_mask(G, g, q_mask) != q_mask for g in S.members())
 
 
 def _lemma_2_1_suite_conclusion(G: Group, lat):
     """Lem2.1 over every modular subgroup of G."""
-    modular = [i for i in range(lat.size) if lat.is_modular(i)]
+    modular = list(bits(lat.modular))
     bad = []
     for i in modular:
         ok_i, w = _lemma_2_1_conclusion(G, lat, i)
@@ -548,38 +532,31 @@ def _lemma_2_2_conclusion(G: Group, lat):
     """Modular subgroups: closed under joins, stable in quotients, include
     all normals, and restrict to intermediate subgroups."""
     bad = []
-    modular = [i for i in range(lat.size) if lat.is_modular(i)]
-    mod_set = set(modular)
+    top, join_t, modular_bits = lat.top(), lat.join_t, lat.modular
+    modular = list(bits(modular_bits))
     for a in modular:
         for b in modular:
             if b < a:
                 continue
-            if lat.join_t[a][b] not in mod_set:
+            if not modular_bits >> join_t[a][b] & 1:
                 bad.append(
                     f"join of {_descriptor(lat, a)} and {_descriptor(lat, b)}"
                     " is not modular")
-    for i in lat.normal_indices():
-        if i not in mod_set:
-            bad.append(f"normal {_descriptor(lat, i)} is not modular")
+    for i in bits(lat.normal & ~modular_bits):
+        bad.append(f"normal {_descriptor(lat, i)} is not modular")
     for ni in lat.normal_indices():
-        N = lat.subgroups[ni]
-        Q, proj = quotient(G, N)
-        qlat = lattice_of(Q)
+        # G/N is the section [N, G]; the image of a is a v N
+        in_quotient = lat.column("modular", (ni, top))
         for a in modular:
-            img = image_mask(proj, lat.subgroups[a].mask)
-            if not qlat.is_modular(qlat.index_of_mask(img)):
+            if not in_quotient >> join_t[a][ni] & 1:
                 bad.append(
                     f"image of {_descriptor(lat, a)} not modular in quotient "
-                    f"by order {N.order}")
+                    f"by order {lat.subgroups[ni].order}")
     for a in modular:
         for b in lat.above[a]:
-            if b == a or b == lat.top():
+            if b == a or b == top:
                 continue
-            B = lat.subgroups[b]
-            sub, elems = subgroup_as_group(G, B)
-            sublat = lattice_of(sub)
-            local = restrict_mask(elems, lat.subgroups[a].mask)
-            if not sublat.is_modular(sublat.index_of_mask(local)):
+            if not lat.column("modular", (0, b)) >> a & 1:
                 bad.append(
                     f"{_descriptor(lat, a)} not modular inside {_descriptor(lat, b)}")
     return not bad, [f"{len(modular)} modular subgroups"] + bad
@@ -589,32 +566,24 @@ def _lemma_2_3_conclusion(G: Group, lat):
     """S-quasinormal subgroups restrict to intermediates, correspond through
     quotients, and are subnormal with nilpotent closure-over-core."""
     bad = []
-    squasi = [i for i in range(lat.size) if lat.is_s_quasinormal(i)]
+    top, squasi_bits = lat.top(), lat.s_quasinormal
+    squasi = list(bits(squasi_bits))
     for h in squasi:
-        H = lat.subgroups[h]
         for k in lat.above[h]:
-            if k == h or k == lat.top():
+            if k == h or k == top:
                 continue
-            K = lat.subgroups[k]
-            sub, elems = subgroup_as_group(G, K)
-            sublat = lattice_of(sub)
-            local = restrict_mask(elems, H.mask)
-            if not sublat.is_s_quasinormal(sublat.index_of_mask(local)):
+            if not lat.column("s_quasinormal", (0, k)) >> h & 1:
                 bad.append(
                     f"{_descriptor(lat, h)} not S-quasinormal inside "
                     f"{_descriptor(lat, k)}")
     for hi in lat.normal_indices():
-        H = lat.subgroups[hi]
-        Q, proj = quotient(G, H)
-        qlat = lattice_of(Q)
+        # G/H is the section [H, G]; K >= H is its own image there
+        in_quotient = lat.column("s_quasinormal", (hi, top))
         for k in lat.above[hi]:
-            img = image_mask(proj, lat.subgroups[k].mask)
-            upstairs = lat.is_s_quasinormal(k)
-            downstairs = qlat.is_s_quasinormal(qlat.index_of_mask(img))
-            if upstairs != downstairs:
+            if (squasi_bits ^ in_quotient) >> k & 1:
                 bad.append(
                     f"quotient correspondence fails for {_descriptor(lat, k)} "
-                    f"over normal of order {H.order}")
+                    f"over normal of order {lat.subgroups[hi].order}")
     for h in squasi:
         H = lat.subgroups[h]
         if not lat.is_subnormal(h):
@@ -634,19 +603,11 @@ def _primitive_pairs(G: Group, lat):
     """(R, M) pairs: minimal normal self-centralising R with a core-free
     maximal complement M."""
     pairs = []
-    norm = lat.normal_indices()
-    minimal_normals = []
-    for i in norm:
-        if lat.subgroups[i].order == 1:
-            continue
-        mask = lat.subgroups[i].mask
-        if not any(1 < lat.subgroups[j].order
-                   and lat.subgroups[j].mask & mask == lat.subgroups[j].mask
-                   and lat.subgroups[j].mask != mask
-                   for j in norm):
-            minimal_normals.append(i)
-    for ri in minimal_normals:
-        R = lat.subgroups[ri]
+    for f in all_chief_factors(G):
+        if f.below.order != 1:
+            continue  # R is minimal normal: 1 < R is a chief factor
+        R = f.above
+        ri = lat.index(R)
         if centralizer(G, R).mask != R.mask:
             continue
         for mi in lat.covers_down[lat.top()]:
@@ -675,22 +636,20 @@ def _lemma_2_10_conclusion(G: Group, lat):
     a subgroup that is neither."""
     bad = []
     pairs = _primitive_pairs(G, lat)
+    placed = lat.modular | lat.s_quasinormal
     for ri, mi in pairs:
         R, M = lat.subgroups[ri], lat.subgroups[mi]
-        for ti in lat.below[mi]:
-            T = lat.subgroups[ti]
-            if T.order in (1, M.order):
-                continue
-            if lat.is_modular(ti) or lat.is_s_quasinormal(ti):
-                bad.append(
-                    f"{_descriptor(lat, ti)} inside the stabiliser is "
-                    "modular or S-quasinormal")
+        proper = lat.down[mi] & ~(1 << mi | 1)
+        for ti in bits(proper & placed):
+            bad.append(
+                f"{_descriptor(lat, ti)} inside the stabiliser is "
+                "modular or S-quasinormal")
         if is_prime(M.order):
             sizes = sorted({lat.subgroups[v].order for v in lat.below[ri]
                             if 1 < lat.subgroups[v].order < R.order})
             for size in sizes:
                 found = any(
-                    not lat.is_modular(v) and not lat.is_s_quasinormal(v)
+                    not placed >> v & 1
                     for v in lat.below[ri]
                     if lat.subgroups[v].order == size)
                 if not found:
@@ -710,7 +669,7 @@ def _sharpness_A_hypothesis(G: Group, lat):
     supersoluble, so the hypothesis fails only through the bound."""
     n3 = lat.n_maximal_indices(3)
     if (is_soluble(G) and len(n3) == 1 and lat.subgroups[n3[0]].order == 1
-            and all(lat.is_modular(i) for i in n3)):
+            and lat.modular >> n3[0] & 1):
         return HOLDS, ["3-maximal set is exactly the trivial subgroup"]
     return FAILS, ["group does not have the expected 3-maximal shape"]
 

@@ -1,5 +1,6 @@
 """Golden classification table and construction determinism."""
 
+import time
 import tracemalloc
 
 import pytest
@@ -127,6 +128,40 @@ def test_cap_is_checked_before_parameters():
         catalog.construct("D2001")  # odd dihedral order, over the cap
     with pytest.raises(catalog.BadParameters):
         catalog.construct("D7xC2")
+
+
+def test_huge_power_is_rejected_without_computing_it():
+    start = time.perf_counter()
+    with pytest.raises(ClosureExceedsCap, match="more than"):
+        catalog.construct("E3^30000000")
+    assert time.perf_counter() - start < 0.5
+
+
+def test_over_cap_message_stays_short():
+    # 2^20000 has 6,021 digits, more than str() converts by default
+    with pytest.raises(ClosureExceedsCap) as info:
+        catalog.construct("E2^20000")
+    assert len(str(info.value)) < 200
+    with pytest.raises(catalog.BadParameters) as info:
+        catalog.construct("C" + "9" * 5000)  # more digits than int() reads
+    assert len(str(info.value)) < 200
+
+
+def test_product_sub_names_are_resolved_once(monkeypatch):
+    calls = 0
+    resolve = catalog._resolve
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return resolve(*args)
+
+    monkeypatch.setattr(catalog, "_resolve", counting)
+    with pytest.raises(catalog.UnknownName):
+        catalog.construct("C2x" * 18 + "M11")
+    # 19 factors: at most one resolution per run of factors and one call per
+    # split of each, where retrying every split would take 2^18 and more
+    assert calls <= 19 ** 3
 
 
 def test_requested_cap_reaches_the_builder():

@@ -223,3 +223,12 @@ def test_verify_group_over_the_default_cap_is_a_load_error(capsys):
     assert code == EXIT_LOAD
     assert out == ""
     assert "C3000 has order 3000, above the requested cap 2000" in err
+
+
+@pytest.mark.parametrize("argv", [("lattice", "catalog:E2^20000"),
+                                  ("verify", "--groups", "E2^20000")])
+def test_group_with_a_huge_order_is_a_load_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_LOAD
+    assert out == ""
+    assert "E2^20000 has order more than" in err

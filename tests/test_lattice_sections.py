@@ -1,0 +1,63 @@
+"""Predicates asked inside a section of one lattice against rebuilt groups.
+
+``is_modular`` and ``is_s_quasinormal`` answer "in the subgroup B" on the
+interval [1, B] and "in the quotient G/N" on the interval [N, G] of G's own
+lattice.  The oracle rebuilds B and G/N as standalone groups, enumerates
+their lattices from scratch and asks the same question there: the subgroup
+a of B at its local mask, and the subgroup K >= N of G at its image K/N.
+"""
+
+import pytest
+
+from modmax import catalog
+from modmax.groups import image_mask, quotient, restrict_mask, subgroup_as_group
+from modmax.lattice import lattice_of
+
+GROUPS = [e.name for e in catalog.standard_suite()] + ["S4xC2", "A5"]
+PREDICATES = ("modular", "s_quasinormal")
+
+
+def _asks(lat, i, section=None):
+    return tuple(getattr(lat, f"is_{p}")(i, section) for p in PREDICATES)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_subgroup_sections_agree_with_rebuilt_subgroups(name):
+    G = catalog.shared_group(name)
+    lat = lattice_of(G)
+    for b, B in enumerate(lat.subgroups):
+        sub, elems = subgroup_as_group(G, B)
+        sublat = lattice_of(sub)
+        for a in lat.below[b]:
+            local = sublat.index_of[restrict_mask(elems, lat.subgroups[a].mask)]
+            assert _asks(lat, a, (0, b)) == _asks(sublat, local), (name, a, b)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_quotient_sections_agree_with_rebuilt_quotients(name):
+    G = catalog.shared_group(name)
+    lat = lattice_of(G)
+    for n in lat.normal_indices():
+        Q, proj = quotient(G, lat.subgroups[n])
+        qlat = lattice_of(Q)
+        for k in lat.above[n]:
+            image = qlat.index_of[image_mask(proj, lat.subgroups[k].mask)]
+            assert _asks(lat, k, (n, lat.top())) == _asks(qlat, image), (name, n, k)
+
+
+def test_whole_lattice_is_the_default_section(suite_groups):
+    lat = lattice_of(suite_groups["S4"])
+    for i in range(lat.size):
+        assert _asks(lat, i, (0, lat.top())) == _asks(lat, i)
+
+
+def test_members_outside_a_section_are_rejected(suite_groups):
+    lat = lattice_of(suite_groups["S3"])
+    order3 = next(i for i, s in enumerate(lat.subgroups) if s.order == 3)
+    order2 = next(i for i, s in enumerate(lat.subgroups) if s.order == 2)
+    with pytest.raises(KeyError):
+        lat.is_modular(order2, (0, order3))
+    with pytest.raises(KeyError):
+        lat.is_s_quasinormal(0, (order3, lat.top()))
+    with pytest.raises(KeyError):
+        lat.column("modular", (order3, order2))

@@ -368,3 +368,36 @@ def test_run_suite_rejects_fewer_than_one_job():
     for jobs in (0, -3):
         with pytest.raises(UnknownSelector, match="jobs must be >= 1"):
             run_suite("S3", "lemmas", jobs=jobs)
+
+
+@pytest.mark.parametrize("name", ["S3", "A4", "S4", "D8", "hol_C7"])
+def test_nonnormal_sylow_test_matches_the_subgroup_lattice(suite_groups, name):
+    """The lemma-2.1 helper, which conjugates by S's members, against the
+    lattice of S rebuilt as a group, for every S and every subgroup Q <= S."""
+    from modmax.groups import restrict_mask, subgroup_as_group
+    from modmax.verify import _is_nonnormal_sylow_of
+
+    G = suite_groups[name]
+    lat = lattice_of(G)
+    for s, S in enumerate(lat.subgroups):
+        sub, elems = subgroup_as_group(G, S)
+        sublat = lattice_of(sub)
+        for q in lat.below[s]:
+            Q = lat.subgroups[q]
+            local = sublat.index_of[restrict_mask(elems, Q.mask)]
+            primes = set(_prime_factors(Q.order))
+            sylow = (len(primes) == 1
+                     and (S.order // Q.order) % min(primes) != 0)
+            expected = sylow and not sublat.is_normal(local)
+            assert _is_nonnormal_sylow_of(G, S, Q.mask) == expected, (name, s, q)
+
+
+def _prime_factors(n):
+    """Prime factors of n with multiplicity, by trial division."""
+    out, p = [], 2
+    while n > 1:
+        while n % p == 0:
+            out.append(p)
+            n //= p
+        p += 1
+    return out
