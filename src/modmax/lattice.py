@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from .groups import Group, SubgroupSet, bits, conjugate_mask, factorize
 
 
-PREDICATES = ("modular", "quasinormal", "s_quasinormal")
+_PREDICATES = ("modular", "quasinormal", "s_quasinormal")
 
 
 class BadDepth(Exception):
@@ -232,7 +232,7 @@ class SubgroupLattice:
         lo, hi = (0, self.top()) if section is None else map(self.index, section)
         key = (predicate, lo, hi)
         if key not in self._columns:
-            if predicate not in PREDICATES or not self.up[lo] >> hi & 1:
+            if predicate not in _PREDICATES or not self.up[lo] >> hi & 1:
                 raise KeyError(f"no {predicate!r} column on [{lo}, {hi}]")
             self._columns[key] = self._evaluate(predicate, lo, hi)
         return self._columns[key]

@@ -88,7 +88,7 @@ def test_witness_chains(suite_groups):
     chain = a4.witness_chain(0, 3)
     assert chain.orders() == (12, 4, 2, 1)
     assert chain.length == 3
-    # every (H, n) in a depth set has a reconstructible chain
+    # every (H, n) with H in layer n has a reconstructible chain
     for name in ("S3", "A4", "SL23", "C3:C4"):
         lat = lattice_of(suite_groups[name])
         for i in range(lat.size):
