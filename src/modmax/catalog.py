@@ -251,10 +251,10 @@ def pq2(p: int, q: int, name: str | None = None) -> Group:
 def power_split_group(p: int, k: int, q: int, power: int,
                       name: str | None = None) -> Group:
     """Elementary abelian p^k with a prime-order q scalar power action."""
-    if not is_prime(p) or not is_prime(q) or p == q:
-        raise BadParameters(f"need distinct primes, got p={p}, q={q}")
     if k < 1:
         raise BadParameters("rank must be at least 1")
+    if not is_prime(p) or not is_prime(q) or p == q:
+        raise BadParameters(f"need distinct primes, got p={p}, q={q}")
     m = power % p
     if m in (0, 1) or pow(m, q, p) != 1:
         raise BadParameters(
@@ -310,6 +310,10 @@ _PATTERNS: tuple[tuple[re.Pattern, Callable[..., int], Callable[..., Group]], ..
      power_split_group),
 )
 
+# positions of the parameters each builder tests for primality
+_PRIME_ARGS = {elementary_abelian: (0,), holomorph_cyclic: (0,), pq2: (0, 1),
+               power_split_group: (0, 2)}
+
 # orders up to this bound are exact, in messages too
 _EXACT_ORDERS = 10 ** 12
 
@@ -344,7 +348,12 @@ def _resolve_new(name: str, limit: int, memo: dict):
             if any(len(v) > 1000 for v in m.groups()):
                 raise BadParameters(f"{name[:20]}... has a parameter over 1000 digits")
             args = [int(v) for v in m.groups()]
-            return min(order(limit, *args), limit + 1), lambda: build(*args)
+            size = min(order(limit, *args), limit + 1)
+            # a name under the limit can still carry a huge prime (rank 0);
+            # the builder's trial division is quick below the limit only
+            if size <= limit and any(args[i] > limit for i in _PRIME_ARGS.get(build, ())):
+                raise BadParameters(f"{name[:20]}... has a prime parameter over {limit}")
+            return size, lambda: build(*args)
     for pos in range(1, len(name) - 1):
         if name[pos] != "x":
             continue

@@ -1,11 +1,20 @@
 """Chief factors and group-class predicates.
 
 Chief factors are quantified over all pairs of normal subgroups with
-nothing normal strictly between, not over one chosen series; the class
-definitions below ("every chief factor ...") are then evaluated literally.
+nothing normal strictly between (the covers of the normal sublattice), not
+over one chosen series; each class below is one test per chief factor
+("every chief factor ..."), evaluated literally.
 The automizer order of a factor H/K is |G| / |C_G(H/K)| where
 C_G(H/K) = {g : [g, h] in K for all h in H}, i.e. the order of the
 automorphism group the whole group induces on the factor.
+
+Quotients and sections of G are asked about inside G.  The chief factors of
+G/N are G's factors H/K with N <= K, with the same order, cyclicity,
+automizer order and Frattini flag ((G/N)/(K/N) is G/K), so residuals read
+G's factors; the lower central series of hi/lo is [cur, hi]lo from hi.  Two
+rebuilds stay on purpose: ``is_critical`` rebuilds proper subgroups, whose
+chief factors G's do not give, and Prop2.9 (:mod:`modmax.verify`) rebuilds
+quotients, since read through G's factors its check would be a tautology.
 
 Class predicates implemented here:
 
@@ -34,6 +43,7 @@ from .groups import (
     SubgroupSet,
     bits,
     close_mask,
+    conjugate_mask,
     factorize,
     is_prime,
     prime_spectrum,
@@ -121,12 +131,10 @@ def _factor_centralizer_mask(G: Group, kmask: int, hmask: int) -> int:
     members = tuple(bits(hmask))
     out = 0
     for g in range(G.order):
-        ok = True
         for h in members:
             if not (kmask >> G.commutator(g, h)) & 1:
-                ok = False
                 break
-        if ok:
+        else:
             out |= 1 << g
     return out
 
@@ -156,29 +164,28 @@ def _frattini_preimage_mask(G: Group, kmask: int) -> int:
 
 
 def all_chief_factors(G: Group) -> tuple[ChiefFactor, ...]:
-    """Every pair (K, H) of normals with H/K minimal normal in G/K."""
+    """Every pair (K, H) of normals with H/K minimal normal in G/K, i.e. H
+    covers K in the normal sublattice; K ascending, then H ascending."""
     key = "chief_factors"
     hit = G._cache.get(key)
     if hit is not None:
         return hit
-    norms = normal_subgroups(G)
-    masks = [s.mask for s in norms]
+    lat = lattice_of(G)
     factors = []
-    for ik, K in enumerate(norms):
-        km = masks[ik]
-        for ih, H in enumerate(norms):
-            hm = masks[ih]
-            if km == hm or km & hm != km:
-                continue
-            if any(m != km and m != hm and m & km == km and m & hm == m
-                   for m in masks):
-                continue
-            forder = H.order // K.order
+    for k in bits(lat.normal):
+        above = lat.up[k] & lat.normal & ~(1 << k)
+        shadow = 0
+        for h in bits(above):
+            shadow |= lat.up[h] & ~(1 << h)
+        K = lat.subgroups[k]
+        km, frattini = K.mask, _frattini_preimage_mask(G, K.mask)
+        for h in bits(above & ~shadow):
+            H = lat.subgroups[h]
+            hm, forder = H.mask, H.order // K.order
             cmask = _factor_centralizer_mask(G, km, hm)
             aut = G.order // cmask.bit_count()
             cyc = _factor_is_cyclic(G, km, hm, forder)
-            fratt = hm & _frattini_preimage_mask(G, km) == hm
-            factors.append(ChiefFactor(K, H, forder, aut, cyc, fratt))
+            factors.append(ChiefFactor(K, H, forder, aut, cyc, hm & frattini == hm))
     result = tuple(factors)
     G._cache[key] = result
     return result
@@ -212,17 +219,18 @@ def is_abelian(G: Group) -> bool:
     return all(t[a][b] == t[b][a] for a in range(G.order) for b in range(G.order))
 
 
-def _series_reaches_one(G: Group, key: str, step) -> bool:
-    """Iterate ``step`` from the whole group to a fixpoint; memoised on G."""
+def _series_reaches(G: Group, key, lo: int, hi: int, step) -> bool:
+    """Iterate ``step`` from ``hi`` to a fixpoint and ask whether it is
+    ``lo``; memoised on G."""
     hit = G._cache.get(key)
     if hit is not None:
         return hit
-    cur = (1 << G.order) - 1
+    cur = hi
     while True:
         nxt = close_mask(G.table, step(cur), G.order)
         if nxt == cur:
-            G._cache[key] = cur == 1
-            return cur == 1
+            G._cache[key] = cur == lo
+            return cur == lo
         cur = nxt
 
 
@@ -231,37 +239,49 @@ def is_soluble(G: Group) -> bool:
     def step(cur):
         members = tuple(bits(cur))
         return {G.commutator(a, b) for a in members for b in members}
-    return _series_reaches_one(G, "soluble", step)
+    return _series_reaches(G, "soluble", 1, (1 << G.order) - 1, step)
 
 
-def is_nilpotent(G: Group) -> bool:
-    """Lower central series reaches the trivial subgroup."""
+def is_nilpotent(G: Group, section=None) -> bool:
+    """Lower central series reaches the trivial subgroup.  ``section`` =
+    (lo, hi), masks with lo normal in hi, asks it of hi/lo inside G: since
+    gamma_i(hi/lo) = gamma_i(hi)lo/lo, the series is [cur, hi]lo from hi."""
+    lo, hi = section or (1, (1 << G.order) - 1)
+    his = tuple(bits(hi))
+
     def step(cur):
-        return {G.commutator(a, b) for a in bits(cur) for b in range(G.order)}
-    return _series_reaches_one(G, "nilpotent", step)
+        out = {G.commutator(a, b) for a in bits(cur) for b in his}
+        out.update(bits(lo))
+        return out
+    return _series_reaches(G, ("nilpotent", lo, hi), lo, hi, step)
 
 
 # ---------------------------------------------------------------------------
 # chief-factor classes
 
+def _supersoluble_factor(f: ChiefFactor) -> bool:
+    return f.is_cyclic
+
+
+def _strongly_supersoluble_factor(f: ChiefFactor) -> bool:
+    return f.is_cyclic and squarefree(f.automizer_order)
+
+
+def _nearly_nilpotent_factor(f: ChiefFactor) -> bool:
+    return f.is_cyclic and (f.is_frattini or f.automizer_order == 1
+                            or is_prime(f.automizer_order))
+
+
 def is_supersoluble(G: Group) -> bool:
-    return all(f.is_cyclic for f in all_chief_factors(G))
+    return all(map(_supersoluble_factor, all_chief_factors(G)))
 
 
 def is_strongly_supersoluble(G: Group) -> bool:
-    factors = all_chief_factors(G)
-    return (all(f.is_cyclic for f in factors)
-            and all(squarefree(f.automizer_order) for f in factors))
+    return all(map(_strongly_supersoluble_factor, all_chief_factors(G)))
 
 
 def is_nearly_nilpotent(G: Group) -> bool:
-    factors = all_chief_factors(G)
-    if not all(f.is_cyclic for f in factors):
-        return False
-    return all(
-        f.automizer_order == 1 or is_prime(f.automizer_order)
-        for f in factors if not f.is_frattini
-    )
+    return all(map(_nearly_nilpotent_factor, all_chief_factors(G)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +289,6 @@ def is_nearly_nilpotent(G: Group) -> bool:
 
 def _elementary_abelian_prime(G: Group, S: SubgroupSet) -> int | None:
     """The prime p when S is elementary abelian of order p^k (k >= 1)."""
-    if S.order == 1:
-        return None
     fac = factorize(S.order)
     if len(fac) != 1:
         return None
@@ -283,43 +301,37 @@ def _elementary_abelian_prime(G: Group, S: SubgroupSet) -> int | None:
     return p if all(t[a][b] == t[b][a] for a in members for b in members) else None
 
 
-def is_p_group_schmidt(G: Group) -> bool:
+def is_p_group_schmidt(G: Group, S: SubgroupSet | None = None) -> bool:
     """Split group A x| <t> with A elementary abelian p, t of prime order
-    q != p acting as one fixed nontrivial power map a -> a^k on A."""
+    q != p acting as one fixed nontrivial power map a -> a^k on A.
+
+    ``S`` asks it of a subgroup, inside G's lattice: A runs over S's
+    subgroups fixed by conjugation with S's members, t over S's members."""
+    lat = lattice_of(G)
+    S = whole_group(G) if S is None else S
     orders = G.element_orders()
-    for A in normal_subgroups(G):
-        if A.order in (1, G.order):
+    for ai in bits(lat.down[lat.index(S)]):
+        A = lat.subgroups[ai]
+        q = S.order // A.order
+        if not is_prime(q):
             continue
         p = _elementary_abelian_prime(G, A)
-        if p is None:
-            continue
-        q = G.order // A.order
-        if not is_prime(q) or q == p:
+        if p is None or q == p or any(
+                conjugate_mask(G, g, A.mask) != A.mask for g in S.members()):
             continue
         members = [x for x in A.members() if x != 0]
-        for t in range(1, G.order):
+        for t in S.members():
             if t in A or orders[t] != q:
                 continue
-            k = None
-            uniform = True
+            # t acts as one power map a -> a^k, 1 < k <= p, for every a: k is
+            # the least j with a^j = t a t^-1 (p + 1 when there is none)
+            ks = set()
             for a in members:
-                ca = G.conj(t, a)
-                # ca must equal a^j for a single exponent j shared by all a
-                j, y = 1, a
-                while y != ca:
-                    y = G.table[y][a]
-                    j += 1
-                    if j > p:
-                        break
-                if j > p:
-                    uniform = False
-                    break
-                if k is None:
-                    k = j
-                elif j != k:
-                    uniform = False
-                    break
-            if uniform and k is not None and k % p != 1:
+                ca, y, j = G.conj(t, a), a, 1
+                while y != ca and j <= p:
+                    y, j = G.table[y][a], j + 1
+                ks.add(j)
+            if len(ks) == 1 and 1 < min(ks) <= p:
                 return True
     return False
 
@@ -416,20 +428,23 @@ def hypercyclic_center(G: Group) -> SubgroupSet:
 # ---------------------------------------------------------------------------
 # residuals
 
-def residual(G: Group, predicate) -> SubgroupSet:
-    """Intersection of all normal subgroups N with predicate(G/N) true."""
+def residual(G: Group, test, label: str) -> SubgroupSet:
+    """Smallest normal subgroup R with G/R in the class whose chief factors
+    all pass ``test``.  G/N is in the class when no failing factor H/K of G
+    has N <= K, so R is the intersection of those N.  G/R is rebuilt once
+    and checked, as a cross-check of that reading."""
+    lat = lattice_of(G)
+    bad = 0
+    for f in all_chief_factors(G):
+        if not test(f):
+            bad |= 1 << lat.index(f.below)
     mask = whole_group(G).mask
-    for N in normal_subgroups(G):
-        Q, _ = quotient(G, N)
-        if predicate(Q):
-            mask &= N.mask
-    return SubgroupSet(G, mask)
-
-
-def _checked_residual(G: Group, predicate, label: str) -> SubgroupSet:
-    r = residual(G, predicate)
+    for n in bits(lat.normal):
+        if not lat.up[n] & bad:
+            mask &= lat.subgroups[n].mask
+    r = SubgroupSet(G, mask)
     Q, _ = quotient(G, r)
-    if not predicate(Q):
+    if not all(map(test, all_chief_factors(Q))):
         raise InternalCheckError(
             f"quotient by the {label} residual is not {label} in {G.name}")
     return r
@@ -437,20 +452,18 @@ def _checked_residual(G: Group, predicate, label: str) -> SubgroupSet:
 
 def residual_supersoluble(G: Group) -> SubgroupSet:
     """Smallest normal subgroup with supersoluble quotient."""
-    return _checked_residual(G, is_supersoluble, "supersoluble")
+    return residual(G, _supersoluble_factor, "supersoluble")
 
 
 def residual_strongly_supersoluble(G: Group) -> SubgroupSet:
     """Smallest normal subgroup with strongly supersoluble quotient."""
-    return _checked_residual(G, is_strongly_supersoluble, "strongly supersoluble")
+    return residual(G, _strongly_supersoluble_factor, "strongly supersoluble")
 
 
 def is_nilpotent_hall(G: Group, H: SubgroupSet) -> bool:
     """H nilpotent and |H| coprime to its index."""
-    if math.gcd(H.order, G.order // H.order) != 1:
-        return False
-    sub, _ = subgroup_as_group(G, H)
-    return is_nilpotent(sub)
+    return (math.gcd(H.order, G.order // H.order) == 1
+            and is_nilpotent(G, (1, H.mask)))
 
 
 # ---------------------------------------------------------------------------

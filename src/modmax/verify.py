@@ -53,7 +53,6 @@ from typing import Callable, NamedTuple
 from . import catalog
 from .classify import (
     all_chief_factors,
-    is_hypercyclically_embedded,
     is_nearly_nilpotent,
     is_nilpotent,
     is_nilpotent_hall,
@@ -73,14 +72,11 @@ from .groups import (
     conjugate_mask,
     core,
     factorize,
-    image_mask,
     is_prime,
     normal_closure,
     prime_spectrum,
     quotient,
-    restrict_mask,
     squarefree,
-    subgroup_as_group,
 )
 from .lattice import BadDepth, lattice_of
 
@@ -364,15 +360,14 @@ def _quaternion_complement_structure(G: Group) -> bool:
         return False
     lat = lattice_of(G)
     has_order3 = any(s.order == 3 for s in lat.subgroups)
+    orders, t = G.element_orders(), G.table
     for i in lat.normal_indices():
         S = lat.subgroups[i]
         if S.order != 8:
             continue
-        sub, _ = subgroup_as_group(G, S)
-        orders = sub.element_orders()
-        involutions = sum(1 for o in orders if o == 2)
-        abelian = all(sub.table[a][b] == sub.table[b][a]
-                      for a in range(8) for b in range(8))
+        members = S.members()
+        involutions = sum(1 for x in members if orders[x] == 2)
+        abelian = all(t[a][b] == t[b][a] for a in members for b in members)
         if abelian or involutions != 1:
             continue  # order 8, non-abelian, unique involution = quaternion
         cent = centralizer(G, S)
@@ -404,29 +399,25 @@ def _three_maximal_conclusion(G: Group, lat):
 def _lemma_2_1_conclusion(G: Group, lat, mi: int):
     """For one modular subgroup M: M over its core is nilpotent, the normal
     closure over the core is hypercyclically embedded, and a core-free M
-    exhibits the coprime power-split-by-permutable decomposition."""
+    exhibits the coprime power-split-by-permutable decomposition.  Both
+    quotients by the core M_G are read in G: M/M_G as a section, and the
+    chief factors of G/M_G below M^G/M_G as G's factors H/K with M_G <= K
+    and H <= M^G."""
     M = lat.subgroups[mi]
     witnesses = []
-    ok = True
-    mg = core(G, M)
-    Q, proj = quotient(G, mg)
-    m_bar = SubgroupSet(Q, image_mask(proj, M.mask))
-    m_bar_group, _ = subgroup_as_group(Q, m_bar)
-    if not is_nilpotent(m_bar_group):
-        ok = False
+    mg, closure = core(G, M).mask, normal_closure(G, M).mask
+    if not is_nilpotent(G, (mg, M.mask)):
         witnesses.append("M over its core is not nilpotent")
-    closure_bar = SubgroupSet(Q, image_mask(proj, normal_closure(G, M).mask))
-    if not is_hypercyclically_embedded(Q, closure_bar):
-        ok = False
+    if not all(f.is_cyclic for f in all_chief_factors(G)
+               if f.below.mask & mg == mg and f.above.mask & ~closure == 0):
         witnesses.append("normal closure over the core is not "
                          "hypercyclically embedded")
-    if mg.order == 1:
+    ok = not witnesses
+    if mg == 1:
         decomposition = _core_free_decomposition(G, lat, M)
-        if decomposition is None:
-            ok = False
-            witnesses.append("no coprime decomposition found for core-free M")
-        else:
-            witnesses.append(decomposition)
+        ok = ok and decomposition is not None
+        witnesses.append(decomposition
+                         or "no coprime decomposition found for core-free M")
     return ok, witnesses
 
 
@@ -451,12 +442,8 @@ def _core_free_decomposition(G: Group, lat, M: SubgroupSet) -> str | None:
     Si a non-abelian power-split group, M meeting each Si in a non-normal
     Sylow subgroup, and M meet K quasinormal in G."""
     norms = [lat.subgroups[i] for i in lat.normal_indices()]
-    split_candidates = []
-    for N in norms:
-        if 1 < N.order:
-            sub, _ = subgroup_as_group(G, N)
-            if is_p_group_schmidt(sub):
-                split_candidates.append(N)
+    split_candidates = [N for N in norms
+                        if 1 < N.order and is_p_group_schmidt(G, N)]
     for r in range(len(split_candidates) + 1):
         for combo in itertools.combinations(split_candidates, r):
             orders = [S.order for S in combo]
@@ -474,16 +461,10 @@ def _core_free_decomposition(G: Group, lat, M: SubgroupSet) -> str | None:
                     continue
                 if not _is_internal_direct(G, [S.mask for S in combo] + [K.mask]):
                     continue
-                pieces_ok = True
-                piece_orders = []
-                for S in combo:
-                    q_mask = M.mask & S.mask
-                    if not _is_nonnormal_sylow_of(G, S, q_mask):
-                        pieces_ok = False
-                        break
-                    piece_orders.append(q_mask.bit_count())
-                if not pieces_ok:
+                if not all(_is_nonnormal_sylow_of(G, S, M.mask & S.mask)
+                           for S in combo):
                     continue
+                piece_orders = [(M.mask & S.mask).bit_count() for S in combo]
                 mk_mask = M.mask & K.mask
                 if math.prod(piece_orders) * mk_mask.bit_count() != M.order:
                     continue
@@ -588,12 +569,8 @@ def _lemma_2_3_conclusion(G: Group, lat):
         H = lat.subgroups[h]
         if not lat.is_subnormal(h):
             bad.append(f"{_descriptor(lat, h)} is not subnormal")
-        hg = normal_closure(G, H)
-        hcore = core(G, H)
-        closure_group, elems = subgroup_as_group(G, hg)
-        Qc, _ = quotient(closure_group,
-                         SubgroupSet(closure_group, restrict_mask(elems, hcore.mask)))
-        if not is_nilpotent(Qc):
+        # H^G over H_G, the section [H_G, H^G] of G
+        if not is_nilpotent(G, (core(G, H).mask, normal_closure(G, H).mask)):
             bad.append(
                 f"closure over core of {_descriptor(lat, h)} is not nilpotent")
     return not bad, [f"{len(squasi)} S-quasinormal subgroups"] + bad

@@ -147,6 +147,30 @@ def test_over_cap_message_stays_short():
     assert len(str(info.value)) < 200
 
 
+@pytest.mark.parametrize("name", ["E10000000000000061^0",
+                                  "pgroup_10000000000000061^0:3:2"])
+def test_huge_prime_parameter_is_rejected_without_trial_division(name):
+    # order 1 and 3, under the cap, but 10^16 + 61 is above the limit
+    start = time.perf_counter()
+    with pytest.raises(catalog.BadParameters):
+        catalog.construct(name)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_power_split_rank_is_checked_before_its_primes():
+    start = time.perf_counter()
+    with pytest.raises(catalog.BadParameters, match="rank"):
+        catalog.power_split_group(10000000000000061, 0, 3, 2)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_rank_zero_elementary_abelian_groups():
+    assert catalog.construct("E2^0").order == 1
+    assert catalog.construct("E3^0").order == 1
+    with pytest.raises(catalog.BadParameters):
+        catalog.construct("E4^0")
+
+
 def test_product_sub_names_are_resolved_once(monkeypatch):
     calls = 0
     resolve = catalog._resolve

@@ -401,3 +401,31 @@ def _prime_factors(n):
             n //= p
         p += 1
     return out
+
+
+@pytest.mark.parametrize("name", ["S4", "SL23", "A4xC2", "E2^4"])
+def test_residual_and_lemmas_ask_quotients_inside_the_group(monkeypatch, name):
+    """After G's own lattice, Lem2.1 and Lem2.3 build no lattice and rebuild
+    no group, and the strongly supersoluble residual builds one lattice (its
+    self-check quotient) and no subgroup."""
+    import importlib
+
+    from modmax.classify import is_nilpotent_hall, residual_strongly_supersoluble
+
+    modules = {m: importlib.import_module(f"modmax.{m}")
+               for m in ("lattice", "classify", "verify")}
+    G = catalog.construct(name)
+    lattice_of(G)
+    builds = []
+    for module, attr in (("lattice", "enumerate_lattice"), ("verify", "quotient"),
+                         ("classify", "subgroup_as_group")):
+        real = getattr(modules[module], attr)
+        monkeypatch.setattr(modules[module], attr, lambda *args, real=real, attr=attr:
+                            builds.append((attr, args[0].name)) or real(*args))
+    lemma_2_1_suite(G)
+    verify_lemma_2_3(G)
+    assert builds == []
+    is_nilpotent_hall(G, residual_strongly_supersoluble(G))
+    # the one build is the lattice of G over the residual
+    assert len(builds) == 1 and builds[0][0] == "enumerate_lattice", builds
+    assert builds[0][1].startswith(f"{G.name}/"), builds
