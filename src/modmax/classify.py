@@ -41,6 +41,7 @@ from .groups import (
     Group,
     NotNormal,
     SubgroupSet,
+    _greedy_generators,
     bits,
     close_mask,
     conjugate_mask,
@@ -127,11 +128,14 @@ def normal_subgroups(G: Group) -> tuple[SubgroupSet, ...]:
 
 
 def _factor_centralizer_mask(G: Group, kmask: int, hmask: int) -> int:
-    """{g : every commutator [g, h] with h in H lies in K}."""
-    members = tuple(bits(hmask))
+    """{g : every commutator [g, h] with h in H lies in K}.  K is normal, so
+    for each g the h with [g, h] in K form a subgroup containing K (the
+    preimage of the centralizer of gK in G/K): generators of H modulo K
+    suffice."""
+    gens = _greedy_generators(G.table, hmask, kmask)
     out = 0
     for g in range(G.order):
-        for h in members:
+        for h in gens:
             if not (kmask >> G.commutator(g, h)) & 1:
                 break
         else:

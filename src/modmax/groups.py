@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 DEFAULT_MAX_ORDER = 2000
@@ -65,27 +66,23 @@ def bits(mask: int):
         mask ^= low
 
 
-def close_mask(table, seed, ambient_order: int | None = None) -> int:
+def close_mask(table, seed, ambient_order: int) -> int:
     """Multiplicative closure of ``seed`` (iterable of indices) plus identity.
 
     Closure under products alone suffices in a finite group: inverses are
-    positive powers.  When ``ambient_order`` is given, growth is cut short
-    by Lagrange: once the working set outgrows the largest proper divisor
-    of the ambient order, the closure is the whole group.
+    positive powers.  Growth is cut short by Lagrange: once the working set
+    outgrows the largest proper divisor of the ambient order, the closure
+    is the whole group.
     """
-    threshold = None
-    if ambient_order == 1:
-        threshold = 0
-    elif ambient_order is not None:
-        # largest proper divisor: the order over its smallest prime
-        threshold = ambient_order // min(factorize(ambient_order))
+    # largest proper divisor: the order over its smallest prime
+    threshold = ambient_order // min(factorize(ambient_order)) if ambient_order > 1 else 0
     mask = 1
     elems = [0]
     stack = sorted({int(x) for x in seed} - {0}, reverse=True)
     for x in stack:
         mask |= 1 << x
     count = 1 + len(stack)
-    if threshold is not None and count > threshold:
+    if count > threshold:
         return (1 << ambient_order) - 1
     while stack:
         x = stack.pop()
@@ -102,9 +99,41 @@ def close_mask(table, seed, ambient_order: int | None = None) -> int:
                 mask |= 1 << z
                 stack.append(z)
                 count += 1
-        if threshold is not None and count > threshold:
+        if count > threshold:
             return (1 << ambient_order) - 1
     return mask
+
+
+def _right_closure(table, gens, start: int = 1) -> int:
+    """Mask of the elements reached from the mask ``start`` by right
+    multiplication with ``gens``, in O(n * |gens|).  In a group, from the
+    identity this is the subgroup they generate (positive words suffice,
+    inverses being positive powers); from a normal subgroup N it is N<gens>."""
+    mask = start
+    stack = list(bits(start))
+    while stack:
+        row = table[stack.pop()]
+        for g in gens:
+            y = row[g]
+            if not (mask >> y) & 1:
+                mask |= 1 << y
+                stack.append(y)
+    return mask
+
+
+def _greedy_generators(table, mask: int, below: int = 1) -> tuple[int, ...]:
+    """Generators of the subgroup ``mask`` modulo its normal subgroup
+    ``below``: each least member outside the subgroup generated by ``below``
+    and the members taken before it."""
+    gens: list[int] = []
+    reached = below
+    for x in bits(mask & ~below):
+        if not (reached >> x) & 1:
+            gens.append(x)
+            reached = _right_closure(table, gens, below)
+            if reached == mask:
+                break
+    return tuple(gens)
 
 
 def product_mask(G: "Group", a_mask: int, b_mask: int) -> int:
@@ -135,63 +164,55 @@ def conjugate_mask(G: "Group", g: int, mask: int) -> int:
 class Group:
     """A finite group given by its full multiplication table.
 
-    Construction performs the cheap O(n^2) checks (identity at index 0,
-    Latin-square rows/columns, two-sided inverses).  Full associativity is
-    an O(n^3) scan and is only run by :meth:`validate`, which
+    Construction performs the O(n^2) checks (identity at index 0,
+    Latin-square rows/columns, two-sided inverses), one row or column at a
+    time at C speed, and draws every entry from one tuple of the n indices.
+    Associativity is checked only by :meth:`validate` (O(n^2 log n)), which
     :func:`group_from_cayley_table` calls on untrusted input.
     """
 
     def __init__(self, table, name: str = "G", generators=None):
-        rows = tuple(tuple(int(v) for v in row) for row in table)
+        rows = [tuple(map(int, row)) for row in table]
         n = len(rows)
         if n == 0:
             raise NotAGroup("empty multiplication table")
+        index = tuple(range(n))
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise NotAGroup(f"table row {i} has length {len(row)}, expected {n}")
-            for v in row:
-                if not 0 <= v < n:
-                    raise NotAGroup(f"table entry {v} at row {i} out of range")
+            if min(row) < 0 or max(row) >= n:
+                v = next(v for v in row if not 0 <= v < n)
+                raise NotAGroup(f"table entry {v} at row {i} out of range")
+            rows[i] = tuple(map(index.__getitem__, row))
+        rows = tuple(rows)
         for j in range(n):
             if rows[0][j] != j:
                 raise NotAGroup(f"index 0 is not a left identity: 0*{j} = {rows[0][j]}")
             if rows[j][0] != j:
                 raise NotAGroup(f"index 0 is not a right identity: {j}*0 = {rows[j][0]}")
-        inverse = [0] * n
-        for i in range(n):
-            if len(set(rows[i])) != n:
+        inverse = []
+        for i, (row, col) in enumerate(zip(rows, zip(*rows))):
+            if len(set(row)) != n:
                 raise NotAGroup(f"row {i} is not a permutation")
-            col = {rows[k][i] for k in range(n)}
-            if len(col) != n:
+            if len(set(col)) != n:
                 raise NotAGroup(f"column {i} is not a permutation")
-            r = rows[i].index(0)
+            r = row.index(0)
             if rows[r][i] != 0:
                 raise NotAGroup(f"element {i} has no two-sided inverse")
-            inverse[i] = r
+            inverse.append(r)
         self.name = str(name)
         self.order = n
         self.table = rows
         self.inverse = tuple(inverse)
         self._cache: dict = {}
+        full = (1 << n) - 1
         if generators is None:
-            gens = self._greedy_generators()
+            gens = _greedy_generators(rows, full)
         else:
             gens = tuple(dict.fromkeys(int(g) for g in generators))
-            if close_mask(rows, gens) != (1 << n) - 1:
+            if _right_closure(rows, gens) != full:
                 raise NotAGroup("stated generators do not generate the group")
-        self.generator_indices = tuple(gens)
-
-    def _greedy_generators(self):
-        gens: list[int] = []
-        mask = 1
-        full = (1 << self.order) - 1
-        for x in range(1, self.order):
-            if not (mask >> x) & 1:
-                gens.append(x)
-                mask = close_mask(self.table, gens, self.order)
-                if mask == full:
-                    break
-        return tuple(gens)
+        self.generator_indices = gens
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -228,20 +249,32 @@ class Group:
         return self.element_orders()[x]
 
     def validate(self) -> "Group":
-        """Exhaustive associativity check; raises NotAGroup naming a triple."""
+        """Associativity by Light's test; raises NotAGroup naming a triple.
+
+        Each round takes the least element a not yet reached and checks
+        (x*a)*y = x*(a*y) for every x and y, one row comparison per x.  The
+        checked elements lie in the middle nucleus, which is closed under
+        products, so once right multiplication by them reaches every element
+        from 0 the table is associative.  Each round's reached set is a
+        group at least twice the last, so there are at most log2(n) + 1
+        rounds of O(n^2) each (Clifford-Preston, vol. I, 1961).
+        """
         t = self.table
-        n = self.order
-        for a in range(n):
+        full = (1 << self.order) - 1
+        gens: list[int] = []
+        reached = 1
+        while reached != full:
+            a = (~reached & (reached + 1)).bit_length() - 1
             ta = t[a]
-            for b in range(n):
-                ab = ta[b]
-                tb = t[b]
-                tab = t[ab]
-                for c in range(n):
-                    if tab[c] != ta[tb[c]]:
-                        raise NotAGroup(
-                            f"associativity fails on triple ({a},{b},{c}): "
-                            f"({a}*{b})*{c} = {tab[c]} but {a}*({b}*{c}) = {ta[tb[c]]}")
+            for x, tx in enumerate(t):
+                lhs, rhs = t[tx[a]], tuple(map(tx.__getitem__, ta))
+                if lhs != rhs:
+                    c = next(c for c, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+                    raise NotAGroup(
+                        f"associativity fails on triple ({x},{a},{c}): "
+                        f"({x}*{a})*{c} = {lhs[c]} but {x}*({a}*{c}) = {rhs[c]}")
+            gens.append(a)
+            reached = _right_closure(t, gens)
         return self
 
     def __len__(self) -> int:
@@ -332,6 +365,8 @@ def group_from_permutations(degree: int, generators, name: str = "G",
     if degree < 1:
         raise InvalidPermutation("degree must be at least 1")
     gens = [_check_permutation(p, degree) for p in generators]
+    if degree == 1:  # itemgetter of one point returns that point, not a tuple
+        return Group([[0]], name=name, generators=[0] * len(gens))
     ident = tuple(range(degree))
     elems = [ident]
     seen = {ident}
@@ -339,8 +374,9 @@ def group_from_permutations(degree: int, generators, name: str = "G",
     while level:
         found = set()
         for x in level:
+            times = itemgetter(*x)  # times(q) is x*q
             for g in gens:
-                y = tuple(g[x[i]] for i in range(degree))
+                y = times(g)
                 if y not in seen:
                     found.add(y)
         level = sorted(found)
@@ -350,14 +386,9 @@ def group_from_permutations(degree: int, generators, name: str = "G",
             if len(elems) > max_order_cap:
                 raise ClosureExceedsCap(
                     f"permutation closure exceeds max_order_cap {max_order_cap}")
-    index = {p: i for i, p in enumerate(elems)}
-    n = len(elems)
-    table = [[0] * n for _ in range(n)]
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            table[i][j] = index[tuple(q[p[k]] for k in range(degree))]
-    gen_idx = [index[g] for g in gens]
-    return Group(table, name=name, generators=gen_idx)
+    lookup = {p: i for i, p in enumerate(elems)}.__getitem__
+    table = [tuple(map(lookup, map(itemgetter(*p), elems))) for p in elems]
+    return Group(table, name=name, generators=map(lookup, gens))
 
 
 def group_from_cayley_table(table, name: str = "G",
@@ -777,7 +808,7 @@ def _isomorphisms(A: Group, B: Group):
     Backtracking over the images of A's greedy generators, each image
     restricted to elements of the same order; exponential in the worst case.
     """
-    gens = A._greedy_generators()
+    gens = _greedy_generators(A.table, (1 << A.order) - 1)
     orders_a, orders_b = A.element_orders(), B.element_orders()
     candidates = [tuple(b for b in range(B.order) if orders_b[b] == orders_a[g])
                   for g in gens]

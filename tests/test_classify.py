@@ -34,6 +34,7 @@ from modmax.classify import (
 from modmax.groups import (
     NotNormal,
     SubgroupSet,
+    bits,
     core,
     factorize,
     is_isomorphic,
@@ -76,6 +77,23 @@ def test_frattini_factor_flag():
     q8 = catalog.shared_group("Q8")
     bottom = [f for f in all_chief_factors(q8) if f.below.order == 1]
     assert all(f.is_frattini for f in bottom)
+
+
+def _factor_centralizer_by_members(G, kmask, hmask):
+    """Oracle: {g : [g, h] in K for every member h of H}."""
+    return sum(1 << g for g in range(G.order)
+               if all((kmask >> G.commutator(g, h)) & 1 for h in bits(hmask)))
+
+
+@pytest.mark.parametrize("name", catalog.suite_names() + ["S4xC2", "A5", "E2^5"])
+def test_factor_centralizer_from_generators_matches_all_members(name):
+    """C_G(H/K) read off generators of H is the literal all-members set, on
+    every chief factor."""
+    from modmax.classify import _factor_centralizer_mask
+    G = catalog.shared_group(name)
+    for f in all_chief_factors(G):
+        km, hm = f.below.mask, f.above.mask
+        assert _factor_centralizer_mask(G, km, hm) == _factor_centralizer_by_members(G, km, hm)
 
 
 def test_basic_series_predicates(suite_groups):

@@ -1,11 +1,19 @@
 """Group construction and core operations."""
 
+import operator
+import random
+import re
+import sys
+import time
+import tracemalloc
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from modmax import catalog
 from modmax.groups import (
     ClosureExceedsCap,
+    Group,
     InvalidPermutation,
     LoadError,
     NotAGroup,
@@ -16,6 +24,7 @@ from modmax.groups import (
     bits,
     center,
     centralizer,
+    close_mask,
     conjugate_mask,
     core,
     cycles_to_perm,
@@ -103,6 +112,29 @@ def test_nonassociative_table_names_triple():
 def test_identity_must_sit_at_zero():
     with pytest.raises(NotAGroup, match="identity"):
         group_from_cayley_table([[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("table, message", [
+    ([], "empty multiplication table"),
+    ([[0, 1], [1]], "table row 1 has length 1, expected 2"),
+    ([[0, 1], [1, -1]], "table entry -1 at row 1 out of range"),
+    ([[0, 1], [1, 2]], "table entry 2 at row 1 out of range"),
+    ([[1, 0], [0, 1]], "index 0 is not a left identity: 0*0 = 1"),
+    ([[0, 1, 2], [1, 2, 0], [0, 0, 1]], "index 0 is not a right identity: 2*0 = 0"),
+    ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "row 1 is not a permutation"),
+    ([[0, 1, 2], [1, 2, 0], [2, 2, 1]], "column 1 is not a permutation"),
+    ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0],
+      [4, 2, 0, 1, 3]], "element 2 has no two-sided inverse"),
+])
+def test_table_checks_name_the_first_failure(table, message):
+    with pytest.raises(NotAGroup) as exc:
+        Group(table)
+    assert str(exc.value) == message
+
+
+def test_every_entry_is_read_as_an_int_before_any_check():
+    with pytest.raises(ValueError):
+        Group([[0, 1, 5], [1, 0], ["x"]])
 
 
 def test_subgroup_generated_examples(suite_groups):
@@ -399,3 +431,230 @@ def test_subgroup_as_group_consistency(suite_groups):
     for i in range(4):
         for j in range(4):
             assert elems[sub.table[i][j]] == a4.table[elems[i]][elems[j]]
+
+
+# -- validation: Light's test against the literal triple loop ----------------
+
+def _literal_witness(table):
+    """Oracle: the first triple (a, b, c) with (ab)c != a(bc), or None."""
+    n = len(table)
+    for a in range(n):
+        ta = table[a]
+        for b in range(n):
+            tab, tb = table[ta[b]], table[b]
+            for c in range(n):
+                if tab[c] != ta[tb[c]]:
+                    return a, b, c
+    return None
+
+
+def _assert_named_triple_fails(table, exc):
+    a, b, c = map(int, re.search(r"triple \((\d+),(\d+),(\d+)\)", str(exc)).groups())
+    assert table[table[a][b]][c] != table[a][table[b][c]]
+
+
+def _validate_verdict(table):
+    """Whether validate accepts the table, asserting that it accepts exactly
+    the associative tables and that a rejection names a failing triple."""
+    G = Group(table)
+    witness = _literal_witness(G.table)
+    try:
+        G.validate()
+    except NotAGroup as exc:
+        _assert_named_triple_fails(G.table, exc)
+        assert witness is not None
+        return False
+    assert witness is None
+    return True
+
+
+def _relabel(table, rng):
+    """The same table under a random permutation p of the non-identity
+    indices: entry p(a)p(b) is p(ab)."""
+    rest = list(range(1, len(table)))
+    rng.shuffle(rest)
+    p = [0] + rest
+    q = sorted(range(len(p)), key=p.__getitem__)  # the inverse of p
+    return [list(map(p.__getitem__, map(table[a].__getitem__, q))) for a in q]
+
+
+def _switch_intercalate(table, rng):
+    """Swap the two values of a random 2x2 subsquare holding only non-zero
+    values off row and column 0; identity and inverses are kept.  Returns
+    None when 1000 random tries find no such subsquare."""
+    n = len(table)
+    for _ in range(1000 if n >= 4 else 0):
+        r1, r2, c1 = rng.randrange(1, n), rng.randrange(1, n), rng.randrange(1, n)
+        u = table[r1][c1]
+        c2 = table[r2].index(u)
+        v = table[r1][c2]
+        if r1 != r2 and c2 != 0 and 0 not in (u, v) and table[r2][c1] == v:
+            out = [list(row) for row in table]
+            out[r1][c1], out[r1][c2], out[r2][c1], out[r2][c2] = v, u, u, v
+            return out
+    return None
+
+
+def _xor_table(rank):
+    n = 1 << rank
+    index = list(range(n))
+    return [list(map(index.__getitem__, map(a.__xor__, range(n)))) for a in range(n)]
+
+
+def _random_loop(n, rng):
+    """A random Latin square with identity 0 and two-sided inverses, or None.
+
+    The zeros sit on a random involution (x*y = 0 = y*x); the other cells
+    are filled in random order of values with backtracking."""
+    rest = list(range(1, n))
+    rng.shuffle(rest)
+    t = [[None] * n for _ in range(n)]
+    for i in range(n):
+        t[0][i] = t[i][0] = i
+    while rest:
+        a = rest.pop()
+        b = rest.pop() if rest and rng.random() < 0.5 else a
+        t[a][b] = t[b][a] = 0
+    cells = [(i, j) for i in range(1, n) for j in range(1, n) if t[i][j] is None]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(t[i]).union(row[j] for row in t)
+        options = [v for v in range(1, n) if v not in used]
+        rng.shuffle(options)
+        for v in options:
+            t[i][j] = v
+            if fill(k + 1):
+                return True
+        t[i][j] = None
+        return False
+
+    return t if fill(0) else None
+
+
+def _times_c2(loop):
+    """C2 x L with (c, l) at index c + 2l."""
+    n = 2 * len(loop)
+    return [[(a ^ b) & 1 | 2 * loop[a >> 1][b >> 1] for b in range(n)] for a in range(n)]
+
+
+def test_validate_accepts_relabelled_suite_groups(suite_groups):
+    rng = random.Random(7)
+    for G in suite_groups.values():
+        assert _validate_verdict(_relabel(G.table, rng))
+
+
+def test_validate_rejects_switched_elementary_abelian_loops():
+    rng = random.Random(11)
+    for rank in (3, 4, 5, 6):
+        for _ in range(3):
+            table = _relabel(_switch_intercalate(_xor_table(rank), rng), rng)
+            assert not _validate_verdict(table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_validate_agrees_with_triple_loop_on_small_loops(data):
+    rng = data.draw(st.randoms(use_true_random=False))
+    if data.draw(st.booleans()):
+        table = _random_loop(data.draw(st.integers(1, 8)), rng)
+    else:
+        name = data.draw(st.sampled_from(
+            ["1", "C2", "C3", "V4", "C4", "C5", "S3", "C6", "C7", "D8", "Q8", "E2^3", "C2xC4"]))
+        table = _relabel(catalog.shared_group(name).table, rng)
+        if data.draw(st.booleans()):
+            table = _switch_intercalate(table, rng)
+    assume(table is not None)
+    _validate_verdict(table)
+
+
+def test_validate_needs_more_than_its_first_round():
+    """In C2 x L the central index 1 passes the first round's check, so a
+    test that stopped there would accept a non-associative table."""
+    rng = random.Random(3)
+    for order in (5, 6, 7):
+        loop = None
+        while loop is None or _literal_witness(loop) is None:
+            loop = _random_loop(order, rng)
+        t = Group(_times_c2(loop)).table
+        assert all(t[t[x][1]] == tuple(map(t[x].__getitem__, t[1])) for x in range(len(t)))
+        assert not _validate_verdict(t)
+
+
+def _dihedral_table(order):
+    """s^f r^i at index f*m + i, with (s^f r^i)(s^g r^j) = s^(f+g) r^(+-i + j)."""
+    m = order // 2
+    rot, refl = list(range(m)), list(range(m, order))
+    rows = []
+    for same, other in ((rot, refl), (refl, rot)):
+        for i in range(m):
+            # g = 0: r^(i + j) in the row's coset; g = 1: r^(j - i) in the other
+            rows.append(same[i:] + same[:i] + other[m - i:] + other[:m - i])
+    return rows
+
+
+def test_validate_at_the_order_cap_is_not_cubic():
+    """A relabelled order-2000 dihedral table is accepted in seconds; the
+    literal triple loop took about five minutes on it."""
+    table = _relabel(_dihedral_table(2000), random.Random(2000))
+    start = time.perf_counter()
+    G = group_from_cayley_table(table, max_order_cap=2000)
+    assert G.order == 2000
+    assert time.perf_counter() - start < 30
+
+
+def test_validate_rejects_a_switched_loop_at_order_2048():
+    table = _xor_table(11)
+    r1, r2, c1 = 3, 5, 9
+    c2 = r1 ^ r2 ^ c1
+    table[r1][c1], table[r1][c2] = table[r1][c2], table[r1][c1]
+    table[r2][c1], table[r2][c2] = table[r2][c2], table[r2][c1]
+    start = time.perf_counter()
+    with pytest.raises(NotAGroup, match="associativity fails") as exc:
+        group_from_cayley_table(table, max_order_cap=2048)
+    assert time.perf_counter() - start < 30
+    _assert_named_triple_fails(table, exc.value)
+
+
+# -- construction: shared entries, generators by right multiplication --------
+
+def test_cap_order_group_draws_every_entry_from_one_index():
+    """Every table entry is the identity row's object for that value, so a
+    group near the cap holds its n^2 row pointers and n ints, not n^2 ints."""
+    G = catalog.construct("D2002", max_order_cap=2002)
+    first = G.table[0]
+    assert all(all(map(operator.is_, row, map(first.__getitem__, row))) for row in G.table)
+    held = (sys.getsizeof(G.table) + sum(map(sys.getsizeof, G.table))
+            + sum(map(sys.getsizeof, first)))
+    assert held < 48 * 2 ** 20
+    # building the rows allocates little beyond the n^2 row pointers
+    table = _xor_table(10)
+    tracemalloc.start()
+    try:
+        Group(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sum(map(sys.getsizeof, table)) + 2 ** 20
+
+
+def _greedy_by_close_mask(G):
+    """Oracle: the least element outside the closure so far, until the
+    closure is the whole group."""
+    gens, mask, full = [], 1, (1 << G.order) - 1
+    for x in range(1, G.order):
+        if not (mask >> x) & 1:
+            gens.append(x)
+            mask = close_mask(G.table, gens, G.order)
+            if mask == full:
+                break
+    return tuple(gens)
+
+
+@pytest.mark.parametrize("name", sorted(set(catalog._NAMED) | set(catalog.suite_names())))
+def test_greedy_generators_by_right_multiplication(name):
+    G = catalog.shared_group(name)
+    assert Group(G.table).generator_indices == _greedy_by_close_mask(G)
+    assert Group(G.table, generators=G.generator_indices).generator_indices == G.generator_indices
