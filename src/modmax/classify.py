@@ -11,14 +11,17 @@ automorphism group the whole group induces on the factor.
 Quotients and sections of G are asked about inside G.  The chief factors of
 G/N are G's factors H/K with N <= K, with the same order, cyclicity,
 automizer order and Frattini flag ((G/N)/(K/N) is G/K), so residuals read
-G's factors; the lower central series of hi/lo is [cur, hi]lo from hi.  Two
+G's factors; the lower central series of hi/lo is [cur, hi]lo from hi.  Three
 rebuilds stay on purpose: ``is_critical`` rebuilds proper subgroups, whose
-chief factors G's do not give, and Prop2.9 (:mod:`modmax.verify`) rebuilds
-quotients, since read through G's factors its check would be a tautology.
+chief factors G's do not give; Prop2.9 (:mod:`modmax.verify`) rebuilds
+quotients, since read through G's factors its check would be a tautology;
+and ``residual`` rebuilds G/R once to check its reading.  The quotient by
+the trivial subgroup is G itself, so none of them rebuilds G.
 
 Class predicates implemented here:
 
-- soluble / nilpotent / abelian via derived and lower central series;
+- soluble / nilpotent via derived and lower central series, [A, B] read
+  off generators; abelian when the generators commute;
 - supersoluble: every chief factor cyclic;
 - strongly supersoluble: supersoluble with square-free automizer order on
   every chief factor;
@@ -42,8 +45,9 @@ from .groups import (
     NotNormal,
     SubgroupSet,
     _greedy_generators,
+    _right_closure,
     bits,
-    close_mask,
+    commutator_mask,
     conjugate_mask,
     factorize,
     is_prime,
@@ -219,19 +223,20 @@ def chief_series(G: Group, prefer: str = "first") -> tuple[ChiefFactor, ...]:
 # series-based predicates
 
 def is_abelian(G: Group) -> bool:
-    t = G.table
-    return all(t[a][b] == t[b][a] for a in range(G.order) for b in range(G.order))
+    """Every pair of generators commutes."""
+    t, gens = G.table, G.generator_indices
+    return all(t[a][b] == t[b][a] for a in gens for b in gens)
 
 
 def _series_reaches(G: Group, key, lo: int, hi: int, step) -> bool:
-    """Iterate ``step`` from ``hi`` to a fixpoint and ask whether it is
-    ``lo``; memoised on G."""
+    """Iterate ``step`` (mask to mask) from ``hi`` to a fixpoint and ask
+    whether it is ``lo``; memoised on G."""
     hit = G._cache.get(key)
     if hit is not None:
         return hit
     cur = hi
     while True:
-        nxt = close_mask(G.table, step(cur), G.order)
+        nxt = step(cur)
         if nxt == cur:
             G._cache[key] = cur == lo
             return cur == lo
@@ -240,24 +245,20 @@ def _series_reaches(G: Group, key, lo: int, hi: int, step) -> bool:
 
 def is_soluble(G: Group) -> bool:
     """Derived series reaches the trivial subgroup."""
-    def step(cur):
-        members = tuple(bits(cur))
-        return {G.commutator(a, b) for a in members for b in members}
-    return _series_reaches(G, "soluble", 1, (1 << G.order) - 1, step)
+    return _series_reaches(G, "soluble", 1, (1 << G.order) - 1,
+                           lambda cur: commutator_mask(G, cur, cur))
 
 
 def is_nilpotent(G: Group, section=None) -> bool:
     """Lower central series reaches the trivial subgroup.  ``section`` =
     (lo, hi), masks with lo normal in hi, asks it of hi/lo inside G: since
-    gamma_i(hi/lo) = gamma_i(hi)lo/lo, the series is [cur, hi]lo from hi."""
+    gamma_i(hi/lo) = gamma_i(hi)lo/lo, the series is [cur, hi]lo from hi
+    (the normal subgroup [cur, hi] right-multiplied by generators of lo)."""
     lo, hi = section or (1, (1 << G.order) - 1)
-    his = tuple(bits(hi))
-
-    def step(cur):
-        out = {G.commutator(a, b) for a in bits(cur) for b in his}
-        out.update(bits(lo))
-        return out
-    return _series_reaches(G, ("nilpotent", lo, hi), lo, hi, step)
+    lo_gens = _greedy_generators(G.table, lo)
+    return _series_reaches(
+        G, ("nilpotent", lo, hi), lo, hi,
+        lambda cur: _right_closure(G.table, lo_gens, commutator_mask(G, cur, hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +437,7 @@ def residual(G: Group, test, label: str) -> SubgroupSet:
     """Smallest normal subgroup R with G/R in the class whose chief factors
     all pass ``test``.  G/N is in the class when no failing factor H/K of G
     has N <= K, so R is the intersection of those N.  G/R is rebuilt once
-    and checked, as a cross-check of that reading."""
+    and checked, as a cross-check of that reading (G/1 is G itself)."""
     lat = lattice_of(G)
     bad = 0
     for f in all_chief_factors(G):

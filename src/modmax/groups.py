@@ -465,12 +465,13 @@ def subgroup_generated(G: Group, seed) -> SubgroupSet:
 
 
 def centralizer(G: Group, S: SubgroupSet) -> SubgroupSet:
+    """Elements commuting with S, tested on generators of S."""
     t = G.table
-    members = S.members()
+    gens = _greedy_generators(t, S.mask)
     out = 0
     for g in range(G.order):
         row = t[g]
-        if all(row[s] == t[s][g] for s in members):
+        if all(row[s] == t[s][g] for s in gens):
             out |= 1 << g
     return SubgroupSet(G, out)
 
@@ -497,33 +498,43 @@ def core(G: Group, H: SubgroupSet) -> SubgroupSet:
         mask = meet
 
 
+def _normal_closure_mask(G: Group, seed, gens) -> int:
+    """Smallest subgroup containing ``seed`` that ``gens`` normalise: each
+    seed or conjugate not yet reached becomes a generator, and its
+    conjugates by ``gens`` are queued.  Each new generator at least doubles
+    the span: at most log2(n) + 1 closures of O(n * generators)."""
+    table, mask, found = G.table, 1, []
+    stack = list(seed)
+    while stack:
+        x = stack.pop()
+        if not (mask >> x) & 1:
+            found.append(x)
+            mask = _right_closure(table, found)
+            stack.extend(G.conj(g, x) for g in gens)
+    return mask
+
+
 def normal_closure(G: Group, H: SubgroupSet) -> SubgroupSet:
-    """Smallest normal subgroup of G containing H: H closed, together with
-    its conjugates by the generators of G, until those conjugates add
-    nothing (a subgroup the generators normalise is normal)."""
-    mask = H.mask
-    while True:
-        seed = mask
-        for g in G.generator_indices:
-            seed |= conjugate_mask(G, g, mask)
-        if seed == mask:
-            return SubgroupSet(G, mask)
-        mask = close_mask(G.table, bits(seed), G.order)
+    """Smallest normal subgroup of G containing H."""
+    return SubgroupSet(G, _normal_closure_mask(G, bits(H.mask), G.generator_indices))
+
+
+def commutator_mask(G: Group, a_mask: int, b_mask: int) -> int:
+    """The commutator subgroup [A, B] of subgroups A <= B, as a mask.  With
+    X and Y generating A and B, [A, B] = [X, Y]^B, the normal closure in B
+    of the commutators of generators (Robinson, A Course in the Theory of
+    Groups, 5.1.7)."""
+    ys = _greedy_generators(G.table, b_mask)
+    seed = {G.commutator(x, y) for x in _greedy_generators(G.table, a_mask) for y in ys}
+    return _normal_closure_mask(G, seed, ys)
 
 
 def derived_subgroup(G: Group) -> SubgroupSet:
-    comms = {G.commutator(a, b) for a in range(G.order) for b in range(G.order)}
-    return SubgroupSet(G, close_mask(G.table, comms, G.order))
+    return SubgroupSet(G, commutator_mask(G, (1 << G.order) - 1, (1 << G.order) - 1))
 
 
 def center(G: Group) -> SubgroupSet:
-    t = G.table
-    out = 0
-    for g in range(G.order):
-        row = t[g]
-        if all(row[x] == t[x][g] for x in range(G.order)):
-            out |= 1 << g
-    return SubgroupSet(G, out)
+    return centralizer(G, whole_group(G))
 
 
 def is_normal_subgroup(G: Group, S: SubgroupSet) -> bool:
@@ -537,6 +548,8 @@ def quotient(G: Group, N: SubgroupSet) -> tuple[Group, tuple[int, ...]]:
     Cosets are indexed by ascending least member, which puts the coset of
     the identity first.
     """
+    if N.mask == 1:  # singleton cosets: this construction gives G itself
+        return G, tuple(range(G.order))
     key = ("quotient", N.mask)
     hit = G._cache.get(key)
     if hit is not None:

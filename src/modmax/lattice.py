@@ -32,8 +32,9 @@ of a subgroup B is the interval [1, B], and that of G/N is isomorphic to
 group's lattice.
 
 Predicates are decided against the lattice and never by the structure
-theorems they feed, which are test targets.  Modularity and subnormality
-are literal quantifier evaluation.  Permutability is decided by counting:
+theorems they feed, which are test targets.  Modularity's condition (i)
+is read off covers and its condition (ii) is literal quantifier evaluation,
+as is subnormality.  Permutability is decided by counting:
 |HP| = |H||P|/|H^P|, and HP = PH exactly when HP is a subgroup, that is
 when |HP| = |H v P| (in a quotient both sides divide by |N|^2).  The
 literal comparison of product sets is the oracle in the tests.
@@ -278,9 +279,10 @@ class SubgroupLattice:
         inside = self.up[lo] & self.down[hi]
         members = tuple(bits(inside))
         if predicate == "modular":
-            below = {z: tuple(bits(self.down[z] & inside)) for z in members}
+            covers = {z: [x for x in self.covers_down[z] if inside >> x & 1]
+                      for z in members}
             return sum(1 << m for m in members if _kurosh(
-                join_t, meet_t, m, members, below, bits(self.up[m] & inside)))
+                join_t, meet_t, m, members, covers, bits(self.up[m] & inside)))
         others = members
         if predicate == "s_quasinormal":
             # Sylow members: |P|/|lo| is the full p-part of |hi|/|lo|
@@ -366,14 +368,21 @@ class SubgroupLattice:
         return f"SubgroupLattice({self.group.name}, {self.size} subgroups)"
 
 
-def _kurosh(join_t, meet_t, m: int, members, below, above_m) -> bool:
+def _kurosh(join_t, meet_t, m: int, members, covers, above_m) -> bool:
     """Both modularity conditions for m over the members of one section;
-    ``below[z]`` and ``above_m`` are the down-sets and m's up-set in it."""
+    ``covers[z]`` and ``above_m`` are z's lower covers and m's up-set in it.
+
+    Condition (i) is read off covers: it fails exactly at a cover x < z with
+    x ^ m = z ^ m and x v m = z v m.  Such a cover fails it at (x, z).  And
+    if x <= z fails it, x' = x v (m ^ z) < z' = (x v m) ^ z have equal meets
+    and joins with m, so every cover on a chain from x' to z' has too.  An
+    interval is a sublattice, so this holds in a section.  Condition (ii)
+    is evaluated literally."""
     join_m, meet_m = join_t[m], meet_t[m]
     for z in members:
-        meet_z, mz = meet_t[z], meet_m[z]
-        for x in below[z]:
-            if join_t[x][mz] != meet_z[join_m[x]]:
+        jz, mz = join_m[z], meet_m[z]
+        for x in covers[z]:
+            if join_m[x] == jz and meet_m[x] == mz:
                 return False
     for z in above_m:
         meet_z = meet_t[z]

@@ -96,6 +96,22 @@ def test_factor_centralizer_from_generators_matches_all_members(name):
         assert _factor_centralizer_mask(G, km, hm) == _factor_centralizer_by_members(G, km, hm)
 
 
+def _commutes_literally(G):
+    return all(G.table[a][b] == G.table[b][a] for a in range(G.order) for b in range(G.order))
+
+
+@pytest.mark.parametrize("name", catalog.suite_names() + ["S4xC2", "A5", "E2^3xS3"])
+def test_abelian_from_generators_matches_all_pairs(name):
+    """On the group, on every subgroup rebuilt with greedy generators and on
+    every quotient with generators projected from the group's."""
+    G = catalog.shared_group(name)
+    lat = lattice_of(G)
+    groups = [G] + [subgroup_as_group(G, S)[0] for S in lat.subgroups]
+    groups += [quotient(G, lat.subgroups[n])[0] for n in lat.normal_indices()]
+    for H in groups:
+        assert is_abelian(H) == _commutes_literally(H), H
+
+
 def test_basic_series_predicates(suite_groups):
     a4 = suite_groups["A4"]
     assert is_soluble(a4) and not is_nilpotent(a4)

@@ -25,6 +25,7 @@ from modmax.groups import (
     center,
     centralizer,
     close_mask,
+    commutator_mask,
     conjugate_mask,
     core,
     cycles_to_perm,
@@ -658,3 +659,62 @@ def test_greedy_generators_by_right_multiplication(name):
     G = catalog.shared_group(name)
     assert Group(G.table).generator_indices == _greedy_by_close_mask(G)
     assert Group(G.table, generators=G.generator_indices).generator_indices == G.generator_indices
+
+
+def _quotient_by_cosets(G, N):
+    """Oracle: the literal coset construction of G/N, cosets by ascending
+    least member, with generators projected from G's."""
+    proj, reps = [-1] * G.order, []
+    for x in range(G.order):
+        if proj[x] < 0:
+            for n in bits(N.mask):
+                proj[G.table[x][n]] = len(reps)
+            reps.append(x)
+    table = [[proj[G.table[a][b]] for b in reps] for a in reps]
+    gens = dict.fromkeys(proj[g] for g in G.generator_indices if proj[g] != 0)
+    return Group(table, generators=gens), tuple(proj)
+
+
+@pytest.mark.parametrize("name", sorted(set(catalog._NAMED) | set(catalog.suite_names())))
+def test_quotient_by_the_trivial_subgroup_is_the_group(name):
+    G = catalog.shared_group(name)
+    Q, proj = _quotient_by_cosets(G, trivial_subgroup(G))
+    assert quotient(G, trivial_subgroup(G)) == (G, proj)
+    assert Q.table == G.table and Q.generator_indices == G.generator_indices
+
+
+ORACLE_GROUPS = catalog.suite_names() + ["S4xC2", "A5", "E2^3xS3"]
+
+
+def _commutators_of_members(G, a_mask, b_mask):
+    """Oracle: [A, B] as the closure of [a, b] over every member pair."""
+    comms = {G.commutator(a, b) for a in bits(a_mask) for b in bits(b_mask)}
+    return close_mask(G.table, comms, G.order)
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_commutator_subgroups_from_generators_match_all_members(name):
+    """[A, B] read off generators and conjugation by B's generators, for
+    every pair of subgroups A <= B: the derived and lower central series
+    of every subgroup among them."""
+    from modmax.lattice import lattice_of
+    G = catalog.shared_group(name)
+    lat = lattice_of(G)
+    for b, B in enumerate(lat.subgroups):
+        for a in lat.below[b]:
+            A = lat.subgroups[a]
+            assert commutator_mask(G, A.mask, B.mask) == _commutators_of_members(
+                G, A.mask, B.mask), (name, a, b)
+    full = (1 << G.order) - 1
+    assert derived_subgroup(G).mask == _commutators_of_members(G, full, full)
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_centralizer_from_generators_matches_all_members(name):
+    from modmax.lattice import lattice_of
+    G = catalog.shared_group(name)
+    for S in lattice_of(G).subgroups:
+        expected = sum(1 << g for g in range(G.order)
+                       if all(G.table[g][s] == G.table[s][g] for s in S))
+        assert centralizer(G, S).mask == expected, (name, S)
+    assert center(G).mask == expected  # the last subgroup is G

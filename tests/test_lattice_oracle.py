@@ -7,7 +7,8 @@ depth-first search over multiplication-closed sets using a fixpoint product
 scan, and the table and permutability oracles apply the definitions
 literally (join = closure of the union, meet = intersection, covers = the
 maximal proper members, normal = fixed by every conjugation, HP = PH as
-sets).  Expected counts asserted here were frozen from the oracles.
+sets, modular = both Kurosh conditions over every pair of a section).
+Expected counts asserted here were frozen from the oracles.
 """
 
 import pytest
@@ -188,3 +189,37 @@ def test_prime_order_has_two_subgroups():
     for p in (2, 3, 5, 7, 13):
         G = catalog.construct(f"C{p}")
         assert len(lattice_of(G)) == 2
+
+
+def _kurosh_literally(lat, m, members, below, above_m):
+    """Both modularity conditions for m over every pair of one section:
+    x v (m ^ z) = (x v m) ^ z for all x <= z, and m v (y ^ z) = (m v y) ^ z
+    for all y and all z >= m."""
+    join_t, meet_t = lat.join_t, lat.meet_t
+    for z in members:
+        for x in below[z]:
+            if join_t[x][meet_t[m][z]] != meet_t[join_t[x][m]][z]:
+                return False
+    for z in above_m:
+        for y in members:
+            if join_t[m][meet_t[z][y]] != meet_t[join_t[m][y]][z]:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog.standard_suite()]
+                         + ["S4xC2", "A5", "E2^4", "E2^3xS3", "E2^5"])
+def test_modular_columns_agree_with_literal_conditions(name):
+    """Condition (i) read off covers gives the literal column on every
+    section [1, B] and [N, G]."""
+    lat = lattice_of(catalog.shared_group(name))
+    top = lat.top()
+    sections = [(0, b) for b in range(lat.size)]
+    sections += [(n, top) for n in lat.normal_indices() if n]
+    for lo, hi in sections:
+        inside = lat.up[lo] & lat.down[hi]
+        members = [i for i in range(lat.size) if inside >> i & 1]
+        below = {z: [x for x in members if lat.up[x] >> z & 1] for z in members}
+        literal = sum(1 << m for m in members if _kurosh_literally(
+            lat, m, members, below, [z for z in members if lat.up[m] >> z & 1]))
+        assert lat.column("modular", (lo, hi)) == literal, (name, lo, hi)

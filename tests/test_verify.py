@@ -407,7 +407,8 @@ def _prime_factors(n):
 def test_residual_and_lemmas_ask_quotients_inside_the_group(monkeypatch, name):
     """After G's own lattice, Lem2.1 and Lem2.3 build no lattice and rebuild
     no group, and the strongly supersoluble residual builds one lattice (its
-    self-check quotient) and no subgroup."""
+    self-check quotient) and no subgroup, or nothing when the residual is
+    trivial (E2^4), since G/1 is G."""
     import importlib
 
     from modmax.classify import is_nilpotent_hall, residual_strongly_supersoluble
@@ -425,7 +426,26 @@ def test_residual_and_lemmas_ask_quotients_inside_the_group(monkeypatch, name):
     lemma_2_1_suite(G)
     verify_lemma_2_3(G)
     assert builds == []
-    is_nilpotent_hall(G, residual_strongly_supersoluble(G))
-    # the one build is the lattice of G over the residual
-    assert len(builds) == 1 and builds[0][0] == "enumerate_lattice", builds
-    assert builds[0][1].startswith(f"{G.name}/"), builds
+    r = residual_strongly_supersoluble(G)
+    is_nilpotent_hall(G, r)
+    rebuilds = 0 if name == "E2^4" else 1
+    assert (r.order == 1) == (rebuilds == 0)
+    # the build, if any, is the lattice of G over a nontrivial residual
+    assert len(builds) == rebuilds, builds
+    assert all(attr == "enumerate_lattice" and group.startswith(f"{G.name}/")
+               for attr, group in builds), builds
+
+
+def test_suite_builds_each_lattice_once(monkeypatch):
+    """The whole gate on freshly built groups enumerates 66 lattices: the 18
+    groups' own and 48 of quotients and subgroups.  None is G/1, which is G."""
+    from modmax import lattice
+
+    monkeypatch.setattr(catalog, "_shared", {})
+    built = []
+    real = lattice.enumerate_lattice
+    monkeypatch.setattr(lattice, "enumerate_lattice",
+                        lambda G: built.append(G.name) or real(G))
+    run_suite("all", "all")
+    assert len(built) == 66, built
+    assert not [name for name in built if name.endswith("/1")], built
