@@ -299,11 +299,11 @@ def _elementary_abelian_prime(G: Group, S: SubgroupSet) -> int | None:
         return None
     (p, _), = fac.items()
     orders = G.element_orders()
-    members = S.members()
-    if any(orders[x] != p for x in members if x != 0):
+    if any(orders[x] != p for x in S.members() if x != 0):
         return None
     t = G.table
-    return p if all(t[a][b] == t[b][a] for a in members for b in members) else None
+    gens = _greedy_generators(t, S.mask)  # commuting generators: abelian
+    return p if all(t[a][b] == t[b][a] for a in gens for b in gens) else None
 
 
 def is_p_group_schmidt(G: Group, S: SubgroupSet | None = None) -> bool:
@@ -311,10 +311,12 @@ def is_p_group_schmidt(G: Group, S: SubgroupSet | None = None) -> bool:
     q != p acting as one fixed nontrivial power map a -> a^k on A.
 
     ``S`` asks it of a subgroup, inside G's lattice: A runs over S's
-    subgroups fixed by conjugation with S's members, t over S's members."""
+    subgroups fixed by conjugation with S's generators, t over S's
+    members."""
     lat = lattice_of(G)
     S = whole_group(G) if S is None else S
     orders = G.element_orders()
+    s_gens = _greedy_generators(G.table, S.mask)
     for ai in bits(lat.down[lat.index(S)]):
         A = lat.subgroups[ai]
         q = S.order // A.order
@@ -322,7 +324,7 @@ def is_p_group_schmidt(G: Group, S: SubgroupSet | None = None) -> bool:
             continue
         p = _elementary_abelian_prime(G, A)
         if p is None or q == p or any(
-                conjugate_mask(G, g, A.mask) != A.mask for g in S.members()):
+                conjugate_mask(G, g, A.mask) != A.mask for g in s_gens):
             continue
         members = [x for x in A.members() if x != 0]
         for t in S.members():

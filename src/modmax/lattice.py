@@ -1,12 +1,24 @@
 """Complete subgroup lattices and subgroup embedding predicates.
 
 The lattice of a group is enumerated once by cyclic extension and cached on
-the group.  Starting from the trivial subgroup, every subgroup H found is
-extended by one generator x of each cyclic subgroup of prime-power order
-with x not in H, and <H, x> is closed from H by adding right cosets of H
-one at a time (Dimino's method).  Every subgroup is generated by its
-prime-power elements, so a chain of such extensions reaches it; perfect
-subgroups included.
+the group.  Starting from the trivial subgroup, a subgroup H is extended by
+one generator x of each cyclic subgroup of prime-power order with x not in
+H, and <H, x> is closed from H by adding right cosets of H one at a time
+(Dimino's method).  Every subgroup is generated by its prime-power
+elements, so a chain of such extensions reaches it; perfect subgroups
+included.  Two exact facts cut the extensions (Holt, Eick and O'Brien,
+*Handbook of Computational Group Theory*, 2005, on cyclic extension):
+
+- Conjugacy classes.  A new subgroup K brings its whole class into the
+  found set (closed under conjugation by the group's generators) and only
+  K is extended further: <H^g, x> = <H, x^(g^-1)>^g, and x^(g^-1) is again
+  of prime-power order, so the extensions of a conjugate are the conjugates
+  of the extensions of K.
+- Prime index.  When |<H, x> : H| is prime, H is maximal in K = <H, x>, so
+  <H, y> = K for every y in K outside H, and those y are skipped for H.
+
+``tests/test_lattice_oracle.py`` keeps the literal loop, every subgroup
+found extended by every generator, as an oracle.
 
 Subgroups are kept in a canonical order: ascending by order, ties broken by
 the sorted member tuple.  Inclusion is stored as bitsets over those
@@ -44,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import Group, SubgroupSet, bits, conjugate_mask, factorize
+from .groups import Group, SubgroupSet, bits, conjugate_mask, factorize, is_prime
 
 
 _PREDICATES = ("modular", "quasinormal", "s_quasinormal")
@@ -129,10 +141,15 @@ class SubgroupLattice:
         self.covers_down = tuple(tuple(bits(b)) for b in cover_bits)
         self.covers_up = tuple(tuple(v) for v in covers_up)
 
+        # every entry drawn from one tuple of the n indices: past 256 a
+        # computed int is a fresh object per entry, a shared one is not
+        ints = tuple(range(n))
         self.join_t = tuple(
-            tuple(n - (ri & rj).bit_length() for rj in rev_up) for ri in rev_up)
+            tuple([ints[n - (ri & rj).bit_length()] for rj in rev_up])
+            for ri in rev_up)
         self.meet_t = tuple(
-            tuple((di & dj).bit_length() - 1 for dj in down) for di in down)
+            tuple([ints[(di & dj).bit_length() - 1] for dj in down])
+            for di in down)
 
         # a subgroup fixed by conjugation with each generator is normal
         gens = group.generator_indices
@@ -413,7 +430,8 @@ def _extend(table, elems: tuple[int, ...], mask: int,
 
 
 def enumerate_lattice(G: Group) -> SubgroupLattice:
-    """Enumerate every subgroup by cyclic extension (see the module docstring)."""
+    """Enumerate every subgroup by cyclic extension, one conjugacy class at
+    a time (see the module docstring)."""
     table = G.table
     orders = G.element_orders()
     cyclic: dict[int, int] = {}  # prime-power cyclic subgroup -> least generator
@@ -424,20 +442,30 @@ def enumerate_lattice(G: Group) -> SubgroupLattice:
                 m |= 1 << y
                 y = table[y][x]
             cyclic.setdefault(m, x)
-    found = {1: ()}  # subgroup mask -> the generators it was built from
-    frontier = [1]
+    found = {1}  # every subgroup found, whole conjugacy classes at a time
+    frontier = [(1, ())]  # class representatives with their generators
     while frontier:
         new = []
-        for h in frontier:
-            gens = found[h]
+        for h, gens in frontier:
             elems = tuple(bits(h))
+            skip = h  # h and the members of covers <h, x> of prime index
             for x in cyclic.values():
-                if (h >> x) & 1:
+                if (skip >> x) & 1:
                     continue
                 k = _extend(table, elems, h, gens + (x,), G.order)
+                if is_prime(k.bit_count() // len(elems)):
+                    skip |= k
                 if k not in found:
-                    found[k] = gens + (x,)
-                    new.append(k)
+                    new.append((k, gens + (x,)))
+                    found.add(k)
+                    # found holds whole classes, so none of k's is in it yet
+                    conjugates = [k]
+                    for c in conjugates:
+                        for g in G.generator_indices:
+                            d = conjugate_mask(G, g, c)
+                            if d not in found:
+                                found.add(d)
+                                conjugates.append(d)
         frontier = new
     return SubgroupLattice(G, list(found), None)
 

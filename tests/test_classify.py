@@ -35,9 +35,11 @@ from modmax.groups import (
     NotNormal,
     SubgroupSet,
     bits,
+    conjugate_mask,
     core,
     factorize,
     is_isomorphic,
+    is_prime,
     prime_spectrum,
     product_mask,
     quotient,
@@ -149,6 +151,47 @@ def test_power_split_detection(suite_groups):
     assert not is_p_group_schmidt(suite_groups["Q8"])
     assert not is_p_group_schmidt(suite_groups["C6"])
     assert not is_p_group_schmidt(suite_groups["A4"])
+
+
+def _p_group_schmidt_literal(G, S):
+    """Normality of A tested by conjugation with every member of S, and
+    A's commutativity on every pair of its members."""
+    lat = lattice_of(G)
+    orders = G.element_orders()
+    t = G.table
+    for ai in bits(lat.down[lat.index(S)]):
+        A = lat.subgroups[ai]
+        q = S.order // A.order
+        fac = factorize(A.order)
+        if not is_prime(q) or len(fac) != 1:
+            continue
+        (p, _), = fac.items()
+        members = A.members()
+        if (q == p or any(orders[x] != p for x in members if x != 0)
+                or any(t[a][b] != t[b][a] for a in members for b in members)
+                or any(conjugate_mask(G, g, A.mask) != A.mask
+                       for g in S.members())):
+            continue
+        for x in S.members():
+            if x in A or orders[x] != q:
+                continue
+            ks = set()
+            for a in members[1:]:
+                ca, y, j = G.conj(x, a), a, 1
+                while y != ca and j <= p:
+                    y, j = t[y][a], j + 1
+                ks.add(j)
+            if len(ks) == 1 and 1 < min(ks) <= p:
+                return True
+    return False
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog.standard_suite()]
+                         + ["S4xC2", "A5", "E2^3xS3"])
+def test_power_split_test_by_generators_agrees_with_all_members(name):
+    G = catalog.shared_group(name)
+    for S in lattice_of(G).subgroups:
+        assert is_p_group_schmidt(G, S) == _p_group_schmidt_literal(G, S), S
 
 
 def test_critical_groups(suite_groups):

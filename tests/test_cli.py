@@ -123,6 +123,18 @@ def test_verify_gate_bytes_across_processes():
     assert (len(data), hashlib.sha256(data).hexdigest()) == GATE_ALL
 
 
+def test_verify_pq2_witness_bytes_are_pinned(capsys):
+    """The two non-abelian groups of orders 363 and 1,183 on which Prop3.2
+    and Cor4.4 hold non-vacuously, byte for byte."""
+    code, out, _ = run(capsys, "verify", "--groups", "pq2_3_11,pq2_7_13",
+                       "--format", "json")
+    assert code == EXIT_OK
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (
+        14487,
+        "fe771fd76e08f9c20c999d51c5cc0a555ab4aade9f6d1ae0b95fd1f9cccb3d0b")
+
+
 def test_verify_depth_pin(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "theorems",
                        "--groups", "A4", "--n", "3", "--format", "json")

@@ -201,6 +201,17 @@ def test_join_meet_tables(suite_groups):
                 assert join.mask == regen.mask
 
 
+def test_join_meet_entries_share_one_int_per_index():
+    """Past index 256 a computed int is a new object; the tables draw every
+    entry from one tuple of the indices instead (join with the trivial
+    subgroup and meet with the whole group are the identity maps)."""
+    lat = lattice_of(catalog.shared_group("E2^5"))
+    assert lat.size > 256
+    join_row, meet_row = lat.join_t[0], lat.meet_t[lat.top()]
+    assert all(e is join_row[e] for row in lat.join_t for e in row)
+    assert all(e is meet_row[e] for row in lat.meet_t for e in row)
+
+
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_lattice_closure_property(data):

@@ -1,21 +1,33 @@
 """Independent oracles for the lattice builder and its tables.
 
 The oracles below deliberately avoid the production path (cyclic extension
-by Dimino coset closure, tables read off inclusion bitsets, permutability
-decided by counting): one walks the full power set, another runs a
-depth-first search over multiplication-closed sets using a fixpoint product
-scan, and the table and permutability oracles apply the definitions
-literally (join = closure of the union, meet = intersection, covers = the
-maximal proper members, normal = fixed by every conjugation, HP = PH as
-sets, modular = both Kurosh conditions over every pair of a section).
+of one subgroup per conjugacy class by Dimino coset closure, tables read off
+inclusion bitsets, permutability decided by counting): one walks the full
+power set, another runs a depth-first search over multiplication-closed sets
+using a fixpoint product scan, and the table and permutability oracles apply
+the definitions literally (join = closure of the union, meet =
+intersection, covers = the maximal proper members, normal = fixed by every
+conjugation, HP = PH as sets, modular = both Kurosh conditions over every
+pair of a section).  The literal cyclic extension oracle extends every
+subgroup found by every prime-power cyclic generator, with no conjugacy
+classes and no prime-index skip; it reaches the orders the DFS cannot.
 Expected counts asserted here were frozen from the oracles.
 """
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from modmax import catalog
-from modmax.groups import conjugate_mask, product_mask
-from modmax.lattice import lattice_of
+from modmax import lattice as lattice_module
+from modmax.groups import (
+    ClosureExceedsCap,
+    bits,
+    conjugate_mask,
+    factorize,
+    group_from_permutations,
+    product_mask,
+)
+from modmax.lattice import _extend, enumerate_lattice, lattice_of
 
 
 def _is_closed(table, subset):
@@ -70,6 +82,37 @@ def oracle_subgroups_dfs(G):
                 found.add(nxt)
                 stack.append(nxt)
     return found
+
+
+def oracle_subgroups_cyclic_literal(G):
+    """Cyclic extension of every subgroup found by every prime-power cyclic
+    generator outside it: no conjugacy classes, no prime-index skip."""
+    table = G.table
+    orders = G.element_orders()
+    cyclic: dict[int, int] = {}  # prime-power cyclic subgroup -> least generator
+    for x in range(1, G.order):
+        if len(factorize(orders[x])) == 1:
+            m, y = 1, x
+            while y:
+                m |= 1 << y
+                y = table[y][x]
+            cyclic.setdefault(m, x)
+    found = {1: ()}  # subgroup mask -> the generators it was built from
+    frontier = [1]
+    while frontier:
+        new = []
+        for h in frontier:
+            gens = found[h]
+            elems = tuple(bits(h))
+            for x in cyclic.values():
+                if (h >> x) & 1:
+                    continue
+                k = _extend(table, elems, h, gens + (x,), G.order)
+                if k not in found:
+                    found[k] = gens + (x,)
+                    new.append(k)
+        frontier = new
+    return {frozenset(bits(m)) for m in found}
 
 
 def _lattice_membersets(G):
@@ -153,6 +196,42 @@ def test_permutability_agrees_with_literal_products(name):
             _permutes_literally(G, h, p) for p in sylows)
 
 
+@pytest.mark.parametrize("name", LARGE + ["S5", "hol_C13", "pq2_3_11"])
+def test_class_enumeration_agrees_with_literal_cyclic_extension(name):
+    G = catalog.shared_group(name)
+    assert _lattice_membersets(G) == oracle_subgroups_cyclic_literal(G)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_class_enumeration_agrees_on_random_permutation_groups(data):
+    """Groups on at most 6 points from 1 to 3 random generators, of order at
+    most 120."""
+    degree = data.draw(st.integers(1, 6), label="degree")
+    gens = data.draw(st.lists(st.permutations(list(range(degree))),
+                              min_size=1, max_size=3), label="generators")
+    try:
+        G = group_from_permutations(degree, gens, max_order_cap=120)
+    except ClosureExceedsCap:
+        assume(False)
+    assert _lattice_membersets(G) == oracle_subgroups_cyclic_literal(G)
+
+
+@pytest.mark.parametrize("name, most", [("hol_C13", 400), ("E2^5", 3000)])
+def test_enumeration_extends_one_subgroup_per_class(monkeypatch, name, most):
+    """Extending every subgroup found, as the literal oracle does, takes
+    2,640 calls on hol_C13 and 9,517 on E2^5."""
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return _extend(*args)
+
+    monkeypatch.setattr(lattice_module, "_extend", counting)
+    enumerate_lattice(catalog.construct(name))
+    assert 0 < len(calls) < most
+
+
 def test_oracles_agree_with_each_other():
     for name in SMALL:
         G = catalog.shared_group(name)
@@ -176,6 +255,10 @@ EXPECTED_COUNTS = {
     "A4xC2": 26,
     "pq2_2_3": 28,
     "E2^3": 16,    # subspace count of a rank-3 binary space
+    "S5": 156,
+    "hol_C13": 72,
+    "pq2_3_11": 136,
+    "pq2_7_13": 186,
 }
 
 
