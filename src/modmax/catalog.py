@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 from .groups import (
     DEFAULT_MAX_ORDER,
     ClosureExceedsCap,
     Group,
+    _table_from_generator_rows,
     automorphisms,
     direct_product,
     factorize,
@@ -42,14 +44,16 @@ class BadParameters(Exception):
 
 
 # ---------------------------------------------------------------------------
-# basic families
+# basic families: each builds the rows of its generators, row_g[x] = g*x,
+# from its own formula; the other rows are copied from them
 
 def cyclic(n: int, name: str | None = None) -> Group:
     if n < 1:
         raise BadParameters(f"cyclic order must be positive, got {n}")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    gens = [1] if n > 1 else []
-    return Group(table, name=name or f"C{n}", generators=gens)
+    index = tuple(range(n))
+    gens, rows = ([1], [index[1:] + index[:1]]) if n > 1 else ([], [])
+    return Group(_table_from_generator_rows(index, rows), name=name or f"C{n}",
+                 generators=gens)
 
 
 def elementary_abelian(p: int, k: int, name: str | None = None) -> Group:
@@ -59,18 +63,15 @@ def elementary_abelian(p: int, k: int, name: str | None = None) -> Group:
     if k < 0:
         raise BadParameters(f"rank must be nonnegative, got {k}")
     n = p ** k
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            total, mult, a, b = 0, 1, i, j
-            for _ in range(k):
-                total += ((a + b) % p) * mult
-                a //= p
-                b //= p
-                mult *= p
-            table[i][j] = total
+    index = tuple(range(n))
     gens = [p ** i for i in range(k)]
-    return Group(table, name=name or f"E{p}^{k}", generators=gens)
+    # p^i adds 1 to digit i: in each run of p^(i+1) indices, the p runs of
+    # p^i shift down by one, cyclically
+    rows = [tuple(chain.from_iterable(index[s + g:s + g * p] + index[s:s + g]
+                                      for s in range(0, n, g * p)))
+            for g in gens]
+    return Group(_table_from_generator_rows(index, rows), name=name or f"E{p}^{k}",
+                 generators=gens)
 
 
 def dihedral(order: int, name: str | None = None) -> Group:
@@ -78,31 +79,24 @@ def dihedral(order: int, name: str | None = None) -> Group:
     if order < 2 or order % 2:
         raise BadParameters(f"dihedral order must be even and >= 2, got {order}")
     m = order // 2
-    table = [[0] * order for _ in range(order)]
-    for i in range(m):
-        for a in (0, 1):
-            x = i + m * a
-            for j in range(m):
-                for b in (0, 1):
-                    rot = (i + (m - j if a else j)) % m
-                    table[x][j + m * b] = rot + m * ((a + b) % 2)
-    gens = [1, m] if m > 1 else [m]
-    return Group(table, name=name or f"D{order}", generators=gens)
+    index = tuple(range(order))
+    rots, refls = index[:m], index[m:]
+    # r^j -> r^(j+1) and s r^j -> s r^(j+1); s r^j -> r^(-j) and r^j -> s r^(-j)
+    rotate = rots[1:] + rots[:1] + refls[1:] + refls[:1]
+    reflect = refls[:1] + refls[:0:-1] + rots[:1] + rots[:0:-1]
+    gens, rows = ([1, m], [rotate, reflect]) if m > 1 else ([m], [reflect])
+    return Group(_table_from_generator_rows(index, rows), name=name or f"D{order}",
+                 generators=gens)
 
 
 def quaternion8(name: str = "Q8") -> Group:
     """Order-8 quaternion group: elements a^i * b^j, index i + 4j."""
-    table = [[0] * 8 for _ in range(8)]
-    for i in range(4):
-        for a in (0, 1):
-            x = i + 4 * a
-            for j in range(4):
-                for b in (0, 1):
-                    rot = (i + (4 - j if a else j)) % 4
-                    if a and b:
-                        rot = (rot + 2) % 4
-                    table[x][j + 4 * b] = rot + 4 * ((a + b) % 2)
-    return Group(table, name=name, generators=[1, 4])
+    index = tuple(range(8))
+    # a * a^j b^k = a^(j+1) b^k;  b * a^j = a^(-j) b  and  b * a^j b = a^(2-j)
+    times_a = tuple(index[(j + 1) % 4 + 4 * k] for k in (0, 1) for j in range(4))
+    times_b = tuple(index[(2 * k - j) % 4 + 4 * (1 - k)] for k in (0, 1) for j in range(4))
+    return Group(_table_from_generator_rows(index, [times_a, times_b]), name=name,
+                 generators=[1, 4])
 
 
 def symmetric(n: int, name: str | None = None) -> Group:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
@@ -159,6 +160,59 @@ def conjugate_mask(G: "Group", g: int, mask: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# table rows, copied at C speed
+
+def _gather(values, positions) -> tuple:
+    """``tuple(values[i] for i in positions)``, copied at C speed."""
+    if len(positions) == 1:  # itemgetter of one position returns no tuple
+        return (values[positions[0]],)
+    return itemgetter(*positions)(values)
+
+
+def _table_from_generator_rows(index, gen_rows) -> list[tuple[int, ...]]:
+    """The multiplication table of a group from the rows of its generators.
+
+    ``index`` is ``tuple(range(n))``, and each row in ``gen_rows`` draws its
+    entries from it, with ``row_g[x] = g*x``.  As (g*y)*x = g*(y*x), the
+    row of g*y is the row of y read through the row of g.  Walking the left
+    Cayley graph breadth first from the identity therefore copies each row
+    once, n entries at C speed, with O(n * |gens|) steps in Python; every
+    entry of the table is an object of ``index``.
+    """
+    rows: list = [None] * len(index)
+    rows[0] = index
+    reached = [0]
+    for y in reached:
+        row_y = rows[y]
+        for row_g in gen_rows:
+            z = row_g[y]
+            if rows[z] is None:
+                rows[z] = _gather(row_g, row_y)
+                reached.append(z)
+    if len(reached) != len(index):
+        raise NotAGroup("stated generators do not generate the group")
+    return rows
+
+
+def _pair_table(N: "Group", H: "Group", acts):
+    """Table and generators of the pairs (x, h), packed as index x*|H| + h,
+    with (x, h)(y, k) = (x * acts[h][y], h*k).  Only the rows of the
+    generators (g, 1) and (1, h) are built here; ``acts[h]`` is read for
+    the generators h of H alone."""
+    nh = H.order
+    index = tuple(range(N.order * nh))
+    blocks = [index[x * nh:(x + 1) * nh] for x in range(N.order)]  # the pairs (x, *)
+    gen_rows = [tuple(chain.from_iterable(map(blocks.__getitem__, N.table[g])))
+                for g in N.generator_indices]
+    for h in H.generator_indices:
+        row_h = H.table[h]
+        gen_rows.append(tuple(chain.from_iterable(
+            _gather(blocks[y], row_h) for y in acts[h])))
+    gens = [g * nh for g in N.generator_indices] + list(H.generator_indices)
+    return _table_from_generator_rows(index, gen_rows), gens
+
+
+# ---------------------------------------------------------------------------
 # the Group type
 
 class Group:
@@ -180,10 +234,13 @@ class Group:
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise NotAGroup(f"table row {i} has length {len(row)}, expected {n}")
-            if min(row) < 0 or max(row) >= n:
+            try:
+                if min(row) < 0:  # a negative entry would index from the end
+                    raise IndexError
+                rows[i] = _gather(index, row)
+            except IndexError:
                 v = next(v for v in row if not 0 <= v < n)
-                raise NotAGroup(f"table entry {v} at row {i} out of range")
-            rows[i] = tuple(map(index.__getitem__, row))
+                raise NotAGroup(f"table entry {v} at row {i} out of range") from None
         rows = tuple(rows)
         for j in range(n):
             if rows[0][j] != j:
@@ -360,7 +417,9 @@ def group_from_permutations(degree: int, generators, name: str = "G",
     Elements are enumerated breadth first from the identity by right
     multiplication with the generators, ties inside a BFS level broken by
     lexicographic image tuple, so element indices are reproducible.
-    Products compose left to right: (p*q)(i) = q[p[i]].
+    Products compose left to right: (p*q)(i) = q[p[i]].  Only the rows of
+    the generators are looked up, one product g*p per element and
+    generator; the other rows are copied from them.
     """
     if degree < 1:
         raise InvalidPermutation("degree must be at least 1")
@@ -386,9 +445,11 @@ def group_from_permutations(degree: int, generators, name: str = "G",
             if len(elems) > max_order_cap:
                 raise ClosureExceedsCap(
                     f"permutation closure exceeds max_order_cap {max_order_cap}")
-    lookup = {p: i for i, p in enumerate(elems)}.__getitem__
-    table = [tuple(map(lookup, map(itemgetter(*p), elems))) for p in elems]
-    return Group(table, name=name, generators=map(lookup, gens))
+    index = tuple(range(len(elems)))
+    lookup = dict(zip(elems, index)).__getitem__
+    gen_rows = [tuple(map(lookup, map(itemgetter(*g), elems))) for g in gens]  # g*p
+    return Group(_table_from_generator_rows(index, gen_rows), name=name,
+                 generators=map(lookup, gens))
 
 
 def group_from_cayley_table(table, name: str = "G",
@@ -546,7 +607,8 @@ def quotient(G: Group, N: SubgroupSet) -> tuple[Group, tuple[int, ...]]:
     """Quotient group G/N with its projection map (element -> coset index).
 
     Cosets are indexed by ascending least member, which puts the coset of
-    the identity first.
+    the identity first.  The rows of the generators' cosets are read off
+    their representatives, and the other rows are copied from them.
     """
     if N.mask == 1:  # singleton cosets: this construction gives G itself
         return G, tuple(range(G.order))
@@ -557,48 +619,31 @@ def quotient(G: Group, N: SubgroupSet) -> tuple[Group, tuple[int, ...]]:
     if not is_normal_subgroup(G, N):
         raise NotNormal(f"subgroup of order {N.order} is not normal in {G.name}")
     t = G.table
+    qindex = tuple(range(G.order // N.order))
     proj = [-1] * G.order
     reps: list[int] = []
     for x in range(G.order):
         if proj[x] >= 0:
             continue
-        idx = len(reps)
+        idx = qindex[len(reps)]
         reps.append(x)
         row = t[x]
         for nmem in bits(N.mask):
             proj[row[nmem]] = idx
-    m = len(reps)
-    qtable = [[proj[t[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
     qgens = tuple(dict.fromkeys(proj[g] for g in G.generator_indices if proj[g] != 0))
-    Q = Group(qtable, name=f"{G.name}/{N.order}", generators=qgens)
+    gen_rows = [_gather(proj, _gather(t[reps[c]], reps)) for c in qgens]
+    Q = Group(_table_from_generator_rows(qindex, gen_rows), name=f"{G.name}/{N.order}",
+              generators=qgens)
     result = (Q, tuple(proj))
     G._cache[key] = result
     return result
 
 
 def direct_product(A: Group, B: Group, name: str | None = None) -> Group:
-    """Direct product on pairs, packed as index a*|B| + b."""
-    nb = B.order
-    n = A.order * nb
-    table = [[0] * n for _ in range(n)]
-    for a1 in range(A.order):
-        ra = A.table[a1]
-        for b1 in range(nb):
-            rb = B.table[b1]
-            i = a1 * nb + b1
-            row = table[i]
-            for a2 in range(A.order):
-                base = ra[a2] * nb
-                off = a2 * nb
-                for b2 in range(nb):
-                    row[off + b2] = base + rb[b2]
-    gens = [g * nb for g in A.generator_indices] + list(B.generator_indices)
+    """Direct product on pairs, packed as index a*|B| + b, built from the
+    rows of the generators (a, 1) and (1, b)."""
+    table, gens = _pair_table(A, B, [range(A.order)] * B.order)
     return Group(table, name=name or f"{A.name}x{B.name}", generators=gens)
-
-
-def _compose(p, q):
-    """Permutation composition: apply q, then p."""
-    return tuple(p[q[i]] for i in range(len(p)))
 
 
 def semidirect_product(N: Group, H: Group, action,
@@ -608,7 +653,9 @@ def semidirect_product(N: Group, H: Group, action,
     ``action`` is a sequence of |H| permutations of N's indices;
     ``action[h]`` must be an automorphism of N and h -> action[h] a
     homomorphism (action[h1*h2] = action[h1] after action[h2]).
-    Pairs (n, h) are packed as index n*|H| + h.
+    Pairs (n, h) are packed as index n*|H| + h.  Both conditions are
+    checked one whole row at a time; the table is built from the rows of
+    the generators (n, 1) and (1, h).
     """
     acts = [tuple(int(v) for v in perm) for perm in action]
     if len(acts) != H.order:
@@ -621,34 +668,21 @@ def semidirect_product(N: Group, H: Group, action,
             raise NotAnAction(f"action of element {h} is not a bijection")
         if perm[0] != 0:
             raise NotAnAction(f"action of element {h} moves the identity")
-        for x in range(N.order):
-            px = perm[x]
-            for y in range(N.order):
-                if perm[N.table[x][y]] != N.table[px][perm[y]]:
-                    raise NotAnAction(
-                        f"action of element {h} is not an automorphism "
-                        f"(fails on pair ({x},{y}))")
-    for h1 in range(H.order):
-        for h2 in range(H.order):
-            if acts[H.table[h1][h2]] != _compose(acts[h1], acts[h2]):
+        for x, row in enumerate(N.table):
+            # perm(x*y) against perm(x)*perm(y), for every y at once
+            lhs, rhs = _gather(perm, row), _gather(N.table[perm[x]], perm)
+            if lhs != rhs:
+                y = next(y for y, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+                raise NotAnAction(
+                    f"action of element {h} is not an automorphism "
+                    f"(fails on pair ({x},{y}))")
+    for h1, row in enumerate(H.table):
+        act = acts[h1]
+        for h2, h12 in enumerate(row):
+            if acts[h12] != _gather(act, acts[h2]):  # action[h1] after action[h2]
                 raise NotAnAction(
                     f"action is not a homomorphism (fails on pair ({h1},{h2}))")
-    nh = H.order
-    n = N.order * nh
-    table = [[0] * n for _ in range(n)]
-    for n1 in range(N.order):
-        for h1 in range(nh):
-            i = n1 * nh + h1
-            row = table[i]
-            act = acts[h1]
-            rn = N.table[n1]
-            rh = H.table[h1]
-            for n2 in range(N.order):
-                base = rn[act[n2]] * nh
-                off = n2 * nh
-                for h2 in range(nh):
-                    row[off + h2] = base + rh[h2]
-    gens = [g * nh for g in N.generator_indices] + list(H.generator_indices)
+    table, gens = _pair_table(N, H, acts)
     return Group(table, name=name or f"{N.name}:{H.name}", generators=gens)
 
 
@@ -750,15 +784,18 @@ def subgroup_as_group(G: Group, S: SubgroupSet) -> tuple[Group, tuple[int, ...]]
     """Reindex a subgroup as its own Group.
 
     Returns (group, elements) where elements[i] is the parent index of the
-    new element i.  Cached per mask on the parent.
+    new element i.  Each row is two copies at C speed: the parent row at
+    the members, then its local indices.  Cached per mask on the parent.
     """
     key = ("subgroup", S.mask)
     hit = G._cache.get(key)
     if hit is not None:
         return hit
     elems = S.members()
-    local = {x: i for i, x in enumerate(elems)}
-    table = [[local[G.table[x][y]] for y in elems] for x in elems]
+    local = [0] * G.order  # parent index -> local index, on the members
+    for i, x in enumerate(elems):
+        local[x] = i
+    table = [_gather(local, _gather(G.table[x], elems)) for x in elems]
     sub = Group(table, name=f"{G.name}<{S.order}>")
     result = (sub, elems)
     G._cache[key] = result

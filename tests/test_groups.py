@@ -126,6 +126,15 @@ def test_identity_must_sit_at_zero():
     ([[0, 1, 2], [1, 2, 0], [2, 2, 1]], "column 1 is not a permutation"),
     ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0],
       [4, 2, 0, 1, 3]], "element 2 has no two-sided inverse"),
+    ([[0, 1, 2], [1, 5, -1], [2, 0, 1]], "table entry 5 at row 1 out of range"),
+    ([[0, 1, 2], [1, -1, 5], [2, 0, 1]], "table entry -1 at row 1 out of range"),
+    ([[0, 1, 2], [1, 2, 0], [2, 0, 3]], "table entry 3 at row 2 out of range"),
+    ([[1]], "table entry 1 at row 0 out of range"),
+    ([[-1]], "table entry -1 at row 0 out of range"),
+    ([[True]], "table entry 1 at row 0 out of range"),
+    ([[0, 1], [True, 2]], "table entry 2 at row 1 out of range"),
+    ([[False, True], [True, -1]], "table entry -1 at row 1 out of range"),
+    ([[False, True], [True, True]], "row 1 is not a permutation"),
 ])
 def test_table_checks_name_the_first_failure(table, message):
     with pytest.raises(NotAGroup) as exc:
@@ -136,6 +145,8 @@ def test_table_checks_name_the_first_failure(table, message):
 def test_every_entry_is_read_as_an_int_before_any_check():
     with pytest.raises(ValueError):
         Group([[0, 1, 5], [1, 0], ["x"]])
+    table = Group([[False, True], [True, False]]).table
+    assert table == ((0, 1), (1, 0)) and {type(v) for row in table for v in row} == {int}
 
 
 def test_subgroup_generated_examples(suite_groups):
@@ -718,3 +729,360 @@ def test_centralizer_from_generators_matches_all_members(name):
                        if all(G.table[g][s] == G.table[s][g] for s in S))
         assert centralizer(G, S).mask == expected, (name, S)
     assert center(G).mask == expected  # the last subgroup is G
+
+
+# -- construction: tables copied from generator rows against per-entry fillers
+#
+# The fillers below are the constructors' former table builders, kept
+# verbatim as oracles: each computes every one of the n^2 entries in Python.
+
+def _filled_permutations(degree, generators, name="G", max_order_cap=2000):
+    gens = [tuple(int(v) for v in p) for p in generators]
+    if degree == 1:
+        return Group([[0]], name=name, generators=[0] * len(gens))
+    ident = tuple(range(degree))
+    elems = [ident]
+    seen = {ident}
+    level = [ident]
+    while level:
+        found = set()
+        for x in level:
+            times = operator.itemgetter(*x)  # times(q) is x*q
+            for g in gens:
+                y = times(g)
+                if y not in seen:
+                    found.add(y)
+        level = sorted(found)
+        for y in level:
+            seen.add(y)
+            elems.append(y)
+            if len(elems) > max_order_cap:
+                raise ClosureExceedsCap(
+                    f"permutation closure exceeds max_order_cap {max_order_cap}")
+    lookup = {p: i for i, p in enumerate(elems)}.__getitem__
+    table = [tuple(map(lookup, map(operator.itemgetter(*p), elems))) for p in elems]
+    return Group(table, name=name, generators=map(lookup, gens))
+
+
+def _filled_direct_product(A, B, name=None):
+    nb = B.order
+    n = A.order * nb
+    table = [[0] * n for _ in range(n)]
+    for a1 in range(A.order):
+        ra = A.table[a1]
+        for b1 in range(nb):
+            rb = B.table[b1]
+            i = a1 * nb + b1
+            row = table[i]
+            for a2 in range(A.order):
+                base = ra[a2] * nb
+                off = a2 * nb
+                for b2 in range(nb):
+                    row[off + b2] = base + rb[b2]
+    gens = [g * nb for g in A.generator_indices] + list(B.generator_indices)
+    return Group(table, name=name or f"{A.name}x{B.name}", generators=gens)
+
+
+def _compose(p, q):
+    """Permutation composition: apply q, then p."""
+    return tuple(p[q[i]] for i in range(len(p)))
+
+
+def _filled_semidirect_product(N, H, action, name=None):
+    """The former constructor whole: the entry-by-entry action checks too."""
+    acts = [tuple(int(v) for v in perm) for perm in action]
+    if len(acts) != H.order:
+        raise NotAnAction(f"expected {H.order} automorphisms, got {len(acts)}")
+    ident = tuple(range(N.order))
+    if acts[0] != ident:
+        raise NotAnAction("action of the identity must be the identity map")
+    for h, perm in enumerate(acts):
+        if sorted(perm) != list(range(N.order)):
+            raise NotAnAction(f"action of element {h} is not a bijection")
+        if perm[0] != 0:
+            raise NotAnAction(f"action of element {h} moves the identity")
+        for x in range(N.order):
+            px = perm[x]
+            for y in range(N.order):
+                if perm[N.table[x][y]] != N.table[px][perm[y]]:
+                    raise NotAnAction(
+                        f"action of element {h} is not an automorphism "
+                        f"(fails on pair ({x},{y}))")
+    for h1 in range(H.order):
+        for h2 in range(H.order):
+            if acts[H.table[h1][h2]] != _compose(acts[h1], acts[h2]):
+                raise NotAnAction(
+                    f"action is not a homomorphism (fails on pair ({h1},{h2}))")
+    nh = H.order
+    n = N.order * nh
+    table = [[0] * n for _ in range(n)]
+    for n1 in range(N.order):
+        for h1 in range(nh):
+            i = n1 * nh + h1
+            row = table[i]
+            act = acts[h1]
+            rn = N.table[n1]
+            rh = H.table[h1]
+            for n2 in range(N.order):
+                base = rn[act[n2]] * nh
+                off = n2 * nh
+                for h2 in range(nh):
+                    row[off + h2] = base + rh[h2]
+    gens = [g * nh for g in N.generator_indices] + list(H.generator_indices)
+    return Group(table, name=name or f"{N.name}:{H.name}", generators=gens)
+
+
+def _filled_subgroup_as_group(G, S):
+    elems = S.members()
+    local = {x: i for i, x in enumerate(elems)}
+    table = [[local[G.table[x][y]] for y in elems] for x in elems]
+    return Group(table, name=f"{G.name}<{S.order}>"), elems
+
+
+def _filled_cyclic(n, name=None):
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    gens = [1] if n > 1 else []
+    return Group(table, name=name or f"C{n}", generators=gens)
+
+
+def _filled_elementary_abelian(p, k, name=None):
+    n = p ** k
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            total, mult, a, b = 0, 1, i, j
+            for _ in range(k):
+                total += ((a + b) % p) * mult
+                a //= p
+                b //= p
+                mult *= p
+            table[i][j] = total
+    gens = [p ** i for i in range(k)]
+    return Group(table, name=name or f"E{p}^{k}", generators=gens)
+
+
+def _filled_dihedral(order, name=None):
+    m = order // 2
+    table = [[0] * order for _ in range(order)]
+    for i in range(m):
+        for a in (0, 1):
+            x = i + m * a
+            for j in range(m):
+                for b in (0, 1):
+                    rot = (i + (m - j if a else j)) % m
+                    table[x][j + m * b] = rot + m * ((a + b) % 2)
+    gens = [1, m] if m > 1 else [m]
+    return Group(table, name=name or f"D{order}", generators=gens)
+
+
+def _filled_quaternion8(name="Q8"):
+    table = [[0] * 8 for _ in range(8)]
+    for i in range(4):
+        for a in (0, 1):
+            x = i + 4 * a
+            for j in range(4):
+                for b in (0, 1):
+                    rot = (i + (4 - j if a else j)) % 4
+                    if a and b:
+                        rot = (rot + 2) % 4
+                    table[x][j + 4 * b] = rot + 4 * ((a + b) % 2)
+    return Group(table, name=name, generators=[1, 4])
+
+
+_FILLERS = {
+    "group_from_permutations": _filled_permutations,
+    "direct_product": _filled_direct_product,
+    "semidirect_product": _filled_semidirect_product,
+    "cyclic": _filled_cyclic,
+    "elementary_abelian": _filled_elementary_abelian,
+    "dihedral": _filled_dihedral,
+    "quaternion8": _filled_quaternion8,
+}
+
+
+def _construct_by_fillers(monkeypatch, name):
+    """``catalog.construct(name)`` with every table filled entry by entry."""
+    with monkeypatch.context() as patch:
+        swap = {getattr(catalog, attr): filler for attr, filler in _FILLERS.items()}
+        for attr, filler in _FILLERS.items():
+            patch.setattr(catalog, attr, filler)
+        patch.setattr(catalog, "_PATTERNS", tuple(
+            (pattern, order, swap.get(build, build))
+            for pattern, order, build in catalog._PATTERNS))
+        return catalog.construct(name)
+
+
+def _assert_same_group(G, expected):
+    assert G.table == expected.table
+    assert G.generator_indices == expected.generator_indices
+    assert G.inverse == expected.inverse
+    assert G.name == expected.name
+    first = G.table[0]
+    assert all(all(map(operator.is_, row, map(first.__getitem__, row))) for row in G.table)
+
+
+@pytest.mark.parametrize("name", sorted(
+    set(catalog._NAMED) | set(catalog.suite_names())
+    | {"hol_C13", "pq2_3_11", "pq2_7_13", "D400", "E3^4", "C2xD12", "pgroup_7^2:3:2"}))
+def test_constructors_match_the_per_entry_fillers(monkeypatch, name):
+    _assert_same_group(catalog.construct(name), _construct_by_fillers(monkeypatch, name))
+
+
+@pytest.mark.parametrize("name", catalog.suite_names())
+def test_quotients_match_the_coset_filler(name):
+    from modmax.lattice import lattice_of
+    G = catalog.construct(name)
+    lat = lattice_of(G)
+    for i in lat.normal_indices():
+        N = lat.subgroups[i]
+        Q, proj = quotient(G, N)
+        expected, expected_proj = _quotient_by_cosets(G, N)
+        assert proj == expected_proj
+        assert (Q.table, Q.generator_indices, Q.inverse) == (
+            expected.table, expected.generator_indices, expected.inverse)
+        first = Q.table[0]
+        assert all(all(map(operator.is_, row, map(first.__getitem__, row))) for row in Q.table)
+
+
+@pytest.mark.parametrize("name", catalog.suite_names())
+def test_subgroups_as_groups_match_the_entry_filler(name):
+    from modmax.lattice import lattice_of
+    G = catalog.construct(name)
+    for S in lattice_of(G).subgroups:
+        sub, elems = subgroup_as_group(G, S)
+        expected, expected_elems = _filled_subgroup_as_group(G, S)
+        assert elems == expected_elems
+        _assert_same_group(sub, expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_permutation_tables_match_the_lookup_filler(data):
+    degree = data.draw(st.integers(1, 6), label="degree")
+    gens = data.draw(st.lists(st.permutations(list(range(degree))), max_size=3),
+                     label="generators")
+    _assert_same_group(group_from_permutations(degree, gens),
+                       _filled_permutations(degree, gens))
+
+
+def _agl32_generators():
+    """x -> x + 1, a rotation of the three bits, and the transvection
+    x -> x + (x_0 << 1) on the 8 points of F_2^3."""
+    return [tuple(x ^ 1 for x in range(8)),
+            tuple(((x << 1) | (x >> 2)) & 7 for x in range(8)),
+            tuple(x ^ ((x & 1) << 1) for x in range(8))]
+
+
+def test_near_cap_permutation_group_copies_its_rows():
+    """AGL(3,2), of order 1,344: one lookup per element and generator, where
+    the lookup filler makes 1,344^2."""
+    gens = _agl32_generators()
+    start = time.perf_counter()
+    G = group_from_permutations(8, gens, name="AGL32")
+    built_s = time.perf_counter() - start
+    start = time.perf_counter()
+    expected = _filled_permutations(8, gens, name="AGL32")
+    filled_s = time.perf_counter() - start
+    assert G.order == 1344
+    _assert_same_group(G, expected)
+    assert built_s < 10 and built_s < filled_s, (built_s, filled_s)
+
+
+_ACTION_GROUPS = ["C2", "C3", "C4", "V4", "C5", "S3", "E2^3", "Q8"]
+
+
+def _automorphism_group(N):
+    """Aut(N) as a group whose element i is ``automorphisms(N)[i]``, with
+    i*j = (i after j), the product a semidirect action composes by."""
+    auts = automorphisms(N)
+    position = {a: i for i, a in enumerate(auts)}
+    return Group([[position[tuple(p[x] for x in q)] for q in auts] for p in auts]), auts
+
+
+@pytest.mark.parametrize("name", ["C5", "V4", "S3", "Q8", "E2^3"])
+def test_holomorphs_match_the_filler(name):
+    """N x| Aut(N): a faithful action of a group that is not abelian for
+    all but C5, so the order of composition matters (V4 gives S4, E2^3 AGL(3,2))."""
+    N = catalog.shared_group(name)
+    A, auts = _automorphism_group(N)
+    _assert_same_group(semidirect_product(N, A, auts),
+                       _filled_semidirect_product(N, A, auts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_semidirect_checks_name_the_fillers_first_failure(data):
+    """Actions by Aut(N) with images replaced, powers of one automorphism,
+    or lists of automorphisms, permutations and any indices: accepted, or
+    refused with the filler's message."""
+    N = catalog.shared_group(data.draw(st.sampled_from(_ACTION_GROUPS[:7]), label="N"))
+    auts = automorphisms(N)
+    kind = data.draw(st.sampled_from(["holomorph", "powers", "lists"]), label="kind")
+    if kind == "holomorph":
+        H, action = _automorphism_group(N)
+        for h in data.draw(st.lists(st.integers(0, H.order - 1), max_size=2), label="moved"):
+            action[h] = data.draw(st.sampled_from(auts), label="image")
+    else:
+        H = catalog.shared_group(data.draw(st.sampled_from(_ACTION_GROUPS[:5]), label="H"))
+    if kind == "powers":  # h -> a^h: an action when H is cyclic and a^|H| = 1
+        a = data.draw(st.sampled_from(auts), label="a")
+        action, cur = [], tuple(range(N.order))
+        for _ in range(H.order):
+            action.append(cur)
+            cur = tuple(a[cur[i]] for i in range(N.order))
+    elif kind == "lists":
+        one_act = st.one_of(
+            st.sampled_from(auts),
+            st.permutations(list(range(N.order))).map(tuple),
+            st.lists(st.integers(0, N.order - 1), min_size=N.order, max_size=N.order))
+        action = [tuple(range(N.order))] + data.draw(
+            st.lists(one_act, min_size=H.order - 1, max_size=H.order - 1), label="action")
+    _assert_semidirect_like_filler(N, H, action)
+
+
+def _assert_semidirect_like_filler(N, H, action):
+    outcomes = []
+    for build in (semidirect_product, _filled_semidirect_product):
+        try:
+            outcomes.append(build(N, H, action))
+        except NotAnAction as exc:
+            outcomes.append(str(exc))
+    got, expected = outcomes
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        _assert_same_group(got, expected)
+
+
+@pytest.mark.parametrize("n, k, action, message", [
+    ("C3", "C2", [(0, 1, 2)], "expected 2 automorphisms, got 1"),
+    ("C3", "C2", [(0, 2, 1), (0, 1, 2)], "action of the identity must be the identity map"),
+    ("C3", "C2", [(0, 1, 2), (0, 1, 1)], "action of element 1 is not a bijection"),
+    ("C3", "C2", [(0, 1, 2), (1, 0, 2)], "action of element 1 moves the identity"),
+    ("C4", "C2", [(0, 1, 2, 3), (0, 2, 1, 3)],
+     "action of element 1 is not an automorphism (fails on pair (1,1))"),
+    ("E2^3", "C3", [tuple(range(8)), tuple(range(8)), (0, 1, 2, 3, 4, 5, 7, 6)],
+     "action of element 2 is not an automorphism (fails on pair (2,4))"),
+    ("C3", "C4", [(0, 1, 2), (0, 2, 1), (0, 1, 2), (0, 1, 2)],
+     "action is not a homomorphism (fails on pair (1,2))"),
+    ("C7", "V4", [tuple(x * k % 7 for x in range(7)) for k in (1, 6, 2, 5)],
+     "action is not a homomorphism (fails on pair (2,2))"),
+])
+def test_semidirect_checks_name_the_first_failure(n, k, action, message):
+    with pytest.raises(NotAnAction) as exc:
+        semidirect_product(catalog.construct(n), catalog.construct(k), action)
+    assert str(exc.value) == message
+
+
+def test_catalog_builders_hold_one_table_of_shared_entries():
+    """The builders' rows draw on one tuple of indices, so a build peaks at
+    about two tables of n^2 pointers: the builder's and Group()'s copy."""
+    for name in ("D600", "C600", "E2^9", "hol_C23", "S3xC2xD50"):
+        tracemalloc.start()
+        try:
+            G = catalog.construct(name)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pointers = sys.getsizeof(G.table) + sum(map(sys.getsizeof, G.table))
+        assert peak < 2.5 * pointers, (name, peak / pointers)
