@@ -137,17 +137,6 @@ def _greedy_generators(table, mask: int, below: int = 1) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def product_mask(G: "Group", a_mask: int, b_mask: int) -> int:
-    """Setwise product {a*b : a in A, b in B} as a mask."""
-    table = G.table
-    out = 0
-    for x in bits(a_mask):
-        row = table[x]
-        for y in bits(b_mask):
-            out |= 1 << row[y]
-    return out
-
-
 def conjugate_mask(G: "Group", g: int, mask: int) -> int:
     """The conjugate set {g*x*g^-1 : x in mask}."""
     table = G.table
@@ -162,11 +151,18 @@ def conjugate_mask(G: "Group", g: int, mask: int) -> int:
 # ---------------------------------------------------------------------------
 # table rows, copied at C speed
 
+def _gatherer(positions):
+    """A function taking ``values`` to ``tuple(values[i] for i in
+    positions)``, copied at C speed; build it once to gather many rows."""
+    if len(positions) == 1:  # itemgetter of one position returns no tuple
+        (p,) = positions
+        return lambda values: (values[p],)
+    return itemgetter(*positions)
+
+
 def _gather(values, positions) -> tuple:
     """``tuple(values[i] for i in positions)``, copied at C speed."""
-    if len(positions) == 1:  # itemgetter of one position returns no tuple
-        return (values[positions[0]],)
-    return itemgetter(*positions)(values)
+    return _gatherer(positions)(values)
 
 
 def _table_from_generator_rows(index, gen_rows) -> list[tuple[int, ...]]:
@@ -322,9 +318,9 @@ class Group:
         reached = 1
         while reached != full:
             a = (~reached & (reached + 1)).bit_length() - 1
-            ta = t[a]
+            times_a = _gatherer(t[a])  # times_a(tx)[c] is x*(a*c)
             for x, tx in enumerate(t):
-                lhs, rhs = t[tx[a]], tuple(map(tx.__getitem__, ta))
+                lhs, rhs = t[tx[a]], times_a(tx)
                 if lhs != rhs:
                     c = next(c for c, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
                     raise NotAGroup(
@@ -800,23 +796,6 @@ def subgroup_as_group(G: Group, S: SubgroupSet) -> tuple[Group, tuple[int, ...]]
     result = (sub, elems)
     G._cache[key] = result
     return result
-
-
-def restrict_mask(elements: tuple[int, ...], parent_mask: int) -> int:
-    """Translate a parent-index mask into the local indices of ``elements``."""
-    out = 0
-    for i, x in enumerate(elements):
-        if (parent_mask >> x) & 1:
-            out |= 1 << i
-    return out
-
-
-def image_mask(proj: tuple[int, ...], mask: int) -> int:
-    """Push a subgroup mask through a projection map."""
-    out = 0
-    for x in bits(mask):
-        out |= 1 << proj[x]
-    return out
 
 
 def _extend_partial_map(A: Group, B: Group, span, fmap, g, img):

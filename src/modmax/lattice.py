@@ -29,12 +29,21 @@ i and j is the lowest index of ``up[i] & up[j]`` and the meet the highest of
 
 Each embedding predicate is one int bitset over those indices, a column:
 ``normal`` is built with the lattice, ``modular``, ``quasinormal`` and
-``s_quasinormal`` are evaluated for every index on first use.  The
-n-maximal subgroups are one bitset per depth, ``layers[n]``; n-maximality
-is read existentially (some maximal chain G = M0 > ... > Mn ends at H, so
-H can be n-maximal for several n) and each layer is the covers of the one
-above.  "Every n-maximal subgroup is modular" is ``layers[n] & ~modular``
-being 0.
+``s_quasinormal`` are evaluated on first use.  The n-maximal subgroups are
+one bitset per depth, ``layers[n]``; n-maximality is read existentially
+(some maximal chain G = M0 > ... > Mn ends at H, so H can be n-maximal for
+several n) and each layer is the covers of the one above.  "Every
+n-maximal subgroup is modular" is ``layers[n] & ~modular`` being 0.
+
+Conjugation by g is a lattice automorphism that fixes G and every normal
+subgroup.  So each predicate, subnormality, and each predicate inside a
+quotient section [N, G] gives the same answer on every member of a
+conjugacy class of subgroups.  The enumeration records each subgroup's
+class (``class_of``), a subgroup is normal exactly when its class is
+itself, and each answer is evaluated on one representative per class and
+its class bitset ORed in.  A subgroup section [lo, hi] with hi < G is not
+fixed by conjugation and is evaluated member by member.
+``tests/oracles.py`` keeps per-member evaluation as the oracle.
 
 A predicate can be asked inside a section [lo, hi] as well.  The lattice
 of a subgroup B is the interval [1, B], and that of G/N is isomorphic to
@@ -45,18 +54,31 @@ group's lattice.
 
 Predicates are decided against the lattice and never by the structure
 theorems they feed, which are test targets.  Modularity's condition (i)
-is read off covers and its condition (ii) is literal quantifier evaluation,
-as is subnormality.  Permutability is decided by counting:
-|HP| = |H||P|/|H^P|, and HP = PH exactly when HP is a subgroup, that is
-when |HP| = |H v P| (in a quotient both sides divide by |N|^2).  The
-literal comparison of product sets is the oracle in the tests.
+is read off covers and its condition (ii) is literal quantifier evaluation.
+Subnormality iterates normal closures: the first, H^G, is the least normal
+subgroup above H, and each later one is closed from the greedy generators
+of H under conjugation by those of the current term; the loop over every
+member of the term is the oracle in the tests.  Permutability
+is decided by counting: |HP| = |H||P|/|H^P|, and HP = PH exactly when HP
+is a subgroup, that is when |HP| = |H v P| (in a quotient both sides
+divide by |N|^2).  The literal comparison of product sets is the oracle in
+the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import Group, SubgroupSet, bits, conjugate_mask, factorize, is_prime
+from .groups import (
+    Group,
+    SubgroupSet,
+    _greedy_generators,
+    _normal_closure_mask,
+    bits,
+    conjugate_mask,
+    factorize,
+    is_prime,
+)
 
 
 _PREDICATES = ("modular", "quasinormal", "s_quasinormal")
@@ -94,11 +116,11 @@ class SubgroupLattice:
     """All subgroups of a group with inclusion, covers, join/meet tables and
     predicate columns."""
 
-    def __init__(self, group: Group, masks: list[int], _unused):
-        # The third argument once carried the enumeration's cache of closed
-        # joins.  Joins are now read off the inclusion bitsets; the argument
-        # stays because perfbench's traced run subclasses this class with the
-        # (group, masks, joins) signature.
+    def __init__(self, group: Group, masks: list[int], classes: dict[int, int]):
+        # ``classes`` maps each mask to a representative mask of its
+        # conjugacy class, as the enumeration found them.  It stays the third
+        # positional argument: perfbench's traced run subclasses this class
+        # with a (group, masks, joins) signature and forwards it unchanged.
         order_key = lambda m: (m.bit_count(), tuple(bits(m)))
         canonical = sorted(masks, key=order_key)
         self.group = group
@@ -151,11 +173,14 @@ class SubgroupLattice:
             tuple([ints[(di & dj).bit_length() - 1] for dj in down])
             for di in down)
 
-        # a subgroup fixed by conjugation with each generator is normal
-        gens = group.generator_indices
+        # class_of[i]: the bitset of i's conjugacy class; a subgroup is
+        # normal exactly when its class is itself
+        by_rep: dict[int, int] = {}
+        for i, m in enumerate(canonical):
+            by_rep[classes[m]] = by_rep.get(classes[m], 0) | 1 << i
+        self.class_of = tuple(by_rep[classes[m]] for m in canonical)
         self.normal = sum(
-            1 << i for i, m in enumerate(canonical)
-            if all(conjugate_mask(group, g, m) == m for g in gens))
+            1 << i for i, c in enumerate(self.class_of) if c == 1 << i)
 
         # layers[k]: the subgroups at the end of some maximal chain of
         # length k, the covers of the layer above; the last layer is {1}
@@ -172,6 +197,9 @@ class SubgroupLattice:
 
         # (predicate, lo, hi) -> column of the section [lo, hi]
         self._columns: dict[tuple[str, int, int], int] = {}
+        # index -> greedy generators; class representative -> subnormal
+        self._generators: dict[int, tuple[int, ...]] = {}
+        self._subnormal: dict[int, bool] = {}
 
     # -- indexing helpers ---------------------------------------------------
 
@@ -244,8 +272,9 @@ class SubgroupLattice:
     def column(self, predicate: str, section=None) -> int:
         """Bitset of the members of ``section`` that are ``predicate``
         ("modular", "quasinormal" or "s_quasinormal") in it, evaluated once
-        for every member.  ``section`` is (lo, hi) with lo <= hi, standing
-        for the lattice of the subgroup hi (lo = 0) or of the quotient by lo
+        per conjugacy class when conjugation fixes the section, else once
+        per member.  ``section`` is (lo, hi) with lo <= hi, standing for the
+        lattice of the subgroup hi (lo = 0) or of the quotient by lo
         (hi = top); it defaults to the whole lattice."""
         lo, hi = (0, self.top()) if section is None else map(self.index, section)
         key = (predicate, lo, hi)
@@ -290,23 +319,36 @@ class SubgroupLattice:
         return self._reads("s_quasinormal", H, section)
 
     def _evaluate(self, predicate: str, lo: int, hi: int) -> int:
-        """One column.  The quantifier loops walk index tuples of the
-        section: walking bitsets there is several times slower."""
+        """One column.  On a section [N, G] with N normal (the whole lattice
+        included) conjugation permutes the members and keeps the answer, so
+        the least member of each class is tested and its class ORed in.
+        The quantifier loops walk index tuples of the section: walking
+        bitsets there is several times slower."""
         o, join_t, meet_t = self._orders, self.join_t, self.meet_t
         inside = self.up[lo] & self.down[hi]
         members = tuple(bits(inside))
         if predicate == "modular":
             covers = {z: [x for x in self.covers_down[z] if inside >> x & 1]
                       for z in members}
-            return sum(1 << m for m in members if _kurosh(
-                join_t, meet_t, m, members, covers, bits(self.up[m] & inside)))
-        others = members
-        if predicate == "s_quasinormal":
-            # Sylow members: |P|/|lo| is the full p-part of |hi|/|lo|
-            parts = {p ** e for p, e in factorize(o[hi] // o[lo]).items()}
-            others = tuple(k for k in members if o[k] // o[lo] in parts)
-        return sum(1 << i for i in members if all(
-            o[i] * o[j] == o[join_t[i][j]] * o[meet_t[i][j]] for j in others))
+            holds = lambda m: _kurosh(
+                join_t, meet_t, m, members, covers, bits(self.up[m] & inside))
+        else:
+            others = members
+            if predicate == "s_quasinormal":
+                # Sylow members: |P|/|lo| is the full p-part of |hi|/|lo|
+                parts = {p ** e for p, e in factorize(o[hi] // o[lo]).items()}
+                others = tuple(k for k in members if o[k] // o[lo] in parts)
+            holds = lambda i: all(
+                o[i] * o[j] == o[join_t[i][j]] * o[meet_t[i][j]] for j in others)
+        by_class = hi == self.top() and self.normal >> lo & 1
+        column = done = 0
+        for i in members:
+            if not done >> i & 1:
+                same = self.class_of[i] if by_class else 1 << i
+                done |= same
+                if holds(i):
+                    column |= same
+        return column
 
     def is_modular_alt(self, H) -> bool:
         """Independently coded second evaluation of the same two conditions,
@@ -329,23 +371,38 @@ class SubgroupLattice:
     # -- subnormality ---------------------------------------------------------
 
     def is_subnormal(self, H) -> bool:
-        """Iterated normal closure inside the previous term descends to H."""
-        mi = self.index(H)
-        G = self.group
-        hm = self._masks[mi]
-        join_t, index_of = self.join_t, self.index_of
-        cur = self.top()
+        """Iterated normal closure inside the previous term descends to H.
+        Conjugation maps a subnormal series of H to one of each conjugate,
+        so the answer is memoised per class representative."""
+        c = self.class_of[self.index(H)]
+        rep = (c & -c).bit_length() - 1
+        hit = self._subnormal.get(rep)
+        if hit is None:
+            hit = self._subnormal[rep] = self._descends(rep)
+        return hit
+
+    def _descends(self, mi: int) -> bool:
+        """Each term's normal closure of mi, closed from mi's greedy
+        generators under conjugation by the term's, until it stops at mi
+        (subnormal) or at the term itself (not subnormal).  The first term,
+        the normal closure in G, is read off the lattice: the normal
+        subgroups above mi are closed under meets, so the least of them
+        lies inside every other and has the lowest index."""
+        G, index_of, gens = self.group, self.index_of, self._greedy
+        above = self.up[mi] & self.normal
+        prev, cur = self.top(), (above & -above).bit_length() - 1
         while cur != mi:
-            # normal closure of H in cur: the join of its conjugates there
-            # (a conjugate by a member of the join so far lies inside it)
-            nxt = mi
-            for g in bits(self._masks[cur]):
-                if not (self._masks[nxt] >> g) & 1:
-                    nxt = join_t[nxt][index_of[conjugate_mask(G, g, hm)]]
-            if nxt == cur:
+            if cur == prev:
                 return False
-            cur = nxt
+            prev, cur = cur, index_of[_normal_closure_mask(G, gens(mi), gens(cur))]
         return True
+
+    def _greedy(self, i: int) -> tuple[int, ...]:
+        gens = self._generators.get(i)
+        if gens is None:
+            gens = self._generators[i] = _greedy_generators(
+                self.group.table, self._masks[i])
+        return gens
 
     # -- export ----------------------------------------------------------------
 
@@ -442,7 +499,8 @@ def enumerate_lattice(G: Group) -> SubgroupLattice:
                 m |= 1 << y
                 y = table[y][x]
             cyclic.setdefault(m, x)
-    found = {1}  # every subgroup found, whole conjugacy classes at a time
+    # every subgroup found -> its class representative, whole classes at a time
+    found = {1: 1}
     frontier = [(1, ())]  # class representatives with their generators
     while frontier:
         new = []
@@ -457,17 +515,17 @@ def enumerate_lattice(G: Group) -> SubgroupLattice:
                     skip |= k
                 if k not in found:
                     new.append((k, gens + (x,)))
-                    found.add(k)
+                    found[k] = k
                     # found holds whole classes, so none of k's is in it yet
                     conjugates = [k]
                     for c in conjugates:
                         for g in G.generator_indices:
                             d = conjugate_mask(G, g, c)
                             if d not in found:
-                                found.add(d)
+                                found[d] = k
                                 conjugates.append(d)
         frontier = new
-    return SubgroupLattice(G, list(found), None)
+    return SubgroupLattice(G, list(found), found)
 
 
 def lattice_of(G: Group) -> SubgroupLattice:

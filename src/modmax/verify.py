@@ -408,8 +408,8 @@ def _lemma_2_1_conclusion(G: Group, lat, mi: int):
     mg, closure = core(G, M).mask, normal_closure(G, M).mask
     if not is_nilpotent(G, (mg, M.mask)):
         witnesses.append("M over its core is not nilpotent")
-    if not all(f.is_cyclic for f in all_chief_factors(G)
-               if f.below.mask & mg == mg and f.above.mask & ~closure == 0):
+    if any(f.below.mask & mg == mg and f.above.mask & ~closure == 0
+           for f in _noncyclic_chief_factors(G)):
         witnesses.append("normal closure over the core is not "
                          "hypercyclically embedded")
     ok = not witnesses
@@ -419,6 +419,16 @@ def _lemma_2_1_conclusion(G: Group, lat, mi: int):
         witnesses.append(decomposition
                          or "no coprime decomposition found for core-free M")
     return ok, witnesses
+
+
+def _noncyclic_chief_factors(G: Group):
+    """G's chief factors that are not cyclic, cached on G: only these can
+    keep a normal subgroup from being hypercyclically embedded."""
+    hit = G._cache.get("noncyclic_chief_factors")
+    if hit is None:
+        hit = tuple(f for f in all_chief_factors(G) if not f.is_cyclic)
+        G._cache["noncyclic_chief_factors"] = hit
+    return hit
 
 
 def _not_modular_out_of_scope(G: Group, lat, mi: int):

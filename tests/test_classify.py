@@ -41,13 +41,13 @@ from modmax.groups import (
     is_isomorphic,
     is_prime,
     prime_spectrum,
-    product_mask,
     quotient,
     semidirect_product,
     subgroup_as_group,
     trivial_subgroup,
 )
 from modmax.lattice import lattice_of
+from oracles import product_mask
 
 
 def test_chief_factors_of_prime_cyclic():

@@ -135,6 +135,23 @@ def test_verify_pq2_witness_bytes_are_pinned(capsys):
         "fe771fd76e08f9c20c999d51c5cc0a555ab4aade9f6d1ae0b95fd1f9cccb3d0b")
 
 
+@pytest.mark.parametrize("name, size, digest", [
+    ("hol_C43", 8727,
+     "37048d3a8f909e2f3c3c9e40676bc99b45d3f6aa5e3fb9b56eba8789d2bac2f0"),
+    ("pq2_7_13", 7296,
+     "55b2e999d9bc1a1342448db89cc2813b550906ee2a130e697dd9370703d002b5"),
+])
+def test_verify_class_heavy_bytes_are_pinned(capsys, name, size, digest):
+    """Two groups with few conjugacy classes of subgroups against many
+    subgroups (hol_C43: 16 classes of 310), byte for byte, so the answers
+    read once per class are checked where they stand for the most
+    subgroups."""
+    code, out, _ = run(capsys, "verify", "--groups", name, "--format", "json")
+    assert code == EXIT_OK
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
 def test_verify_depth_pin(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "theorems",
                        "--groups", "A4", "--n", "3", "--format", "json")

@@ -25,9 +25,9 @@ from modmax.groups import (
     conjugate_mask,
     factorize,
     group_from_permutations,
-    product_mask,
 )
 from modmax.lattice import _extend, enumerate_lattice, lattice_of
+from oracles import product_mask
 
 
 def _is_closed(table, subset):

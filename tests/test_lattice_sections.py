@@ -28,8 +28,9 @@ from modmax.classify import (
     residual_supersoluble,
 )
 from modmax.groups import SubgroupSet
-from modmax.groups import image_mask, quotient, restrict_mask, subgroup_as_group
+from modmax.groups import quotient, subgroup_as_group
 from modmax.lattice import lattice_of
+from oracles import image_mask, restrict_mask
 
 GROUPS = [e.name for e in catalog.standard_suite()] + ["S4xC2", "A5"]
 PREDICATES = ("modular", "s_quasinormal")

@@ -374,7 +374,8 @@ def test_run_suite_rejects_fewer_than_one_job():
 def test_nonnormal_sylow_test_matches_the_subgroup_lattice(suite_groups, name):
     """The lemma-2.1 helper, which conjugates by S's members, against the
     lattice of S rebuilt as a group, for every S and every subgroup Q <= S."""
-    from modmax.groups import restrict_mask, subgroup_as_group
+    from modmax.groups import subgroup_as_group
+    from oracles import restrict_mask
     from modmax.verify import _is_nonnormal_sylow_of
 
     G = suite_groups[name]
