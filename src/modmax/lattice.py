@@ -54,7 +54,10 @@ group's lattice.
 
 Predicates are decided against the lattice and never by the structure
 theorems they feed, which are test targets.  Modularity's condition (i)
-is read off covers and its condition (ii) is literal quantifier evaluation.
+is read off covers; given (i), condition (ii) holds exactly when
+|[m, m v y]| = |[m ^ y, y]| for every y, two interval sizes counted from
+the inclusion bitsets (the proof is in ``_kurosh``).  Literal quantifier
+evaluation of both conditions is the oracle in the tests.
 Subnormality iterates normal closures: the first, H^G, is the least normal
 subgroup above H, and each later one is closed from the greedy generators
 of H under conjugation by those of the current term; the loop over every
@@ -68,10 +71,13 @@ the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import and_
 
 from .groups import (
     Group,
     SubgroupSet,
+    _gatherer,
     _greedy_generators,
     _normal_closure_mask,
     bits,
@@ -330,8 +336,9 @@ class SubgroupLattice:
         if predicate == "modular":
             covers = {z: [x for x in self.covers_down[z] if inside >> x & 1]
                       for z in members}
-            holds = lambda m: _kurosh(
-                join_t, meet_t, m, members, covers, bits(self.up[m] & inside))
+            get = _gatherer(members)
+            down_y = get(self.down)
+            holds = lambda m: _kurosh(self, members, m, covers, get, down_y)
         else:
             others = members
             if predicate == "s_quasinormal":
@@ -349,24 +356,6 @@ class SubgroupLattice:
                 if holds(i):
                     column |= same
         return column
-
-    def is_modular_alt(self, H) -> bool:
-        """Independently coded second evaluation of the same two conditions,
-        with reversed loop nesting and iteration order (cross-check)."""
-        mi = self.index(H)
-        join_t, meet_t = self.join_t, self.meet_t
-        n = self.size
-        for y in range(n - 1, -1, -1):
-            for z in range(n - 1, -1, -1):
-                if not self.leq(mi, z):
-                    continue
-                if join_t[mi][meet_t[y][z]] != meet_t[join_t[mi][y]][z]:
-                    return False
-        for x in range(n - 1, -1, -1):
-            for z in self.above[x]:
-                if join_t[x][meet_t[mi][z]] != meet_t[join_t[x][mi]][z]:
-                    return False
-        return True
 
     # -- subnormality ---------------------------------------------------------
 
@@ -442,28 +431,39 @@ class SubgroupLattice:
         return f"SubgroupLattice({self.group.name}, {self.size} subgroups)"
 
 
-def _kurosh(join_t, meet_t, m: int, members, covers, above_m) -> bool:
+def _kurosh(lat, members, m: int, covers, get, down_y) -> bool:
     """Both modularity conditions for m over the members of one section;
-    ``covers[z]`` and ``above_m`` are z's lower covers and m's up-set in it.
+    ``covers[z]`` is z's lower covers in it, ``get`` gathers the members'
+    entries of a row and ``down_y`` is ``get(lat.down)``.
 
     Condition (i) is read off covers: it fails exactly at a cover x < z with
     x ^ m = z ^ m and x v m = z v m.  Such a cover fails it at (x, z).  And
     if x <= z fails it, x' = x v (m ^ z) < z' = (x v m) ^ z have equal meets
     and joins with m, so every cover on a chain from x' to z' has too.  An
-    interval is a sublattice, so this holds in a section.  Condition (ii)
-    is evaluated literally."""
-    join_m, meet_m = join_t[m], meet_t[m]
+    interval is a sublattice, so this holds in a section.
+
+    Given (i), condition (ii) holds exactly when the intervals
+    A = [m, m v y] and B = [m ^ y, y] have the same size for every y (modular
+    elements and transposed intervals; R. Schmidt, *Subgroup Lattices of
+    Groups*, 1994, section 2.1).  Let psi(z) = z ^ y map A to B and
+    chi(w) = w v m map B to A.  Condition (i) with z := y gives
+    psi chi = id_B, so psi is onto.  Condition (ii) at (y, z) with z >= m is
+    condition (ii) at z' = (m v y) ^ z in A (both sides are unchanged), and
+    there it reads chi psi(z') = z'.  So (ii) for all z is chi psi = id_A,
+    which holds exactly when psi is also one-to-one, that is when
+    |A| = |B|.  A section is an interval, so y runs over its members and
+    the interval sizes are the global ones, |up[a] & down[b]|.  Both size
+    vectors are gathered at C speed, one entry per member y."""
+    join_m, meet_m = lat.join_t[m], lat.meet_t[m]
     for z in members:
         jz, mz = join_m[z], meet_m[z]
         for x in covers[z]:
             if join_m[x] == jz and meet_m[x] == mz:
                 return False
-    for z in above_m:
-        meet_z = meet_t[z]
-        for y in members:
-            if join_m[meet_z[y]] != meet_z[join_m[y]]:
-                return False
-    return True
+    up, down = lat.up, lat.down
+    a = map(and_, repeat(up[m]), _gatherer(get(join_m))(down))  # [m, m v y]
+    b = map(and_, _gatherer(get(meet_m))(up), down_y)  # [m ^ y, y]
+    return tuple(map(int.bit_count, a)) == tuple(map(int.bit_count, b))
 
 
 def _extend(table, elems: tuple[int, ...], mask: int,

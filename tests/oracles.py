@@ -1,13 +1,14 @@
 """Literal helpers the tests check the package against.
 
 None of these is used by ``modmax`` itself.  The mask helpers translate
-subgroups between a group and a rebuilt subgroup or quotient; the two
-lattice oracles evaluate one subgroup at a time, with no conjugacy classes,
-the way the lattice did before it answered once per class.
+subgroups between a group and a rebuilt subgroup or quotient; the lattice
+oracles evaluate one subgroup at a time, with no conjugacy classes, the way
+the lattice did before it answered once per class, and decide Kurosh's
+condition (ii) by the literal quantifier loop rather than by counting
+interval sizes.
 """
 
 from modmax.groups import bits, conjugate_mask, factorize
-from modmax.lattice import _kurosh
 
 
 def product_mask(G, a_mask: int, b_mask: int) -> int:
@@ -58,6 +59,52 @@ def subnormal_by_members(lat, mi: int) -> bool:
     return True
 
 
+def kurosh_i(join_t, meet_t, m: int, members, covers) -> bool:
+    """Kurosh's condition (i) for m in one section, x v (m ^ z) = (x v m) ^ z
+    for all x <= z, read off covers: it fails exactly at a cover x < z of
+    the section (``covers[z]``) with x ^ m = z ^ m and x v m = z v m."""
+    join_m, meet_m = join_t[m], meet_t[m]
+    for z in members:
+        jz, mz = join_m[z], meet_m[z]
+        for x in covers[z]:
+            if join_m[x] == jz and meet_m[x] == mz:
+                return False
+    return True
+
+
+def kurosh_ii(join_t, meet_t, m: int, members, above_m) -> bool:
+    """Kurosh's condition (ii) for m in one section, evaluated literally:
+    m v (y ^ z) = (m v y) ^ z for every member y and every z >= m
+    (``above_m``)."""
+    join_m = join_t[m]
+    for z in above_m:
+        meet_z = meet_t[z]
+        for y in members:
+            if join_m[meet_z[y]] != meet_z[join_m[y]]:
+                return False
+    return True
+
+
+def modular_alt(lat, H) -> bool:
+    """Independently coded second evaluation of both Kurosh conditions on
+    the whole lattice, every pair literally, with reversed loop nesting and
+    iteration order (cross-check)."""
+    mi = lat.index(H)
+    join_t, meet_t = lat.join_t, lat.meet_t
+    n = lat.size
+    for y in range(n - 1, -1, -1):
+        for z in range(n - 1, -1, -1):
+            if not lat.leq(mi, z):
+                continue
+            if join_t[mi][meet_t[y][z]] != meet_t[join_t[mi][y]][z]:
+                return False
+    for x in range(n - 1, -1, -1):
+        for z in lat.above[x]:
+            if join_t[x][meet_t[mi][z]] != meet_t[join_t[x][mi]][z]:
+                return False
+    return True
+
+
 def column_by_members(lat, predicate: str, lo: int, hi: int) -> int:
     """The ``predicate`` column of the section [lo, hi], every member
     evaluated on its own."""
@@ -68,8 +115,10 @@ def column_by_members(lat, predicate: str, lo: int, hi: int) -> int:
     if predicate == "modular":
         covers = {z: [x for x in lat.covers_down[z] if inside >> x & 1]
                   for z in members}
-        return sum(1 << m for m in members if _kurosh(
-            join_t, meet_t, m, members, covers, bits(lat.up[m] & inside)))
+        return sum(1 << m for m in members
+                   if kurosh_i(join_t, meet_t, m, members, covers)
+                   and kurosh_ii(join_t, meet_t, m, members,
+                                 bits(lat.up[m] & inside)))
     others = members
     if predicate == "s_quasinormal":
         parts = {p ** e for p, e in factorize(o[hi] // o[lo]).items()}

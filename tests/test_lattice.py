@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from modmax import catalog
 from modmax.groups import subgroup_generated, whole_group
 from modmax.lattice import BadDepth, lattice_of
+from oracles import modular_alt
 
 
 def _of_order(lat, k):
@@ -79,8 +80,19 @@ def test_modularity_loop_orders_agree(suite_groups):
     for G in suite_groups.values():
         lat = lattice_of(G)
         for i in range(lat.size):
-            assert lat.is_modular(i) == lat.is_modular_alt(i), \
+            assert lat.is_modular(i) == modular_alt(lat, i), \
                 f"loop orders disagree on subgroup {i} of {G.name}"
+
+
+def test_one_member_sections_are_modular(suite_groups):
+    """A section [b, b] has the one member b, modular in it, and so has the
+    trivial group's lattice; one member is where a gather by position
+    returns a bare value instead of a tuple."""
+    for G in suite_groups.values():
+        lat = lattice_of(G)
+        for b in range(lat.size):
+            assert lat.column("modular", (b, b)) == 1 << b, (G.name, b)
+    assert lattice_of(suite_groups["1"]).modular == 1
 
 
 def test_witness_chains(suite_groups):

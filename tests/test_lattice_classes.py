@@ -4,8 +4,9 @@ The lattice records each subgroup's conjugacy class as the enumeration
 finds it, evaluates the predicate columns of the whole lattice and of every
 quotient section [N, G] on one representative per class, and memoises
 subnormality per class.  The oracles in ``oracles.py`` evaluate every
-member on its own: the columns with the same quantifier loops, subnormality
-by joining the conjugates of H by every member of each term.
+member on its own: the columns with quantifier loops (Kurosh's condition
+(ii) literally, not by counting), subnormality by joining the conjugates of
+H by every member of each term.
 """
 
 import pytest
