@@ -55,24 +55,28 @@ group's lattice.
 Predicates are decided against the lattice and never by the structure
 theorems they feed, which are test targets.  Modularity's condition (i)
 is read off covers; given (i), condition (ii) holds exactly when
-|[m, m v y]| = |[m ^ y, y]| for every y, two interval sizes counted from
-the inclusion bitsets (the proof is in ``_kurosh``).  Literal quantifier
-evaluation of both conditions is the oracle in the tests.
+|[m, m v y]| = |[m ^ y, y]| for every y (the proof is in ``_kurosh``).
+The size of every interval [a, b] is counted once per lattice, on its first
+modular column (``interval_sizes``), and every section shares the table,
+since a section is an interval; each m then only gathers from it.  Literal
+quantifier evaluation of both conditions is the oracle in the tests.
 Subnormality iterates normal closures: the first, H^G, is the least normal
 subgroup above H, and each later one is closed from the greedy generators
 of H under conjugation by those of the current term; the loop over every
 member of the term is the oracle in the tests.  Permutability
 is decided by counting: |HP| = |H||P|/|H^P|, and HP = PH exactly when HP
 is a subgroup, that is when |HP| = |H v P| (in a quotient both sides
-divide by |N|^2).  The literal comparison of product sets is the oracle in
-the tests.
+divide by |N|^2).  Quasinormality in a subgroup B (the whole group
+included) quantifies over the primary cyclic subgroups of B only, the
+cyclic subgroups of prime-power order (``primary_cyclic``; the proof is in
+``is_quasinormal``).  The literal comparison of product sets, against
+every subgroup, is the oracle in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import and_
+from operator import getitem
 
 from .groups import (
     Group,
@@ -206,6 +210,7 @@ class SubgroupLattice:
         # index -> greedy generators; class representative -> subnormal
         self._generators: dict[int, tuple[int, ...]] = {}
         self._subnormal: dict[int, bool] = {}
+        self._sizes: tuple[dict[int, int], ...] | None = None
 
     # -- indexing helpers ---------------------------------------------------
 
@@ -228,6 +233,17 @@ class SubgroupLattice:
 
     def leq(self, a, b) -> bool:
         return bool(self.up[self.index(a)] >> self.index(b) & 1)
+
+    def interval_sizes(self) -> tuple[dict[int, int], ...]:
+        """``sizes[a][b]`` is |[a, b]|, the number of subgroups k with
+        a <= k <= b, for every b >= a: one AND of inclusion bitsets per
+        comparable pair, counted on first use."""
+        if self._sizes is None:
+            up, down = self.up, self.down
+            self._sizes = tuple({b: (up[a] & down[b]).bit_count()
+                                 for b in self.above[a]}
+                                for a in range(self.size))
+        return self._sizes
 
     # -- maximality ---------------------------------------------------------
 
@@ -316,7 +332,15 @@ class SubgroupLattice:
         return self._reads("modular", H, section)
 
     def is_quasinormal(self, H) -> bool:
-        """HP = PH as sets for every subgroup P."""
+        """HP = PH as sets for every subgroup P.
+
+        The column tests H only against the primary cyclic subgroups, the
+        cyclic subgroups of prime-power order, of G (of B in a section
+        [1, B]); they are enough.  For x in any P, <x> = <x_1>...<x_k>, the
+        product of its primary parts, each x_i a power of x and so in P.
+        H<x_i> = <x_i>H for each i gives H<x> = <x>H, moving one factor at
+        a time.  Then xH is in H<x>, inside HP, and Hx in <x>H, inside PH,
+        for every x in P, so HP = PH."""
         return self._reads("quasinormal", H, None)
 
     def is_s_quasinormal(self, H, section=None) -> bool:
@@ -329,22 +353,28 @@ class SubgroupLattice:
         included) conjugation permutes the members and keeps the answer, so
         the least member of each class is tested and its class ORed in.
         The quantifier loops walk index tuples of the section: walking
-        bitsets there is several times slower."""
+        bitsets there is several times slower.  Quasinormality in a
+        subgroup section [1, hi] quantifies over hi's primary cyclic
+        subgroups (see ``is_quasinormal``); in a quotient section [lo, hi]
+        with lo > 0 over every member."""
         o, join_t, meet_t = self._orders, self.join_t, self.meet_t
         inside = self.up[lo] & self.down[hi]
         members = tuple(bits(inside))
         if predicate == "modular":
             covers = {z: [x for x in self.covers_down[z] if inside >> x & 1]
                       for z in members}
-            get = _gatherer(members)
-            down_y = get(self.down)
-            holds = lambda m: _kurosh(self, members, m, covers, get, down_y)
+            get, sizes = _gatherer(members), self.interval_sizes()
+            holds = lambda m: _kurosh(self, members, m, covers, get, sizes)
         else:
             others = members
             if predicate == "s_quasinormal":
                 # Sylow members: |P|/|lo| is the full p-part of |hi|/|lo|
                 parts = {p ** e for p, e in factorize(o[hi] // o[lo]).items()}
                 others = tuple(k for k in members if o[k] // o[lo] in parts)
+            elif lo == 0:
+                index_of = self.index_of
+                others = tuple(bits(inside & sum(
+                    1 << index_of[c] for c in primary_cyclic(self.group))))
             holds = lambda i: all(
                 o[i] * o[j] == o[join_t[i][j]] * o[meet_t[i][j]] for j in others)
         by_class = hi == self.top() and self.normal >> lo & 1
@@ -431,10 +461,10 @@ class SubgroupLattice:
         return f"SubgroupLattice({self.group.name}, {self.size} subgroups)"
 
 
-def _kurosh(lat, members, m: int, covers, get, down_y) -> bool:
+def _kurosh(lat, members, m: int, covers, get, sizes) -> bool:
     """Both modularity conditions for m over the members of one section;
     ``covers[z]`` is z's lower covers in it, ``get`` gathers the members'
-    entries of a row and ``down_y`` is ``get(lat.down)``.
+    entries of a row and ``sizes`` is ``lat.interval_sizes()``.
 
     Condition (i) is read off covers: it fails exactly at a cover x < z with
     x ^ m = z ^ m and x v m = z v m.  Such a cover fails it at (x, z).  And
@@ -452,18 +482,19 @@ def _kurosh(lat, members, m: int, covers, get, down_y) -> bool:
     there it reads chi psi(z') = z'.  So (ii) for all z is chi psi = id_A,
     which holds exactly when psi is also one-to-one, that is when
     |A| = |B|.  A section is an interval, so y runs over its members and
-    the interval sizes are the global ones, |up[a] & down[b]|.  Both size
-    vectors are gathered at C speed, one entry per member y."""
+    the interval sizes are the lattice's own, read from the size table:
+    |A| is ``sizes[m]`` at the members' joins with m, |B| is
+    ``sizes[m ^ y][y]``.  Both vectors are gathered at C speed, with no
+    bitset work per m."""
     join_m, meet_m = lat.join_t[m], lat.meet_t[m]
     for z in members:
         jz, mz = join_m[z], meet_m[z]
         for x in covers[z]:
             if join_m[x] == jz and meet_m[x] == mz:
                 return False
-    up, down = lat.up, lat.down
-    a = map(and_, repeat(up[m]), _gatherer(get(join_m))(down))  # [m, m v y]
-    b = map(and_, _gatherer(get(meet_m))(up), down_y)  # [m ^ y, y]
-    return tuple(map(int.bit_count, a)) == tuple(map(int.bit_count, b))
+    a = _gatherer(get(join_m))(sizes[m])  # |[m, m v y]|
+    b = map(getitem, _gatherer(get(meet_m))(sizes), members)  # |[m ^ y, y]|
+    return a == tuple(b)
 
 
 def _extend(table, elems: tuple[int, ...], mask: int,
@@ -486,19 +517,29 @@ def _extend(table, elems: tuple[int, ...], mask: int,
     return mask
 
 
+def primary_cyclic(G: Group) -> dict[int, int]:
+    """Each cyclic subgroup of G of prime-power order > 1, as a mask, mapped
+    to its least generator; memoised on the group."""
+    cyclic = G._cache.get("primary_cyclic")
+    if cyclic is None:
+        table, orders = G.table, G.element_orders()
+        cyclic = {}
+        for x in range(1, G.order):
+            if len(factorize(orders[x])) == 1:
+                m, y = 1, x
+                while y:
+                    m |= 1 << y
+                    y = table[y][x]
+                cyclic.setdefault(m, x)
+        G._cache["primary_cyclic"] = cyclic
+    return cyclic
+
+
 def enumerate_lattice(G: Group) -> SubgroupLattice:
     """Enumerate every subgroup by cyclic extension, one conjugacy class at
     a time (see the module docstring)."""
     table = G.table
-    orders = G.element_orders()
-    cyclic: dict[int, int] = {}  # prime-power cyclic subgroup -> least generator
-    for x in range(1, G.order):
-        if len(factorize(orders[x])) == 1:
-            m, y = 1, x
-            while y:
-                m |= 1 << y
-                y = table[y][x]
-            cyclic.setdefault(m, x)
+    cyclic = primary_cyclic(G)
     # every subgroup found -> its class representative, whole classes at a time
     found = {1: 1}
     frontier = [(1, ())]  # class representatives with their generators

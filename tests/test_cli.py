@@ -152,6 +152,24 @@ def test_verify_class_heavy_bytes_are_pinned(capsys, name, size, digest):
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
+@pytest.mark.parametrize("argv, size, digest", [
+    (("lattice", "catalog:E2^5"), 122860,
+     "c21eaf53e096c3474581df7fb8755048c41f17662e2b828debf89fe9522c9d66"),
+    (("lattice", "catalog:S5"), 49489,
+     "932584615c5968d45d2f36a95c7859d49805f1cccef177eaffd1ccbd0289086c"),
+    (("census", "catalog:E2^3xS3"), 631,
+     "1426c6b6e0bb7fa6381211f9f9e56b734a8b8bbd88e577d239f4716842544faa"),
+])
+def test_lattice_and_census_bytes_are_pinned(capsys, argv, size, digest):
+    """The normal, modular and S-quasinormal columns and the cover lists of
+    two large lattices (E2^5: 374 subgroups, S5: 156), and the census of
+    E2^3xS3, byte for byte."""
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
 def test_verify_depth_pin(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "theorems",
                        "--groups", "A4", "--n", "3", "--format", "json")

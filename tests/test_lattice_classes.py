@@ -5,15 +5,22 @@ finds it, evaluates the predicate columns of the whole lattice and of every
 quotient section [N, G] on one representative per class, and memoises
 subnormality per class.  The oracles in ``oracles.py`` evaluate every
 member on its own: the columns with quantifier loops (Kurosh's condition
-(ii) literally, not by counting), subnormality by joining the conjugates of
-H by every member of each term.
+(ii) literally, not by counting; permutability against every member, not
+only the primary cyclic ones), subnormality by joining the conjugates of H
+by every member of each term.
 """
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from modmax import catalog
 from modmax import lattice as lattice_module
-from modmax.groups import bits, conjugate_mask
+from modmax.groups import (
+    ClosureExceedsCap,
+    bits,
+    conjugate_mask,
+    group_from_permutations,
+)
 from modmax.lattice import enumerate_lattice, lattice_of
 from oracles import column_by_members, subnormal_by_members
 
@@ -64,6 +71,37 @@ def test_every_section_column_matches_per_member_evaluation(name):
             for p in PREDICATES:
                 assert lat.column(p, (lo, hi)) == column_by_members(
                     lat, p, lo, hi), (name, p, lo, hi)
+
+
+def _assert_quasinormal_sections_match(lat, name):
+    for b in range(lat.size):
+        assert lat.column("quasinormal", (0, b)) == column_by_members(
+            lat, "quasinormal", 0, b), (name, b)
+
+
+@pytest.mark.parametrize("name", ["E2^5", "S5", "hol_C13", "pq2_3_11",
+                                  "C2xD8xS3"])
+def test_quasinormal_subgroup_sections_match_all_partners(name):
+    """Every subgroup section [1, B], the whole lattice included: testing
+    H against B's primary cyclic subgroups alone gives the column of
+    testing it against every member of B."""
+    lat = lattice_of(catalog.shared_group(name))
+    _assert_quasinormal_sections_match(lat, name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_quasinormal_sections_match_on_random_permutation_groups(data):
+    """Groups on at most 6 points from 1 to 3 random generators, of order at
+    most 120."""
+    degree = data.draw(st.integers(1, 6), label="degree")
+    gens = data.draw(st.lists(st.permutations(list(range(degree))),
+                              min_size=1, max_size=3), label="generators")
+    try:
+        G = group_from_permutations(degree, gens, max_order_cap=120)
+    except ClosureExceedsCap:
+        assume(False)
+    _assert_quasinormal_sections_match(enumerate_lattice(G), G.name)
 
 
 def test_one_modularity_test_per_class(monkeypatch):

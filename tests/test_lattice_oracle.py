@@ -8,7 +8,9 @@ using a fixpoint product scan, and the table and permutability oracles apply
 the definitions literally (join = closure of the union, meet =
 intersection, covers = the maximal proper members, normal = fixed by every
 conjugation, HP = PH as sets, modular = both Kurosh conditions over every
-pair of a section).  The literal cyclic extension oracle extends every
+pair of a section, interval sizes = the subgroups counted between the two
+ends, primary cyclic subgroups = the powers of each element of prime-power
+order).  The literal cyclic extension oracle extends every
 subgroup found by every prime-power cyclic generator, with no conjugacy
 classes and no prime-index skip; it reaches the orders the DFS cannot.
 Expected counts asserted here were frozen from the oracles.
@@ -26,8 +28,13 @@ from modmax.groups import (
     factorize,
     group_from_permutations,
 )
-from modmax.lattice import _extend, enumerate_lattice, lattice_of
-from oracles import kurosh_i, kurosh_ii, product_mask
+from modmax.lattice import (
+    _extend,
+    enumerate_lattice,
+    lattice_of,
+    primary_cyclic,
+)
+from oracles import column_by_members, kurosh_i, kurosh_ii, product_mask
 
 
 def _is_closed(table, subset):
@@ -161,6 +168,53 @@ def test_tables_agree_with_definitions(name):
         mask = lat.subgroups[j].mask
         assert bool(lat.normal >> j & 1) == all(
             conjugate_mask(G, g, mask) == mask for g in range(G.order))
+
+
+STRUCTURE_GROUPS = [e.name for e in catalog.standard_suite()] + [
+    "S4xC2", "A5", "E2^3xS3"]
+
+
+@pytest.mark.parametrize("name", STRUCTURE_GROUPS)
+def test_interval_sizes_count_the_interval(name):
+    """sizes[a][b] is the number of subgroups k with a <= k <= b, for every
+    comparable pair a <= b and no other, inclusion read off member sets."""
+    lat = lattice_of(catalog.shared_group(name))
+    sets = [frozenset(s.members()) for s in lat.subgroups]
+    sizes = lat.interval_sizes()
+    assert len(sizes) == lat.size
+    for a, sa in enumerate(sets):
+        above = [k for k, sk in enumerate(sets) if sa <= sk]
+        assert sizes[a] == {
+            b: sum(1 for k in above if sets[k] <= sets[b]) for b in above}, (
+            name, a)
+
+
+def _has_one_prime_divisor(n):
+    return len([q for q in range(2, n + 1) if n % q == 0
+                and all(q % r for r in range(2, q))]) == 1
+
+
+@pytest.mark.parametrize("name", STRUCTURE_GROUPS)
+def test_primary_cyclic_subgroups_are_the_powers_of_primary_elements(name):
+    """The helper maps <x> = {x, x^2, ...} to its least generator, for every
+    x != 1 of prime-power order; each is the least subgroup of the lattice
+    containing x, and the enumeration leaves the same helper memoised."""
+    G = catalog.construct(name)
+    lat = enumerate_lattice(G)
+    expected = {}
+    for x in range(1, G.order):
+        powers = {x}
+        y = G.table[x][x]
+        while y not in powers:
+            powers.add(y)
+            y = G.table[y][x]
+        if _has_one_prime_divisor(len(powers)):
+            expected.setdefault(sum(1 << g for g in powers), x)
+    assert G._cache["primary_cyclic"] is primary_cyclic(G)
+    assert primary_cyclic(G) == expected
+    for mask, x in expected.items():
+        least = [k for k, s in enumerate(lat.subgroups) if s.mask >> x & 1][0]
+        assert lat.subgroups[least].mask == mask, (name, x)
 
 
 def _permutes_literally(G, a_mask, b_mask):
@@ -342,3 +396,25 @@ def test_interval_count_decides_condition_ii(name):
                     assert not column >> m & 1, (name, lo, hi, m)
                     count += lo == 0
     assert count == CONDITION_II_WITNESSES.get(name, 0)
+
+
+@pytest.mark.parametrize("name", STRUCTURE_GROUPS)
+def test_interval_count_alone_gives_the_modular_column(name):
+    """|[m, m v y]| = |[m ^ y, y]| for every y of a section already implies
+    condition (i), so the count alone gives the literal modular column.  If
+    (i) fails at x <= z, then w = x v (m ^ z) < w' = (w v m) ^ z, both in
+    [m ^ z, z], have the same meet and join with m, and the count at y = w
+    and at y = w' gives |[m ^ z, w]| = |[m, m v w]| = |[m ^ z, w']|,
+    although the first interval misses w'.  So the cover test of condition
+    (i) in ``_kurosh`` can only cut the count short, never change a
+    column."""
+    lat = lattice_of(catalog.shared_group(name))
+    sizes, join_t, meet_t = lat.interval_sizes(), lat.join_t, lat.meet_t
+    for lo in range(lat.size):
+        for hi in bits(lat.up[lo]):
+            members = tuple(bits(lat.up[lo] & lat.down[hi]))
+            counted = sum(1 << m for m in members if all(
+                sizes[m][join_t[m][y]] == sizes[meet_t[m][y]][y]
+                for y in members))
+            assert counted == column_by_members(lat, "modular", lo, hi), (
+                name, lo, hi)
