@@ -53,13 +53,10 @@ of a subgroup B is the interval [1, B], and that of G/N is isomorphic to
 group's lattice.
 
 Predicates are decided against the lattice and never by the structure
-theorems they feed, which are test targets.  Modularity's condition (i)
-is read off covers; given (i), condition (ii) holds exactly when
-|[m, m v y]| = |[m ^ y, y]| for every y (the proof is in ``_kurosh``).
-The size of every interval [a, b] is counted once per lattice, on its first
-modular column (``interval_sizes``), and every section shares the table,
-since a section is an interval; each m then only gathers from it.  Literal
-quantifier evaluation of both conditions is the oracle in the tests.
+theorems they feed, which are test targets.  Modularity is decided by
+counting: m satisfies both of Kurosh's conditions exactly when
+|[m, m v y]| = |[m ^ y, y]| for every y (``_kurosh``), read from one table
+of every interval's size that all sections share (``interval_sizes``).
 Subnormality iterates normal closures: the first, H^G, is the least normal
 subgroup above H, and each later one is closed from the greedy generators
 of H under conjugation by those of the current term; the loop over every
@@ -80,6 +77,7 @@ from operator import getitem
 
 from .groups import (
     Group,
+    GroupError,
     SubgroupSet,
     _gatherer,
     _greedy_generators,
@@ -92,10 +90,15 @@ from .groups import (
 
 
 _PREDICATES = ("modular", "quasinormal", "s_quasinormal")
+MAX_SUBGROUPS = 4096  # a lattice of n holds two n x n tables (join, meet)
 
 
 class BadDepth(Exception):
     """n-maximality depth must be at least 1."""
+
+
+class TooManySubgroups(GroupError):
+    """The enumeration found more than ``MAX_SUBGROUPS`` subgroups."""
 
 
 @dataclass(frozen=True)
@@ -195,12 +198,10 @@ class SubgroupLattice:
         # layers[k]: the subgroups at the end of some maximal chain of
         # length k, the covers of the layer above; the last layer is {1}
         layers = [1 << (n - 1)]
-        while True:
+        while layers[-1] != 1:
             nxt = 0
             for j in bits(layers[-1]):
                 nxt |= cover_bits[j]
-            if not nxt:
-                break
             layers.append(nxt)
         self.layers = tuple(layers)
         self.max_chain_length = len(layers) - 1
@@ -361,10 +362,8 @@ class SubgroupLattice:
         inside = self.up[lo] & self.down[hi]
         members = tuple(bits(inside))
         if predicate == "modular":
-            covers = {z: [x for x in self.covers_down[z] if inside >> x & 1]
-                      for z in members}
             get, sizes = _gatherer(members), self.interval_sizes()
-            holds = lambda m: _kurosh(self, members, m, covers, get, sizes)
+            holds = lambda m: _kurosh(self, members, m, get, sizes)
         else:
             others = members
             if predicate == "s_quasinormal":
@@ -461,37 +460,32 @@ class SubgroupLattice:
         return f"SubgroupLattice({self.group.name}, {self.size} subgroups)"
 
 
-def _kurosh(lat, members, m: int, covers, get, sizes) -> bool:
-    """Both modularity conditions for m over the members of one section;
-    ``covers[z]`` is z's lower covers in it, ``get`` gathers the members'
-    entries of a row and ``sizes`` is ``lat.interval_sizes()``.
+def _kurosh(lat, members, m: int, get, sizes) -> bool:
+    """Kurosh's conditions (i) and (ii) for m over the members of one
+    section, decided by counting: |[m, m v y]| = |[m ^ y, y]| for every
+    member y.  ``get`` gathers the members' entries of a row; ``sizes`` is
+    ``lat.interval_sizes()``.
 
-    Condition (i) is read off covers: it fails exactly at a cover x < z with
-    x ^ m = z ^ m and x v m = z v m.  Such a cover fails it at (x, z).  And
-    if x <= z fails it, x' = x v (m ^ z) < z' = (x v m) ^ z have equal meets
-    and joins with m, so every cover on a chain from x' to z' has too.  An
-    interval is a sublattice, so this holds in a section.
+    The count implies (i).  If (i) fails at x <= z, then w = x v (m ^ z) <
+    w' = (x v m) ^ z.  Both lie in [m ^ z, z] and in [x, x v m], so they
+    have the same meet (m ^ z) and join (x v m) with m, and the count at
+    y = w and at y = w' gives |[m ^ z, w]| = |[m, x v m]| = |[m ^ z, w']|,
+    although the first interval lies inside the second and misses w'.
 
-    Given (i), condition (ii) holds exactly when the intervals
-    A = [m, m v y] and B = [m ^ y, y] have the same size for every y (modular
-    elements and transposed intervals; R. Schmidt, *Subgroup Lattices of
-    Groups*, 1994, section 2.1).  Let psi(z) = z ^ y map A to B and
-    chi(w) = w v m map B to A.  Condition (i) with z := y gives
-    psi chi = id_B, so psi is onto.  Condition (ii) at (y, z) with z >= m is
-    condition (ii) at z' = (m v y) ^ z in A (both sides are unchanged), and
-    there it reads chi psi(z') = z'.  So (ii) for all z is chi psi = id_A,
-    which holds exactly when psi is also one-to-one, that is when
-    |A| = |B|.  A section is an interval, so y runs over its members and
-    the interval sizes are the lattice's own, read from the size table:
-    |A| is ``sizes[m]`` at the members' joins with m, |B| is
-    ``sizes[m ^ y][y]``.  Both vectors are gathered at C speed, with no
-    bitset work per m."""
+    Given (i), (ii) holds exactly when A = [m, m v y] and B = [m ^ y, y]
+    have the same size for every y (transposed intervals; R. Schmidt,
+    *Subgroup Lattices of Groups*, 1994, section 2.1).  psi(z) = z ^ y maps
+    A to B and chi(w) = w v m maps B to A; (i) with z := y gives
+    psi chi = id_B, so psi is onto.  (ii) at (y, z) with z >= m is (ii) at
+    z' = (m v y) ^ z in A (both sides are unchanged), where it reads
+    chi psi(z') = z'.  So (ii) for all z is chi psi = id_A, which holds
+    exactly when psi is also one-to-one, that is when |A| = |B|.
+
+    A section is an interval, so its interval sizes are the lattice's own:
+    |A| is ``sizes[m]`` gathered at the members' joins with m, |B| is
+    ``sizes[m ^ y][y]``, both at C speed with no bitset work per m.  Literal
+    quantifier evaluation of both conditions is the oracle in the tests."""
     join_m, meet_m = lat.join_t[m], lat.meet_t[m]
-    for z in members:
-        jz, mz = join_m[z], meet_m[z]
-        for x in covers[z]:
-            if join_m[x] == jz and meet_m[x] == mz:
-                return False
     a = _gatherer(get(join_m))(sizes[m])  # |[m, m v y]|
     b = map(getitem, _gatherer(get(meet_m))(sizes), members)  # |[m ^ y, y]|
     return a == tuple(b)
@@ -537,7 +531,8 @@ def primary_cyclic(G: Group) -> dict[int, int]:
 
 def enumerate_lattice(G: Group) -> SubgroupLattice:
     """Enumerate every subgroup by cyclic extension, one conjugacy class at
-    a time (see the module docstring)."""
+    a time (see the module docstring).  Raises ``TooManySubgroups`` as soon
+    as more than ``MAX_SUBGROUPS`` are found, before any table is built."""
     table = G.table
     cyclic = primary_cyclic(G)
     # every subgroup found -> its class representative, whole classes at a time
@@ -565,6 +560,10 @@ def enumerate_lattice(G: Group) -> SubgroupLattice:
                             if d not in found:
                                 found[d] = k
                                 conjugates.append(d)
+                    if len(found) > MAX_SUBGROUPS:
+                        raise TooManySubgroups(
+                            f"{G.name} has more than {MAX_SUBGROUPS} "
+                            f"subgroups, the limit of one lattice")
         frontier = new
     return SubgroupLattice(G, list(found), found)
 

@@ -4,8 +4,8 @@ None of these is used by ``modmax`` itself.  The mask helpers translate
 subgroups between a group and a rebuilt subgroup or quotient; the lattice
 oracles evaluate one subgroup at a time, with no conjugacy classes, the way
 the lattice did before it answered once per class, and decide Kurosh's
-condition (ii) by the literal quantifier loop rather than by counting
-interval sizes.
+conditions (i) and (ii) by the literal quantifier loops rather than by
+counting interval sizes.
 """
 
 from modmax.groups import bits, conjugate_mask, factorize
@@ -59,15 +59,15 @@ def subnormal_by_members(lat, mi: int) -> bool:
     return True
 
 
-def kurosh_i(join_t, meet_t, m: int, members, covers) -> bool:
-    """Kurosh's condition (i) for m in one section, x v (m ^ z) = (x v m) ^ z
-    for all x <= z, read off covers: it fails exactly at a cover x < z of
-    the section (``covers[z]``) with x ^ m = z ^ m and x v m = z v m."""
+def kurosh_i(join_t, meet_t, m: int, members, below) -> bool:
+    """Kurosh's condition (i) for m in one section, evaluated literally:
+    x v (m ^ z) = (x v m) ^ z for every member z and every member x <= z
+    (``below[z]``)."""
     join_m, meet_m = join_t[m], meet_t[m]
     for z in members:
-        jz, mz = join_m[z], meet_m[z]
-        for x in covers[z]:
-            if join_m[x] == jz and meet_m[x] == mz:
+        left, right = join_t[meet_m[z]], meet_t[z]
+        for x in below[z]:
+            if left[x] != right[join_m[x]]:
                 return False
     return True
 
@@ -113,10 +113,9 @@ def column_by_members(lat, predicate: str, lo: int, hi: int) -> int:
     inside = lat.up[lo] & lat.down[hi]
     members = tuple(bits(inside))
     if predicate == "modular":
-        covers = {z: [x for x in lat.covers_down[z] if inside >> x & 1]
-                  for z in members}
+        below = {z: tuple(bits(lat.down[z] & inside)) for z in members}
         return sum(1 << m for m in members
-                   if kurosh_i(join_t, meet_t, m, members, covers)
+                   if kurosh_i(join_t, meet_t, m, members, below)
                    and kurosh_ii(join_t, meet_t, m, members,
                                  bits(lat.up[m] & inside)))
     others = members

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -279,3 +280,15 @@ def test_group_with_a_huge_order_is_a_load_error(capsys, argv):
     assert code == EXIT_LOAD
     assert out == ""
     assert "E2^20000 has order more than" in err
+
+
+def test_lattice_over_the_subgroup_limit_is_a_load_error(capsys):
+    """E2^7 is under the order cap (128) but has 29,212 subgroups; the
+    enumeration stops past the limit, before any n x n table is built."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lattice", "catalog:E2^7")
+    assert time.perf_counter() - start < 10
+    assert code == EXIT_LOAD
+    assert out == ""
+    assert err == ("error: E2^7 has more than 4096 subgroups, "
+                   "the limit of one lattice\n")

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modmax import catalog
+from modmax import lattice as lattice_module
 from modmax.groups import subgroup_generated, whole_group
-from modmax.lattice import BadDepth, lattice_of
+from modmax.lattice import (
+    BadDepth, TooManySubgroups, enumerate_lattice, lattice_of)
 from oracles import modular_alt
 
 
@@ -268,3 +270,15 @@ def test_whole_group_helper(suite_groups):
     g = suite_groups["S3"]
     lat = lattice_of(g)
     assert lat.index(whole_group(g)) == lat.top()
+
+
+def test_subgroup_limit_is_checked_before_any_table(monkeypatch):
+    """S5 has 156 subgroups: a limit of 156 admits it, 155 stops the
+    enumeration before the lattice (and its tables) is constructed."""
+    G = catalog.construct("S5")
+    monkeypatch.setattr(lattice_module, "MAX_SUBGROUPS", 156)
+    assert len(enumerate_lattice(G)) == 156
+    monkeypatch.setattr(lattice_module, "MAX_SUBGROUPS", 155)
+    monkeypatch.setattr(lattice_module, "SubgroupLattice", None)
+    with pytest.raises(TooManySubgroups, match="more than 155 subgroups"):
+        enumerate_lattice(G)

@@ -348,9 +348,9 @@ def _kurosh_literally(lat, m, members, below, above_m):
                          + ["S4xC2", "A5", "E2^4", "E2^3xS3", "E2^5",
                             "C2xD8xS3"])
 def test_modular_columns_agree_with_literal_conditions(name):
-    """Condition (i) read off covers and condition (ii) decided by counting
-    interval sizes give the literal column on every section [1, B] and
-    [N, G]; C2xD8xS3 (562 subgroups) is the largest non-abelian lattice."""
+    """Both conditions decided by counting interval sizes give the literal
+    column on every section [1, B] and [N, G]; C2xD8xS3 (562 subgroups) is
+    the largest non-abelian lattice."""
     lat = lattice_of(catalog.shared_group(name))
     top = lat.top()
     sections = [(0, b) for b in range(lat.size)]
@@ -375,10 +375,11 @@ CONDITION_II_WITNESSES = {
 @pytest.mark.parametrize("name", [e.name for e in catalog.standard_suite()]
                          + ["S4xC2", "A5", "E2^3xS3"])
 def test_interval_count_decides_condition_ii(name):
-    """The interval count is not vacuous: condition (i) on covers does not
-    imply condition (ii), and every member m of a section that satisfies
-    (i) but fails the literal (ii) is left out of that section's column.
-    Checked on every section [lo, hi], counted on the sections [1, B]."""
+    """The interval count is not vacuous: condition (i) does not imply
+    condition (ii), and every member m of a section that satisfies the
+    literal (i) but fails the literal (ii) is left out of that section's
+    column.  Checked on every section [lo, hi], counted on the sections
+    [1, B]."""
     lat = lattice_of(catalog.shared_group(name))
     join_t, meet_t = lat.join_t, lat.meet_t
     count = 0
@@ -386,11 +387,10 @@ def test_interval_count_decides_condition_ii(name):
         for hi in bits(lat.up[lo]):
             inside = lat.up[lo] & lat.down[hi]
             members = tuple(bits(inside))
-            covers = {z: [x for x in lat.covers_down[z] if inside >> x & 1]
-                      for z in members}
+            below = {z: tuple(bits(lat.down[z] & inside)) for z in members}
             column = lat.column("modular", (lo, hi))
             for m in members:
-                if kurosh_i(join_t, meet_t, m, members, covers) and not (
+                if kurosh_i(join_t, meet_t, m, members, below) and not (
                         kurosh_ii(join_t, meet_t, m, members,
                                   bits(lat.up[m] & inside))):
                     assert not column >> m & 1, (name, lo, hi, m)
@@ -401,13 +401,9 @@ def test_interval_count_decides_condition_ii(name):
 @pytest.mark.parametrize("name", STRUCTURE_GROUPS)
 def test_interval_count_alone_gives_the_modular_column(name):
     """|[m, m v y]| = |[m ^ y, y]| for every y of a section already implies
-    condition (i), so the count alone gives the literal modular column.  If
-    (i) fails at x <= z, then w = x v (m ^ z) < w' = (w v m) ^ z, both in
-    [m ^ z, z], have the same meet and join with m, and the count at y = w
-    and at y = w' gives |[m ^ z, w]| = |[m, m v w]| = |[m ^ z, w']|,
-    although the first interval misses w'.  So the cover test of condition
-    (i) in ``_kurosh`` can only cut the count short, never change a
-    column."""
+    condition (i) (the proof is in ``lattice._kurosh``), so the count alone,
+    recomputed here from the size table, gives the literal modular column
+    on every section."""
     lat = lattice_of(catalog.shared_group(name))
     sizes, join_t, meet_t = lat.interval_sizes(), lat.join_t, lat.meet_t
     for lo in range(lat.size):
