@@ -10,10 +10,11 @@ included.  Two exact facts cut the extensions (Holt, Eick and O'Brien,
 *Handbook of Computational Group Theory*, 2005, on cyclic extension):
 
 - Conjugacy classes.  A new subgroup K brings its whole class into the
-  found set (closed under conjugation by the group's generators) and only
-  K is extended further: <H^g, x> = <H, x^(g^-1)>^g, and x^(g^-1) is again
-  of prime-power order, so the extensions of a conjugate are the conjugates
-  of the extensions of K.
+  found set (closed under conjugation by the group's generators, leaving
+  out those that commute with every generator: a central element fixes
+  every subgroup) and only K is extended further: <H^g, x> =
+  <H, x^(g^-1)>^g, and x^(g^-1) is again of prime-power order, so the
+  extensions of a conjugate are the conjugates of the extensions of K.
 - Prime index.  When |<H, x> : H| is prime, H is maximal in K = <H, x>, so
   <H, y> = K for every y in K outside H, and those y are skipped for H.
 
@@ -23,9 +24,16 @@ found extended by every generator, as an oracle.
 Subgroups are kept in a canonical order: ascending by order, ties broken by
 the sorted member tuple.  Inclusion is stored as bitsets over those
 indices (``up[i]``: the subgroups containing i, ``down[j]``: the subgroups
-inside j).  A subgroup's proper subgroups have smaller order, so the join of
-i and j is the lowest index of ``up[i] & up[j]`` and the meet the highest of
-``down[i] & down[j]``; covers and both tables need no closure.
+inside j); ``up[i]`` is the AND, over the members x of i, of the bitset of
+subgroups holding x.  A subgroup's proper subgroups have smaller order, so
+the join of i and j is the lowest index of ``up[i] & up[j]`` and the meet
+the highest of ``down[i] & down[j]``; covers and both tables need no
+closure.  The join and meet tables (``join_t``, ``meet_t``) build row i the
+first time it is read and keep it: a column tests one representative per
+class, so only the representatives' rows are built, and a lattice asked
+only for normal subgroups and covers (a quotient's, for its chief factors)
+builds none.  ``tests/oracles.py`` builds both tables whole, as the
+oracle.
 
 Each embedding predicate is one int bitset over those indices, a column:
 ``normal`` is built with the lattice, ``modular``, ``quasinormal`` and
@@ -73,7 +81,8 @@ every subgroup, is the oracle in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import getitem
+from functools import reduce
+from operator import and_, getitem, or_
 
 from .groups import (
     Group,
@@ -90,7 +99,7 @@ from .groups import (
 
 
 _PREDICATES = ("modular", "quasinormal", "s_quasinormal")
-MAX_SUBGROUPS = 4096  # a lattice of n holds two n x n tables (join, meet)
+MAX_SUBGROUPS = 4096  # a lattice of n holds up to two n x n tables (join, meet)
 
 
 class BadDepth(Exception):
@@ -99,6 +108,31 @@ class BadDepth(Exception):
 
 class TooManySubgroups(GroupError):
     """The enumeration found more than ``MAX_SUBGROUPS`` subgroups."""
+
+
+class _Rows(dict):
+    """A table of n rows whose row i is ``build(i)``, computed the first
+    time it is read and then kept.  Reading a kept row is the dict's own
+    lookup, with no Python-level call; ``len`` and iteration see all n rows
+    in order."""
+
+    __slots__ = ("_n", "_build")
+
+    def __init__(self, n: int, build):
+        super().__init__()
+        self._n, self._build = n, build
+
+    def __missing__(self, i):
+        if not 0 <= i < self._n:
+            raise IndexError(f"row {i!r} of a table of {self._n}")
+        row = self[i] = self._build(i)
+        return row
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self._n))
 
 
 @dataclass(frozen=True)
@@ -126,65 +160,78 @@ class MaximalChain:
 
 
 class SubgroupLattice:
-    """All subgroups of a group with inclusion, covers, join/meet tables and
-    predicate columns."""
+    """All subgroups of a group with inclusion, covers and predicate
+    columns, and join/meet tables whose rows are built on first read
+    (``join_t[i][j]``, ``meet_t[i][j]``; each row a tuple of shared ints)."""
 
     def __init__(self, group: Group, masks: list[int], classes: dict[int, int]):
         # ``classes`` maps each mask to a representative mask of its
         # conjugacy class, as the enumeration found them.  It stays the third
         # positional argument: perfbench's traced run subclasses this class
         # with a (group, masks, joins) signature and forwards it unchanged.
-        order_key = lambda m: (m.bit_count(), tuple(bits(m)))
-        canonical = sorted(masks, key=order_key)
+        keyed = sorted((m.bit_count(), tuple(bits(m)), m) for m in masks)
+        canonical = [m for _, _, m in keyed]
+        n = len(canonical)
+        # every index drawn from one tuple: past 256 a computed int is a
+        # fresh object each time, a shared one is not
+        ints = tuple(range(n))
         self.group = group
         self.subgroups = tuple(SubgroupSet(group, m) for m in canonical)
-        self.index_of = {m: i for i, m in enumerate(canonical)}
+        self.index_of = dict(zip(canonical, ints))
         self._masks = canonical
         self._orders = tuple(m.bit_count() for m in canonical)
-        n = len(canonical)
         self.size = n
 
-        # inclusion bitsets; only a later index can contain an earlier one.
-        # ``rev_up`` is ``up`` with index j at bit n-1-j, so that the lowest
-        # common upper bound is the highest bit of an intersection.
-        up = [0] * n
-        rev_up = [0] * n
+        # inclusion bitsets: holding[x] is the subgroups containing the
+        # element x, and j contains i exactly when it holds every member of
+        # i, so up[i] is the AND of its members' bitsets
+        holding = [0] * group.order
+        for j, (_, members, _) in enumerate(keyed):
+            for x in members:
+                holding[x] |= 1 << j
+        up = [reduce(and_, map(holding.__getitem__, members))
+              for _, members, _ in keyed]
+        above = [tuple(bits(u)) for u in up]
+        below = [[] for _ in range(n)]
         down = [0] * n
-        for i, mi in enumerate(canonical):
-            for j in range(i, n):
-                if mi & canonical[j] == mi:
-                    up[i] |= 1 << j
-                    rev_up[i] |= 1 << (n - 1 - j)
-                    down[j] |= 1 << i
+        for i, js in enumerate(above):
+            for j in js:
+                below[j].append(i)
+                down[j] |= 1 << i
+        down = tuple(down)
         self.up = tuple(up)
-        self.down = tuple(down)
-        self.above = tuple(tuple(bits(b)) for b in up)
-        self.below = tuple(tuple(bits(b)) for b in down)
+        self.down = down
+        self.above = tuple(above)
+        self.below = tuple(map(tuple, below))
 
         # covers: the strict down-set minus everything below a strict member
-        cover_bits = []
-        for j in range(n):
-            strict = down[j] & ~(1 << j)
-            shadow = 0
-            for i in bits(strict):
-                shadow |= down[i] & ~(1 << i)
-            cover_bits.append(strict & ~shadow)
-        covers_up = [[] for _ in range(n)]
-        for j, kids in enumerate(cover_bits):
-            for i in bits(kids):
-                covers_up[i].append(j)
+        # (below[j] ends with j itself)
+        strict = [d ^ 1 << j for j, d in enumerate(down)]
+        cover_bits = [
+            s & ~reduce(or_, map(strict.__getitem__, below[j][:-1]), 0)
+            for j, s in enumerate(strict)]
         self.covers_down = tuple(tuple(bits(b)) for b in cover_bits)
-        self.covers_up = tuple(tuple(v) for v in covers_up)
+        covers_up = [[] for _ in range(n)]
+        for j, kids in enumerate(self.covers_down):
+            for i in kids:
+                covers_up[i].append(j)
+        self.covers_up = tuple(map(tuple, covers_up))
 
-        # every entry drawn from one tuple of the n indices: past 256 a
-        # computed int is a fresh object per entry, a shared one is not
-        ints = tuple(range(n))
-        self.join_t = tuple(
-            tuple([ints[n - (ri & rj).bit_length()] for rj in rev_up])
-            for ri in rev_up)
-        self.meet_t = tuple(
-            tuple([ints[(di & dj).bit_length() - 1] for dj in down])
-            for di in down)
+        # join and meet rows, built on first read.  ``rev_up`` is ``up``
+        # with index j at bit n-1-j (the binary digits read backwards), so
+        # the least common upper bound is the highest bit of an
+        # intersection; the greatest common lower bound is that of ``down``.
+        rev_up = tuple(int(f"{u:0{n}b}"[::-1], 2) for u in up)
+
+        def join_row(i):
+            ri = rev_up[i]
+            return tuple([ints[n - (ri & rj).bit_length()] for rj in rev_up])
+
+        def meet_row(i):
+            di = down[i]
+            return tuple([ints[(di & dj).bit_length() - 1] for dj in down])
+
+        self.join_t, self.meet_t = _Rows(n, join_row), _Rows(n, meet_row)
 
         # class_of[i]: the bitset of i's conjugacy class; a subgroup is
         # normal exactly when its class is itself
@@ -374,8 +421,10 @@ class SubgroupLattice:
                 index_of = self.index_of
                 others = tuple(bits(inside & sum(
                     1 << index_of[c] for c in primary_cyclic(self.group))))
-            holds = lambda i: all(
-                o[i] * o[j] == o[join_t[i][j]] * o[meet_t[i][j]] for j in others)
+            def holds(i):
+                oi, join_i, meet_i = o[i], join_t[i], meet_t[i]
+                return all(oi * o[j] == o[join_i[j]] * o[meet_i[j]]
+                           for j in others)
         by_class = hi == self.top() and self.normal >> lo & 1
         column = done = 0
         for i in members:
@@ -535,6 +584,11 @@ def enumerate_lattice(G: Group) -> SubgroupLattice:
     as more than ``MAX_SUBGROUPS`` are found, before any table is built."""
     table = G.table
     cyclic = primary_cyclic(G)
+    # conjugation by a central element fixes every subgroup, so the class
+    # walk uses only the generators that fail to commute with some other
+    gens_g = G.generator_indices
+    movers = [g for g in gens_g
+              if any(table[g][h] != table[h][g] for h in gens_g)]
     # every subgroup found -> its class representative, whole classes at a time
     found = {1: 1}
     frontier = [(1, ())]  # class representatives with their generators
@@ -555,7 +609,7 @@ def enumerate_lattice(G: Group) -> SubgroupLattice:
                     # found holds whole classes, so none of k's is in it yet
                     conjugates = [k]
                     for c in conjugates:
-                        for g in G.generator_indices:
+                        for g in movers:
                             d = conjugate_mask(G, g, c)
                             if d not in found:
                                 found[d] = k

@@ -525,11 +525,10 @@ def _lemma_2_2_conclusion(G: Group, lat):
     bad = []
     top, join_t, modular_bits = lat.top(), lat.join_t, lat.modular
     modular = list(bits(modular_bits))
-    for a in modular:
-        for b in modular:
-            if b < a:
-                continue
-            if not modular_bits >> join_t[a][b] & 1:
+    for k, a in enumerate(modular):
+        join_a = join_t[a]
+        for b in modular[k:]:
+            if not modular_bits >> join_a[b] & 1:
                 bad.append(
                     f"join of {_descriptor(lat, a)} and {_descriptor(lat, b)}"
                     " is not modular")
@@ -538,8 +537,9 @@ def _lemma_2_2_conclusion(G: Group, lat):
     for ni in lat.normal_indices():
         # G/N is the section [N, G]; the image of a is a v N
         in_quotient = lat.column("modular", (ni, top))
+        join_n = join_t[ni]
         for a in modular:
-            if not in_quotient >> join_t[a][ni] & 1:
+            if not in_quotient >> join_n[a] & 1:
                 bad.append(
                     f"image of {_descriptor(lat, a)} not modular in quotient "
                     f"by order {lat.subgroups[ni].order}")

@@ -5,7 +5,8 @@ subgroups between a group and a rebuilt subgroup or quotient; the lattice
 oracles evaluate one subgroup at a time, with no conjugacy classes, the way
 the lattice did before it answered once per class, and decide Kurosh's
 conditions (i) and (ii) by the literal quantifier loops rather than by
-counting interval sizes.
+counting interval sizes.  ``join_meet_tables`` builds both tables whole,
+against the lattice's rows built on first read.
 """
 
 from modmax.groups import bits, conjugate_mask, factorize
@@ -57,6 +58,21 @@ def subnormal_by_members(lat, mi: int) -> bool:
             return False
         cur = nxt
     return True
+
+
+def join_meet_tables(lat):
+    """Both n x n tables built whole from the inclusion bitsets, the way the
+    lattice built them before its rows were built on first read: the join
+    of i and j is the least index above both (``rev_up`` holds index j at
+    bit n-1-j, so that is the highest bit of an intersection), the meet the
+    greatest below both."""
+    n = lat.size
+    rev_up = [sum(1 << (n - 1 - j) for j in bits(u)) for u in lat.up]
+    join_t = tuple(tuple(n - (ri & rj).bit_length() for rj in rev_up)
+                   for ri in rev_up)
+    meet_t = tuple(tuple((di & dj).bit_length() - 1 for dj in lat.down)
+                   for di in lat.down)
+    return join_t, meet_t
 
 
 def kurosh_i(join_t, meet_t, m: int, members, below) -> bool:

@@ -194,6 +194,20 @@ def test_power_split_test_by_generators_agrees_with_all_members(name):
         assert is_p_group_schmidt(G, S) == _p_group_schmidt_literal(G, S), S
 
 
+def test_power_split_scans_normal_subgroups_only(monkeypatch):
+    """The normality filter changes no answer (a t acting as a power map
+    normalises A), but it spares the scan over t: S3's three subgroups of
+    order 2 have prime index 3 and are not normal, so only C3 is scanned,
+    one involution on its two non-identity members.  Scanning each C2 as
+    well would conjugate twice more per C2."""
+    G = catalog.construct("S3")
+    calls = []
+    real = G.conj
+    monkeypatch.setattr(G, "conj", lambda g, x: calls.append(x) or real(g, x))
+    assert is_p_group_schmidt(G)
+    assert len(calls) == 2
+
+
 def test_critical_groups(suite_groups):
     assert is_schmidt_group(suite_groups["S3"])
     assert is_u_critical(suite_groups["A4"])

@@ -8,7 +8,10 @@ from modmax import lattice as lattice_module
 from modmax.groups import subgroup_generated, whole_group
 from modmax.lattice import (
     BadDepth, TooManySubgroups, enumerate_lattice, lattice_of)
-from oracles import modular_alt
+from modmax.verify import run_suite
+from oracles import join_meet_tables, modular_alt
+
+SUITE = [e.name for e in catalog.standard_suite()]
 
 
 def _of_order(lat, k):
@@ -224,6 +227,68 @@ def test_join_meet_entries_share_one_int_per_index():
     join_row, meet_row = lat.join_t[0], lat.meet_t[lat.top()]
     assert all(e is join_row[e] for row in lat.join_t for e in row)
     assert all(e is meet_row[e] for row in lat.meet_t for e in row)
+
+
+def _built(table):
+    """The indices of the rows a table has built so far."""
+    return sorted(dict.keys(table))
+
+
+@pytest.mark.parametrize("name", SUITE + ["E2^5", "S5", "E2^3xS3"])
+def test_rows_match_the_eager_tables(name):
+    """Row by row, both tables equal the whole tables of ``oracles.py``,
+    hold n tuples, and draw every entry from one int per index (the join
+    with the trivial subgroup is the identity map)."""
+    lat = lattice_of(catalog.shared_group(name))
+    join_t, meet_t = join_meet_tables(lat)
+    assert len(lat.join_t) == len(lat.meet_t) == lat.size
+    assert list(lat.join_t) == list(join_t), name
+    assert list(lat.meet_t) == list(meet_t), name
+    ints = lat.join_t[0]
+    for table in (lat.join_t, lat.meet_t):
+        assert all(type(row) is tuple for row in table)
+        assert all(e is ints[e] for row in table for e in row), name
+    with pytest.raises(IndexError):
+        lat.join_t[lat.size]
+
+
+def test_rows_are_built_on_first_read():
+    """S5's modular column tests one representative of each of its 19
+    classes, so it builds their join and meet rows and none of the other
+    137; a row read again is the same object."""
+    lat = enumerate_lattice(catalog.construct("S5"))
+    assert _built(lat.join_t) == _built(lat.meet_t) == []
+    lat.modular
+    reps = sorted({(c & -c).bit_length() - 1 for c in lat.class_of})
+    assert (lat.size, len(reps)) == (156, 19)
+    assert _built(lat.join_t) == _built(lat.meet_t) == reps
+    assert lat.join_t[reps[1]] is lat.join_t[reps[1]]
+
+
+def test_suite_builds_no_rows_of_derived_lattices(monkeypatch):
+    """``run_suite("all", "all")`` builds 66 lattices: the 18 groups' own
+    and 48 of quotients and subgroups (Prop2.9 quotients, residual
+    self-checks).  Those 48 are asked for normal subgroups and covers only,
+    so none of their join or meet rows is built: 264 rows per table of the
+    397 that the 66 lattices could build, all in the 18 groups' own."""
+    lattices = []
+
+    class Recorded(lattice_module.SubgroupLattice):
+        def __init__(self, *args):
+            super().__init__(*args)
+            lattices.append(self)
+
+    monkeypatch.setattr(catalog, "_shared", {})
+    monkeypatch.setattr(lattice_module, "SubgroupLattice", Recorded)
+    run_suite("all", "all")
+    own = {id(G) for G in catalog._shared.values()}
+    derived = [lat for lat in lattices if id(lat.group) not in own]
+    assert (len(lattices), len(derived)) == (66, 48)
+    assert not any(_built(lat.join_t) or _built(lat.meet_t) for lat in derived)
+    assert sum(lat.size for lat in lattices) == 397
+    for table in ("join_t", "meet_t"):
+        rows = sum(len(_built(getattr(lat, table))) for lat in lattices)
+        assert rows == 264, table
 
 
 @settings(max_examples=50, deadline=None)

@@ -25,8 +25,21 @@ from modmax.lattice import enumerate_lattice, lattice_of
 from oracles import column_by_members, subnormal_by_members
 
 SUITE = [e.name for e in catalog.standard_suite()]
-GROUPS = SUITE + ["S4xC2", "A5", "S5", "pq2_3_11"]
+GROUPS = SUITE + ["S4xC2", "A5", "S5", "pq2_3_11", "E2^3xS3", "C2xD8xS3"]
 assert len(set(GROUPS)) == len(GROUPS), "a group listed twice runs twice"
+
+
+def _central_and_not(name):
+    """The group's generators include a central one and a non-central one."""
+    G = catalog.shared_group(name)
+    gens, table = G.generator_indices, G.table
+    central = {all(table[g][h] == table[h][g] for h in gens) for g in gens}
+    return central == {True, False}
+
+
+# the class walk conjugates by the non-central generators only, so some
+# group here must have both kinds for the classes to test that choice
+assert any(map(_central_and_not, GROUPS)), "no group mixes the two kinds"
 PREDICATES = ("modular", "quasinormal", "s_quasinormal")
 
 
