@@ -29,8 +29,10 @@ Class predicates implemented here:
   non-Frattini chief factor (Frattini factors are exempt, all-factor
   quantification is deliberate for the strong variant);
 - power-automorphism split groups (elementary abelian A with a prime-order
-  complement acting by a fixed nontrivial power map);
-- minimal-non-X groups for X in {nilpotent, supersoluble, abelian};
+  complement acting by a fixed nontrivial power map), one element of the
+  complement's order tested per A, on A's generators;
+- minimal-non-X groups, ``is_critical(G, predicate)``, named for X
+  nilpotent (Schmidt) and supersoluble;
 - prime-ordering dispersivity and class residuals.
 """
 
@@ -292,8 +294,9 @@ def is_nearly_nilpotent(G: Group) -> bool:
 # ---------------------------------------------------------------------------
 # power-automorphism split groups and critical groups
 
-def _elementary_abelian_prime(G: Group, S: SubgroupSet) -> int | None:
-    """The prime p when S is elementary abelian of order p^k (k >= 1)."""
+def _elementary_abelian(G: Group, S: SubgroupSet) -> tuple[int, tuple[int, ...]] | None:
+    """(p, S's greedy generators) when S is elementary abelian of order p^k
+    (k >= 1)."""
     fac = factorize(S.order)
     if len(fac) != 1:
         return None
@@ -303,7 +306,7 @@ def _elementary_abelian_prime(G: Group, S: SubgroupSet) -> int | None:
         return None
     t = G.table
     gens = _greedy_generators(t, S.mask)  # commuting generators: abelian
-    return p if all(t[a][b] == t[b][a] for a in gens for b in gens) else None
+    return (p, gens) if all(t[a][b] == t[b][a] for a in gens for b in gens) else None
 
 
 def is_p_group_schmidt(G: Group, S: SubgroupSet | None = None) -> bool:
@@ -311,35 +314,42 @@ def is_p_group_schmidt(G: Group, S: SubgroupSet | None = None) -> bool:
     q != p acting as one fixed nontrivial power map a -> a^k on A.
 
     ``S`` asks it of a subgroup, inside G's lattice: A runs over S's
-    subgroups fixed by conjugation with S's generators, t over S's
-    members."""
+    subgroups fixed by conjugation with S's generators.
+
+    One t per A is tested, the least member of S of order q, and only on
+    A's generators.  Every element of order q lies outside the p-group A,
+    so it is a0 t^j with a0 in A and 0 < j < q.  On the abelian A it acts
+    as t^j does, a -> a^(k^j), which is nontrivial because k has order q
+    mod p (t^q = 1 acts trivially, t does not).  So if one element of
+    order q acts as a nontrivial power map, every one does.  Conjugation
+    is an automorphism, so a power map on A's generators is a power map on
+    all of A."""
     lat = lattice_of(G)
     S = whole_group(G) if S is None else S
-    orders = G.element_orders()
-    s_gens = _greedy_generators(G.table, S.mask)
+    orders, table = G.element_orders(), G.table
+    s_gens = _greedy_generators(table, S.mask)
     for ai in bits(lat.down[lat.index(S)]):
         A = lat.subgroups[ai]
         q = S.order // A.order
         if not is_prime(q):
             continue
-        p = _elementary_abelian_prime(G, A)
-        if p is None or q == p or any(
-                conjugate_mask(G, g, A.mask) != A.mask for g in s_gens):
+        found = _elementary_abelian(G, A)
+        if found is None:
             continue
-        members = [x for x in A.members() if x != 0]
-        for t in S.members():
-            if t in A or orders[t] != q:
-                continue
-            # t acts as one power map a -> a^k, 1 < k <= p, for every a: k is
-            # the least j with a^j = t a t^-1 (p + 1 when there is none)
-            ks = set()
-            for a in members:
-                ca, y, j = G.conj(t, a), a, 1
-                while y != ca and j <= p:
-                    y, j = G.table[y][a], j + 1
-                ks.add(j)
-            if len(ks) == 1 and 1 < min(ks) <= p:
-                return True
+        p, a_gens = found
+        if q == p or any(conjugate_mask(G, g, A.mask) != A.mask for g in s_gens):
+            continue
+        t = next(x for x in S if orders[x] == q)  # Cauchy: one exists
+        # t acts as one power map a -> a^k, 1 < k <= p, on every generator:
+        # k is the least j with a^j = t a t^-1 (p + 1 when there is none)
+        ks = set()
+        for a in a_gens:
+            ca, y, j = G.conj(t, a), a, 1
+            while y != ca and j <= p:
+                y, j = table[y][a], j + 1
+            ks.add(j)
+        if len(ks) == 1 and 1 < min(ks) <= p:
+            return True
     return False
 
 
@@ -363,10 +373,6 @@ def is_schmidt_group(G: Group) -> bool:
 def is_u_critical(G: Group) -> bool:
     """Minimal non-supersoluble group."""
     return is_critical(G, is_supersoluble)
-
-
-def is_minimal_non_abelian(G: Group) -> bool:
-    return is_critical(G, is_abelian)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ modules that need it; the cache never changes observable behaviour.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -217,12 +218,14 @@ class Group:
     Construction performs the O(n^2) checks (identity at index 0,
     Latin-square rows/columns, two-sided inverses), one row or column at a
     time at C speed, and draws every entry from one tuple of the n indices.
+    Entries are read with :func:`operator.index`, so a float or a string
+    raises TypeError instead of being truncated.
     Associativity is checked only by :meth:`validate` (O(n^2 log n)), which
     :func:`group_from_cayley_table` calls on untrusted input.
     """
 
     def __init__(self, table, name: str = "G", generators=None):
-        rows = [tuple(map(int, row)) for row in table]
+        rows = [tuple(map(operator.index, row)) for row in table]
         n = len(rows)
         if n == 0:
             raise NotAGroup("empty multiplication table")
@@ -268,12 +271,6 @@ class Group:
         self.generator_indices = gens
 
     # -- basic arithmetic ---------------------------------------------------
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
 
     def conj(self, g: int, x: int) -> int:
         """g * x * g^-1"""
@@ -377,12 +374,6 @@ class SubgroupSet:
 
     def __contains__(self, x: int) -> bool:
         return bool((self.mask >> x) & 1)
-
-    def issubset(self, other: "SubgroupSet") -> bool:
-        return self.mask & other.mask == self.mask
-
-    def is_whole_group(self) -> bool:
-        return self.order == self.parent.order
 
     def __repr__(self) -> str:
         return f"SubgroupSet({self.parent.name}, order={self.order})"

@@ -23,7 +23,9 @@ Check identifiers, fixed as part of the report schema:
   all well placed have order p*q^2 or are a quaternion group of order 8
   extended by an order-3 element.
 - Lem2.1, Lem2.2, Lem2.3, Lem2.10: the supporting property suites, run
-  exhaustively over all qualifying subgroups.
+  exhaustively over all qualifying subgroups.  Lem2.1 finds G's
+  non-cyclic chief factors and direct decompositions once, and tests each
+  modular subgroup only on its own parts.
 - Cor4.1, Cor4.2, Cor4.3: specialisations of Prop2.11.
 - SharpnessA, SharpnessB: the two narratives showing the bounds in
   ThmA/ThmB cannot be weakened (evaluated on A4 and A4xC2).
@@ -396,64 +398,44 @@ def _three_maximal_conclusion(G: Group, lat):
 # ---------------------------------------------------------------------------
 # lemma suites
 
-def _lemma_2_1_conclusion(G: Group, lat, mi: int):
-    """For one modular subgroup M: M over its core is nilpotent, the normal
-    closure over the core is hypercyclically embedded, and a core-free M
-    exhibits the coprime power-split-by-permutable decomposition.  Both
-    quotients by the core M_G are read in G: M/M_G as a section, and the
-    chief factors of G/M_G below M^G/M_G as G's factors H/K with M_G <= K
-    and H <= M^G."""
-    M = lat.subgroups[mi]
-    witnesses = []
-    mg, closure = core(G, M).mask, normal_closure(G, M).mask
-    if not is_nilpotent(G, (mg, M.mask)):
-        witnesses.append("M over its core is not nilpotent")
-    if any(f.below.mask & mg == mg and f.above.mask & ~closure == 0
-           for f in _noncyclic_chief_factors(G)):
-        witnesses.append("normal closure over the core is not "
-                         "hypercyclically embedded")
-    ok = not witnesses
-    if mg == 1:
-        decomposition = _core_free_decomposition(G, lat, M)
-        ok = ok and decomposition is not None
-        witnesses.append(decomposition
-                         or "no coprime decomposition found for core-free M")
-    return ok, witnesses
+def _lemma_2_1_conclusion(G: Group, lat):
+    """Lem2.1 over every modular subgroup M of G: M over its core is
+    nilpotent, the normal closure over the core is hypercyclically
+    embedded, and a core-free M exhibits the coprime
+    power-split-by-permutable decomposition.  Both quotients by the core
+    M_G are read in G: M/M_G as a section, and the chief factors of G/M_G
+    below M^G/M_G as G's factors H/K with M_G <= K and H <= M^G.  Only
+    non-cyclic factors can keep M^G/M_G from being hypercyclically
+    embedded, and the direct decompositions of G do not depend on M, so
+    both are found once."""
+    noncyclic = [f for f in all_chief_factors(G) if not f.is_cyclic]
+    decompositions = _direct_decompositions(G, lat)
+    modular = list(bits(lat.modular))
+    bad = []
+    for i in modular:
+        M = lat.subgroups[i]
+        witnesses = []
+        mg, closure = core(G, M).mask, normal_closure(G, M).mask
+        if not is_nilpotent(G, (mg, M.mask)):
+            witnesses.append("M over its core is not nilpotent")
+        if any(f.below.mask & mg == mg and f.above.mask & ~closure == 0
+               for f in noncyclic):
+            witnesses.append("normal closure over the core is not "
+                             "hypercyclically embedded")
+        if mg == 1 and not _core_free_decomposition(G, lat, M, decompositions):
+            witnesses.append("no coprime decomposition found for core-free M")
+        if witnesses:
+            bad.append(f"{_descriptor(lat, i)}: " + "; ".join(witnesses))
+    return not bad, [f"{len(modular)} modular subgroups checked"] + bad
 
 
-def _noncyclic_chief_factors(G: Group):
-    """G's chief factors that are not cyclic, cached on G: only these can
-    keep a normal subgroup from being hypercyclically embedded."""
-    hit = G._cache.get("noncyclic_chief_factors")
-    if hit is None:
-        hit = tuple(f for f in all_chief_factors(G) if not f.is_cyclic)
-        G._cache["noncyclic_chief_factors"] = hit
-    return hit
-
-
-def _not_modular_out_of_scope(G: Group, lat, mi: int):
-    if not lat.modular >> mi & 1:
-        return VACUOUS, NOT_EVALUATED, ["subgroup is not modular"]
-    return None
-
-
-_LEMMA_2_1 = _Check(_holds, _lemma_2_1_conclusion, _not_modular_out_of_scope)
-
-
-def verify_lemma_2_1(G: Group, M: SubgroupSet, fast: bool = False) -> VerdictReport:
-    """Lem2.1 for one subgroup M; out of scope unless M is modular."""
-    lat = lattice_of(G)
-    mi = lat.index(M)
-    return _run(_LEMMA_2_1, G, f"Lem2.1[{_descriptor(lat, mi)}]", fast, mi)
-
-
-def _core_free_decomposition(G: Group, lat, M: SubgroupSet) -> str | None:
-    """Search for G = S1 x ... x Sr x K with pairwise coprime orders, each
-    Si a non-abelian power-split group, M meeting each Si in a non-normal
-    Sylow subgroup, and M meet K quasinormal in G."""
+def _direct_decompositions(G: Group, lat):
+    """Every G = S1 x ... x Sr x K with pairwise coprime orders, each Si a
+    non-abelian power-split normal subgroup, as (S1..Sr, K) pairs."""
     norms = [lat.subgroups[i] for i in lat.normal_indices()]
     split_candidates = [N for N in norms
                         if 1 < N.order and is_p_group_schmidt(G, N)]
+    out = []
     for r in range(len(split_candidates) + 1):
         for combo in itertools.combinations(split_candidates, r):
             orders = [S.order for S in combo]
@@ -463,28 +445,26 @@ def _core_free_decomposition(G: Group, lat, M: SubgroupSet) -> str | None:
             prod = math.prod(orders)
             if G.order % prod:
                 continue
-            k_order = G.order // prod
             for K in norms:
-                if K.order != k_order:
-                    continue
-                if any(math.gcd(K.order, o) != 1 for o in orders):
-                    continue
-                if not _is_internal_direct(G, [S.mask for S in combo] + [K.mask]):
-                    continue
-                if not all(_is_nonnormal_sylow_of(G, S, M.mask & S.mask)
-                           for S in combo):
-                    continue
-                piece_orders = [(M.mask & S.mask).bit_count() for S in combo]
-                mk_mask = M.mask & K.mask
-                if math.prod(piece_orders) * mk_mask.bit_count() != M.order:
-                    continue
-                mk_idx = lat.index_of.get(mk_mask)
-                if mk_idx is None or not lat.quasinormal >> mk_idx & 1:
-                    continue
-                return (f"decomposition r={r}, factor orders "
-                        f"{orders + [k_order]}, permutable part order "
-                        f"{mk_mask.bit_count()}")
-    return None
+                if (K.order == G.order // prod
+                        and all(math.gcd(K.order, o) == 1 for o in orders)
+                        and _is_internal_direct(G, [S.mask for S in combo] + [K.mask])):
+                    out.append((combo, K))
+    return out
+
+
+def _core_free_decomposition(G: Group, lat, M: SubgroupSet, decompositions) -> bool:
+    """Some decomposition G = S1 x ... x Sr x K has M meeting each Si in a
+    non-normal Sylow subgroup, and M meet K quasinormal in G."""
+    for combo, K in decompositions:
+        if not all(_is_nonnormal_sylow_of(G, S, M.mask & S.mask) for S in combo):
+            continue
+        piece_orders = [(M.mask & S.mask).bit_count() for S in combo]
+        mk_mask = M.mask & K.mask
+        if (math.prod(piece_orders) * mk_mask.bit_count() == M.order
+                and lat.quasinormal >> lat.index_of[mk_mask] & 1):
+            return True
+    return False
 
 
 def _is_internal_direct(G: Group, masks: list[int]) -> bool:
@@ -506,17 +486,6 @@ def _is_nonnormal_sylow_of(G: Group, S: SubgroupSet, q_mask: int) -> bool:
     if e != factorize(S.order)[p]:
         return False
     return any(conjugate_mask(G, g, q_mask) != q_mask for g in S.members())
-
-
-def _lemma_2_1_suite_conclusion(G: Group, lat):
-    """Lem2.1 over every modular subgroup of G."""
-    modular = list(bits(lat.modular))
-    bad = []
-    for i in modular:
-        ok_i, w = _lemma_2_1_conclusion(G, lat, i)
-        if not ok_i:
-            bad.append(f"{_descriptor(lat, i)}: " + "; ".join(w))
-    return not bad, [f"{len(modular)} modular subgroups checked"] + bad
 
 
 def _lemma_2_2_conclusion(G: Group, lat):
@@ -739,7 +708,7 @@ _SINGLE_RUNNERS = {
                    lambda G: is_nearly_nilpotent(G) and is_strongly_supersoluble(G))),
         ("Prop3.2", _every_n_maximal(3, True, True), _three_maximal_conclusion,
          _supersoluble_out_of_scope),
-        ("Lem2.1", _holds, _lemma_2_1_suite_conclusion),
+        ("Lem2.1", _holds, _lemma_2_1_conclusion),
         ("Lem2.2", _holds, _lemma_2_2_conclusion),
         ("Lem2.3", _holds, _lemma_2_3_conclusion),
         ("Lem2.10", _holds, _lemma_2_10_conclusion, _lemma_2_10_scope),
@@ -773,10 +742,6 @@ verify_corollary_4_3 = _SINGLE_RUNNERS["Cor4.3"]
 verify_corollary_4_4 = _SINGLE_RUNNERS["Cor4.4"]
 verify_sharpness_A = _SINGLE_RUNNERS["SharpnessA"]
 verify_sharpness_B = _SINGLE_RUNNERS["SharpnessB"]
-
-
-def verify_corollaries(G: Group, fast: bool = False) -> list[VerdictReport]:
-    return [_SINGLE_RUNNERS[c](G, fast) for c in COROLLARY_CHECKS]
 
 
 # ---------------------------------------------------------------------------

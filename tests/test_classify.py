@@ -14,8 +14,8 @@ from modmax.classify import (
     dispersive_orderings,
     hypercyclic_center,
     is_abelian,
+    is_critical,
     is_hypercyclically_embedded,
-    is_minimal_non_abelian,
     is_nearly_nilpotent,
     is_nilpotent,
     is_nilpotent_hall,
@@ -187,7 +187,7 @@ def _p_group_schmidt_literal(G, S):
 
 
 @pytest.mark.parametrize("name", [e.name for e in catalog.standard_suite()]
-                         + ["S4xC2", "A5", "E2^3xS3"])
+                         + ["S4xC2", "A5", "E2^3xS3", "C3xS3"])
 def test_power_split_test_by_generators_agrees_with_all_members(name):
     G = catalog.shared_group(name)
     for S in lattice_of(G).subgroups:
@@ -196,16 +196,16 @@ def test_power_split_test_by_generators_agrees_with_all_members(name):
 
 def test_power_split_scans_normal_subgroups_only(monkeypatch):
     """The normality filter changes no answer (a t acting as a power map
-    normalises A), but it spares the scan over t: S3's three subgroups of
-    order 2 have prime index 3 and are not normal, so only C3 is scanned,
-    one involution on its two non-identity members.  Scanning each C2 as
-    well would conjugate twice more per C2."""
+    normalises A), but it spares the power-map test: S3's three subgroups
+    of order 2 have prime index 3 and are not normal, so only C3 is tested,
+    one involution on its single generator.  Testing each C2 as well would
+    conjugate once more per C2."""
     G = catalog.construct("S3")
     calls = []
     real = G.conj
     monkeypatch.setattr(G, "conj", lambda g, x: calls.append(x) or real(g, x))
     assert is_p_group_schmidt(G)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_critical_groups(suite_groups):
@@ -214,9 +214,9 @@ def test_critical_groups(suite_groups):
     assert is_u_critical(suite_groups["SL23"])
     assert not is_u_critical(suite_groups["S4"])
     assert not is_schmidt_group(suite_groups["Q8"])
-    assert is_minimal_non_abelian(suite_groups["S3"])
-    assert is_minimal_non_abelian(suite_groups["Q8"])
-    assert not is_minimal_non_abelian(suite_groups["S4"])
+    assert is_critical(suite_groups["S3"], is_abelian)
+    assert is_critical(suite_groups["Q8"], is_abelian)
+    assert not is_critical(suite_groups["S4"], is_abelian)
 
 
 def test_dispersive_orderings(suite_groups):

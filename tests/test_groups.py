@@ -143,8 +143,13 @@ def test_table_checks_name_the_first_failure(table, message):
 
 
 def test_every_entry_is_read_as_an_int_before_any_check():
-    with pytest.raises(ValueError):
+    # operator.index rejects strings and floats instead of truncating them
+    with pytest.raises(TypeError):
         Group([[0, 1, 5], [1, 0], ["x"]])
+    with pytest.raises(TypeError):
+        Group([[0, 1], [1, 0.5]])
+    with pytest.raises(LoadError, match="malformed group description"):
+        group_from_json({"kind": "cayley", "table": [[0, 1], [1, 0.9]]})
     table = Group([[False, True], [True, False]]).table
     assert table == ((0, 1), (1, 0)) and {type(v) for row in table for v in row} == {int}
 

@@ -3,7 +3,8 @@
 A refactor that moves work elsewhere tends to leave its imports behind;
 this reads each module's syntax tree with the standard ``ast`` module and
 lists the imported names that no expression refers to.  ``__init__.py``
-imports names to re-export them and is left out.
+imports names to re-export them and is left out.  The same trees also
+show module-level private helpers that nothing in the package refers to.
 """
 
 import ast
@@ -36,3 +37,41 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(_imported_names(tree)) - used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _references(tree):
+    """(owner, name) for every name, attribute and imported name in a module,
+    where owner is the module-level definition the reference sits in (None
+    outside any)."""
+    for node in tree.body:
+        owner = node.name if isinstance(node, _DEFINITIONS) else None
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield owner, sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield owner, sub.attr
+            elif isinstance(sub, ast.ImportFrom):
+                for alias in sub.names:
+                    yield owner, alias.name
+
+
+def test_every_private_helper_is_used():
+    """A module-level private function or class that nothing but its own
+    body refers to is dead: a refactor that folds a helper away should take
+    it out too."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in SRC.glob("*.py")}
+    refs = {(module, owner, name)
+            for module, tree in trees.items()
+            for owner, name in _references(tree)}
+    unused = sorted(
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, _DEFINITIONS) and node.name.startswith("_")
+        and not any(name == node.name and (m, owner) != (module, node.name)
+                    for m, owner, name in refs))
+    assert not unused, f"private helpers nothing refers to: {unused}"

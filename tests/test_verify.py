@@ -2,8 +2,9 @@
 
 import pytest
 
-from modmax import catalog
+from modmax import catalog, verify
 from modmax.classify import is_supersoluble
+from modmax.groups import bits, core
 from modmax.lattice import lattice_of
 from modmax.verify import (
     FAILS,
@@ -15,8 +16,10 @@ from modmax.verify import (
     lemma_2_1_suite,
     reports_for_group,
     run_suite,
-    verify_corollaries,
-    verify_lemma_2_1,
+    verify_corollary_4_1,
+    verify_corollary_4_2,
+    verify_corollary_4_3,
+    verify_corollary_4_4,
     verify_lemma_2_2,
     verify_lemma_2_3,
     verify_lemma_2_10,
@@ -138,18 +141,36 @@ def test_prop_3_2(suite_groups):
 
 
 def test_lemma_2_1_per_subgroup(suite_groups):
+    """S3's core-free modular C2 passes the per-subgroup decomposition test,
+    and only through r = 1: S3 itself is the power-split factor, K = 1."""
     s3 = suite_groups["S3"]
     lat = lattice_of(s3)
-    c2 = next(s for s in lat.subgroups if s.order == 2)
-    r = verify_lemma_2_1(s3, c2)
-    assert (r.hypothesis, r.conclusion) == (HOLDS, HOLDS)
-    assert any("decomposition r=1" in w for w in r.witnesses)
-    # a non-modular subgroup is out of the lemma's scope
-    a4 = suite_groups["A4"]
-    lat4 = lattice_of(a4)
-    c3 = next(s for s in lat4.subgroups if s.order == 3)
-    r = verify_lemma_2_1(a4, c3)
-    assert (r.hypothesis, r.conclusion) == (VACUOUS, NOT_EVALUATED)
+    ci = next(i for i, s in enumerate(lat.subgroups) if s.order == 2)
+    c2 = lat.subgroups[ci]
+    assert lat.modular >> ci & 1 and core(s3, c2).order == 1
+    decompositions = verify._direct_decompositions(s3, lat)
+    assert verify._core_free_decomposition(s3, lat, c2, decompositions)
+    passing = [(tuple(S.order for S in combo), K.order)
+               for combo, K in decompositions
+               if verify._core_free_decomposition(s3, lat, c2, [(combo, K)])]
+    assert passing == [((6,), 1)]
+
+
+def test_lemma_2_1_finds_power_split_candidates_once_per_group(monkeypatch):
+    """pq2_2_3 has 10 core-free modular subgroups and 7 normal ones; the
+    power-split test runs once per nontrivial normal subgroup, not once
+    per core-free modular subgroup as well (60 calls)."""
+    G = catalog.construct("pq2_2_3")
+    lat = lattice_of(G)
+    core_free = [i for i in bits(lat.modular)
+                 if core(G, lat.subgroups[i]).order == 1]
+    assert len(core_free) == 10 and len(lat.normal_indices()) == 7
+    calls = []
+    real = verify.is_p_group_schmidt
+    monkeypatch.setattr(verify, "is_p_group_schmidt",
+                        lambda G, S: calls.append(S) or real(G, S))
+    assert lemma_2_1_suite(G).conclusion == HOLDS
+    assert len(calls) == 6
 
 
 def test_lemma_suites_hold_everywhere(suite_groups):
@@ -170,17 +191,22 @@ def test_lemma_2_10_examples(suite_groups):
     assert r.hypothesis == VACUOUS  # nearly nilpotent, out of scope
 
 
+_COROLLARIES = (verify_corollary_4_1, verify_corollary_4_2,
+                verify_corollary_4_3, verify_corollary_4_4)
+
+
 def test_corollaries(suite_groups):
     for name in ("S3", "Q8", "A4", "SL23"):
-        for r in verify_corollaries(suite_groups[name]):
+        for check in _COROLLARIES:
+            r = check(suite_groups[name])
             assert not r.is_failure(), (name, r.theorem, r.witnesses)
     # the quaternion-shape branch of Cor4.4 on the order-24 witness
-    r = verify_corollaries(suite_groups["SL23"])[3]
+    r = verify_corollary_4_4(suite_groups["SL23"])
     assert r.theorem == "Cor4.4"
     assert (r.hypothesis, r.conclusion) == (HOLDS, HOLDS)
     # trivial group: everything vacuous or satisfied
-    for r in verify_corollaries(suite_groups["1"]):
-        assert not r.is_failure()
+    for check in _COROLLARIES:
+        assert not check(suite_groups["1"]).is_failure()
 
 
 def test_sharpness_narratives(suite_groups):
@@ -314,8 +340,6 @@ def test_fast_mode_covers_the_sharpness_narratives(suite_groups):
 
 
 def test_run_suite_orders_depths_numerically(monkeypatch):
-    from modmax import verify
-
     def fake_reports(name, checks, fast=False, depth=None):
         return [verify.VerdictReport(name, theorem, HOLDS, HOLDS, (), 0.0)
                 for theorem in ("ThmB(n=2)", "ThmA(n=10)", "Lem2.10",
@@ -353,8 +377,6 @@ class _RecordingPool:
     (1, 8, None),
 ])
 def test_run_suite_caps_the_worker_pool(monkeypatch, jobs, cpus, expected):
-    from modmax import verify
-
     monkeypatch.setattr(verify, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
     _RecordingPool.sizes = []
