@@ -49,6 +49,7 @@ from .groups import (
     _greedy_generators,
     _right_closure,
     bits,
+    centralizer_mask,
     commutator_mask,
     conjugate_mask,
     factorize,
@@ -133,22 +134,6 @@ def normal_subgroups(G: Group) -> tuple[SubgroupSet, ...]:
     return tuple(lat.subgroups[i] for i in lat.normal_indices())
 
 
-def _factor_centralizer_mask(G: Group, kmask: int, hmask: int) -> int:
-    """{g : every commutator [g, h] with h in H lies in K}.  K is normal, so
-    for each g the h with [g, h] in K form a subgroup containing K (the
-    preimage of the centralizer of gK in G/K): generators of H modulo K
-    suffice."""
-    gens = _greedy_generators(G.table, hmask, kmask)
-    out = 0
-    for g in range(G.order):
-        for h in gens:
-            if not (kmask >> G.commutator(g, h)) & 1:
-                break
-        else:
-            out |= 1 << g
-    return out
-
-
 def _factor_is_cyclic(G: Group, kmask: int, hmask: int, factor_order: int) -> bool:
     """H/K is cyclic iff some coset hK has order |H/K| in H/K."""
     table = G.table
@@ -192,8 +177,7 @@ def all_chief_factors(G: Group) -> tuple[ChiefFactor, ...]:
         for h in bits(above & ~shadow):
             H = lat.subgroups[h]
             hm, forder = H.mask, H.order // K.order
-            cmask = _factor_centralizer_mask(G, km, hm)
-            aut = G.order // cmask.bit_count()
+            aut = G.order // centralizer_mask(G, hm, km).bit_count()
             cyc = _factor_is_cyclic(G, km, hm, forder)
             factors.append(ChiefFactor(K, H, forder, aut, cyc, hm & frattini == hm))
     result = tuple(factors)

@@ -68,44 +68,6 @@ def bits(mask: int):
         mask ^= low
 
 
-def close_mask(table, seed, ambient_order: int) -> int:
-    """Multiplicative closure of ``seed`` (iterable of indices) plus identity.
-
-    Closure under products alone suffices in a finite group: inverses are
-    positive powers.  Growth is cut short by Lagrange: once the working set
-    outgrows the largest proper divisor of the ambient order, the closure
-    is the whole group.
-    """
-    # largest proper divisor: the order over its smallest prime
-    threshold = ambient_order // min(factorize(ambient_order)) if ambient_order > 1 else 0
-    mask = 1
-    elems = [0]
-    stack = sorted({int(x) for x in seed} - {0}, reverse=True)
-    for x in stack:
-        mask |= 1 << x
-    count = 1 + len(stack)
-    if count > threshold:
-        return (1 << ambient_order) - 1
-    while stack:
-        x = stack.pop()
-        elems.append(x)
-        row_x = table[x]
-        for y in elems:
-            z = row_x[y]
-            if not (mask >> z) & 1:
-                mask |= 1 << z
-                stack.append(z)
-                count += 1
-            z = table[y][x]
-            if not (mask >> z) & 1:
-                mask |= 1 << z
-                stack.append(z)
-                count += 1
-        if count > threshold:
-            return (1 << ambient_order) - 1
-    return mask
-
-
 def _right_closure(table, gens, start: int = 1) -> int:
     """Mask of the elements reached from the mask ``start`` by right
     multiplication with ``gens``, in O(n * |gens|).  In a group, from the
@@ -391,7 +353,7 @@ def whole_group(G: Group) -> SubgroupSet:
 # constructors
 
 def _check_permutation(p, degree: int):
-    tup = tuple(int(v) for v in p)
+    tup = tuple(map(operator.index, p))
     if len(tup) != degree or sorted(tup) != list(range(degree)):
         raise InvalidPermutation(f"{p!r} is not a bijection on 0..{degree - 1}")
     return tup
@@ -451,19 +413,28 @@ def group_from_cayley_table(table, name: str = "G",
     return Group(table, name=name).validate()
 
 
-def cycles_to_perm(degree: int, cycles) -> tuple[int, ...]:
-    """Turn cycle notation (list of lists of 0-based points) into an image tuple."""
-    img = list(range(degree))
+def _cycle_images(degree: int, cycles) -> dict[int, int]:
+    """The images of the points that cycle notation names, each point read
+    with :func:`operator.index` and checked against ``degree``; a later
+    cycle overwrites the images an earlier one gave."""
+    images: dict[int, int] = {}
     for cyc in cycles:
-        pts = [int(v) for v in cyc]
+        pts = list(map(operator.index, cyc))
         for v in pts:
             if not 0 <= v < degree:
                 raise InvalidPermutation(f"cycle point {v} out of range for degree {degree}")
         if len(set(pts)) != len(pts):
             raise InvalidPermutation(f"cycle {cyc!r} repeats a point")
-        for a, b in zip(pts, pts[1:] + pts[:1]):
-            img[a] = b
-    return tuple(img)
+        images.update(zip(pts, pts[1:] + pts[:1]))
+    if len(set(images.values())) != len(images):
+        raise InvalidPermutation(f"cycles {cycles!r} are not a bijection")
+    return images
+
+
+def cycles_to_perm(degree: int, cycles) -> tuple[int, ...]:
+    """Turn cycle notation (list of lists of 0-based points) into an image tuple."""
+    images = _cycle_images(degree, cycles)
+    return tuple(images.get(v, v) for v in range(degree))
 
 
 def group_from_json(data, max_order_cap: int = DEFAULT_MAX_ORDER) -> Group:
@@ -479,9 +450,14 @@ def group_from_json(data, max_order_cap: int = DEFAULT_MAX_ORDER) -> Group:
     kind = data.get("kind")
     try:
         if kind == "permutation":
-            degree = int(data["degree"])
-            gens = [cycles_to_perm(degree, cycles) for cycles in data.get("generators", [])]
-            return group_from_permutations(degree, gens, name=name,
+            degree = operator.index(data["degree"])
+            images = [_cycle_images(degree, cycles) for cycles in data.get("generators", [])]
+            # unnamed points are fixed by every element and never decide the
+            # BFS order, so build on the named points and 0, relabelled in
+            # order; a degree below 1 names none and is rejected there
+            label = {v: i for i, v in enumerate(sorted({0}.union(*images)))}
+            perms = [tuple(label[img.get(v, v)] for v in label) for img in images]
+            return group_from_permutations(min(degree, len(label)), perms, name=name,
                                            max_order_cap=max_order_cap)
         if kind == "cayley":
             return group_from_cayley_table(data["table"], name=name,
@@ -509,19 +485,28 @@ def load_group(path, max_order_cap: int = DEFAULT_MAX_ORDER) -> Group:
 
 def subgroup_generated(G: Group, seed) -> SubgroupSet:
     """Smallest subgroup of G containing the seed indices."""
-    return SubgroupSet(G, close_mask(G.table, seed, G.order))
+    return SubgroupSet(G, _normal_closure_mask(G, seed, ()))
+
+
+def centralizer_mask(G: Group, hmask: int, kmask: int = 1) -> int:
+    """C_G(H/K) = {g : every commutator [g, h] with h in H lies in K}, for
+    K <= H normal in G; K = 1 gives the centraliser of H.  K is normal, so
+    for each g the h with [g, h] in K form a subgroup containing K (the
+    preimage of the centraliser of gK in G/K): generators of H modulo K
+    suffice."""
+    t, inv = G.table, G.inverse
+    gens = [(h, inv[h]) for h in _greedy_generators(t, hmask, kmask)]
+    out = 0
+    for g, row in enumerate(t):
+        ginv = inv[g]
+        if all(kmask >> t[t[row[h]][ginv]][hinv] & 1 for h, hinv in gens):
+            out |= 1 << g
+    return out
 
 
 def centralizer(G: Group, S: SubgroupSet) -> SubgroupSet:
-    """Elements commuting with S, tested on generators of S."""
-    t = G.table
-    gens = _greedy_generators(t, S.mask)
-    out = 0
-    for g in range(G.order):
-        row = t[g]
-        if all(row[s] == t[s][g] for s in gens):
-            out |= 1 << g
-    return SubgroupSet(G, out)
+    """Elements commuting with every member of S."""
+    return SubgroupSet(G, centralizer_mask(G, S.mask))
 
 
 def normalizer(G: Group, S: SubgroupSet) -> SubgroupSet:

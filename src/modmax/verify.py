@@ -70,7 +70,6 @@ from .groups import (
     SubgroupSet,
     bits,
     centralizer,
-    close_mask,
     conjugate_mask,
     core,
     factorize,
@@ -362,18 +361,14 @@ def _quaternion_complement_structure(G: Group) -> bool:
         return False
     lat = lattice_of(G)
     has_order3 = any(s.order == 3 for s in lat.subgroups)
-    orders, t = G.element_orders(), G.table
+    orders = G.element_orders()
     for i in lat.normal_indices():
         S = lat.subgroups[i]
-        if S.order != 8:
+        if S.order != 8 or sum(1 for x in S if orders[x] == 2) != 1:
             continue
-        members = S.members()
-        involutions = sum(1 for x in members if orders[x] == 2)
-        abelian = all(t[a][b] == t[b][a] for a in members for b in members)
-        if abelian or involutions != 1:
-            continue  # order 8, non-abelian, unique involution = quaternion
-        cent = centralizer(G, S)
-        if cent.mask & S.mask == cent.mask and has_order3:
+        # one involution and non-abelian (not inside its centraliser): Q8
+        cent = centralizer(G, S).mask
+        if S.mask & ~cent and cent & ~S.mask == 0 and has_order3:
             return True
     return False
 
@@ -431,7 +426,14 @@ def _lemma_2_1_conclusion(G: Group, lat):
 
 def _direct_decompositions(G: Group, lat):
     """Every G = S1 x ... x Sr x K with pairwise coprime orders, each Si a
-    non-abelian power-split normal subgroup, as (S1..Sr, K) pairs."""
+    non-abelian power-split normal subgroup, as (S1..Sr, K) pairs.
+
+    Normal parts of pairwise coprime orders that multiply to |G| are always
+    an internal direct product, so no product is formed.  Normal A and B of
+    coprime orders meet in {1} (Lagrange); [A, B] lies in both, so they
+    commute elementwise, and |AB| = |A||B|.  AB is normal again, of order
+    coprime to every remaining part, so by induction the product of all
+    parts has order |G| and is G.  The literal product is the tests' oracle."""
     norms = [lat.subgroups[i] for i in lat.normal_indices()]
     split_candidates = [N for N in norms
                         if 1 < N.order and is_p_group_schmidt(G, N)]
@@ -447,8 +449,7 @@ def _direct_decompositions(G: Group, lat):
                 continue
             for K in norms:
                 if (K.order == G.order // prod
-                        and all(math.gcd(K.order, o) == 1 for o in orders)
-                        and _is_internal_direct(G, [S.mask for S in combo] + [K.mask])):
+                        and all(math.gcd(K.order, o) == 1 for o in orders)):
                     out.append((combo, K))
     return out
 
@@ -465,16 +466,6 @@ def _core_free_decomposition(G: Group, lat, M: SubgroupSet, decompositions) -> b
                 and lat.quasinormal >> lat.index_of[mk_mask] & 1):
             return True
     return False
-
-
-def _is_internal_direct(G: Group, masks: list[int]) -> bool:
-    total = math.prod(m.bit_count() for m in masks)
-    if total != G.order:
-        return False
-    union = 0
-    for m in masks:
-        union |= m
-    return close_mask(G.table, bits(union), G.order) == (1 << G.order) - 1
 
 
 def _is_nonnormal_sylow_of(G: Group, S: SubgroupSet, q_mask: int) -> bool:

@@ -1,8 +1,9 @@
 """Literal helpers the tests check the package against.
 
-None of these is used by ``modmax`` itself.  The mask helpers translate
-subgroups between a group and a rebuilt subgroup or quotient; the lattice
-oracles evaluate one subgroup at a time, with no conjugacy classes, the way
+None of these is used by ``modmax`` itself.  ``close_mask`` closes a seed
+under products of every pair of members found so far.  The mask helpers
+translate subgroups between a group and a rebuilt subgroup or quotient; the
+lattice oracles evaluate one subgroup at a time, with no conjugacy classes, the way
 the lattice did before it answered once per class, and decide Kurosh's
 conditions (i) and (ii) by the literal quantifier loops rather than by
 counting interval sizes.  ``join_meet_tables`` builds both tables whole,
@@ -10,6 +11,44 @@ against the lattice's rows built on first read.
 """
 
 from modmax.groups import bits, conjugate_mask, factorize
+
+
+def close_mask(table, seed, ambient_order: int) -> int:
+    """Multiplicative closure of ``seed`` (iterable of indices) plus identity.
+
+    Closure under products alone suffices in a finite group: inverses are
+    positive powers.  Growth is cut short by Lagrange: once the working set
+    outgrows the largest proper divisor of the ambient order, the closure
+    is the whole group.
+    """
+    # largest proper divisor: the order over its smallest prime
+    threshold = ambient_order // min(factorize(ambient_order)) if ambient_order > 1 else 0
+    mask = 1
+    elems = [0]
+    stack = sorted({int(x) for x in seed} - {0}, reverse=True)
+    for x in stack:
+        mask |= 1 << x
+    count = 1 + len(stack)
+    if count > threshold:
+        return (1 << ambient_order) - 1
+    while stack:
+        x = stack.pop()
+        elems.append(x)
+        row_x = table[x]
+        for y in elems:
+            z = row_x[y]
+            if not (mask >> z) & 1:
+                mask |= 1 << z
+                stack.append(z)
+                count += 1
+            z = table[y][x]
+            if not (mask >> z) & 1:
+                mask |= 1 << z
+                stack.append(z)
+                count += 1
+        if count > threshold:
+            return (1 << ambient_order) - 1
+    return mask
 
 
 def product_mask(G, a_mask: int, b_mask: int) -> int:

@@ -35,6 +35,7 @@ from modmax.groups import (
     NotNormal,
     SubgroupSet,
     bits,
+    centralizer_mask,
     conjugate_mask,
     core,
     factorize,
@@ -90,12 +91,13 @@ def _factor_centralizer_by_members(G, kmask, hmask):
 @pytest.mark.parametrize("name", catalog.suite_names() + ["S4xC2", "A5", "E2^5"])
 def test_factor_centralizer_from_generators_matches_all_members(name):
     """C_G(H/K) read off generators of H is the literal all-members set, on
-    every chief factor."""
-    from modmax.classify import _factor_centralizer_mask
+    every chief factor, and with K = 1 on every subgroup H."""
     G = catalog.shared_group(name)
     for f in all_chief_factors(G):
         km, hm = f.below.mask, f.above.mask
-        assert _factor_centralizer_mask(G, km, hm) == _factor_centralizer_by_members(G, km, hm)
+        assert centralizer_mask(G, hm, km) == _factor_centralizer_by_members(G, km, hm)
+    for H in lattice_of(G).subgroups:
+        assert centralizer_mask(G, H.mask) == _factor_centralizer_by_members(G, 1, H.mask)
 
 
 def _commutes_literally(G):
@@ -401,14 +403,11 @@ def _factor_abelian(G, f):
 
 
 def _semidirect_factor_by_automizer(G, f):
-    from modmax.classify import _factor_centralizer_mask
-
     sub, elems = subgroup_as_group(G, f.above)
     k_local = SubgroupSet(sub, sum(1 << i for i, x in enumerate(elems)
                                    if x in f.below))
     factor, fproj = quotient(sub, k_local)
-    cmask = _factor_centralizer_mask(G, f.below.mask, f.above.mask)
-    cent = SubgroupSet(G, cmask)
+    cent = SubgroupSet(G, centralizer_mask(G, f.above.mask, f.below.mask))
     autz, aproj = quotient(G, cent)
     elem_index = {x: i for i, x in enumerate(elems)}
     reps = [next(g for g in range(G.order) if aproj[g] == a)

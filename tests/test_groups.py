@@ -24,7 +24,6 @@ from modmax.groups import (
     bits,
     center,
     centralizer,
-    close_mask,
     commutator_mask,
     conjugate_mask,
     core,
@@ -49,6 +48,7 @@ from modmax.groups import (
     trivial_subgroup,
     whole_group,
 )
+from oracles import close_mask
 
 
 def test_symmetric_3_from_permutations():
@@ -150,6 +150,11 @@ def test_every_entry_is_read_as_an_int_before_any_check():
         Group([[0, 1], [1, 0.5]])
     with pytest.raises(LoadError, match="malformed group description"):
         group_from_json({"kind": "cayley", "table": [[0, 1], [1, 0.9]]})
+    # a permutation file's degree and cycle points likewise
+    for degree, cycle in ((3.9, [0, 1]), ("3", [0, 1]), (3, [0, 1.7]), (3, ["0", 1])):
+        with pytest.raises(LoadError, match="malformed group description"):
+            group_from_json({"kind": "permutation", "degree": degree,
+                             "generators": [[cycle]]})
     table = Group([[False, True], [True, False]]).table
     assert table == ((0, 1), (1, 0)) and {type(v) for row in table for v in row} == {int}
 
@@ -365,8 +370,48 @@ def test_group_json_roundtrip(tmp_path):
 
 def test_cycles_to_perm():
     assert cycles_to_perm(4, [[0, 1], [2, 3]]) == (1, 0, 3, 2)
+    assert cycles_to_perm(3, [[0, 1], [1, 0]]) == (1, 0, 2)  # a later cycle overwrites
     with pytest.raises(InvalidPermutation):
         cycles_to_perm(3, [[0, 5]])
+    with pytest.raises(InvalidPermutation, match="not a bijection"):
+        cycles_to_perm(3, [[0, 1], [1, 2]])
+
+
+def test_permutation_json_costs_the_points_it_names():
+    """A large degree with few points named allocates for those points only,
+    and every point is still checked against the degree."""
+    data = {"kind": "permutation", "degree": 10 ** 6, "generators": [[[5, 999_999]]]}
+    tracemalloc.start()
+    try:
+        G = group_from_json(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.order == 2 and peak < 2 ** 16
+    data["generators"].append([[7, 10 ** 6]])
+    with pytest.raises(LoadError, match="cycle point 1000000 out of range"):
+        group_from_json(data)
+    with pytest.raises(LoadError, match="degree must be at least 1"):
+        group_from_json({"kind": "permutation", "degree": 0, "generators": []})
+    assert group_from_json({"kind": "permutation", "degree": 9}).order == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_permutation_json_on_named_points_gives_the_same_group(data):
+    """Leaving out the points no cycle names changes no table entry and no
+    generator index."""
+    degree = data.draw(st.integers(1, 7), label="degree")
+    cycle = st.lists(st.integers(0, degree - 1), min_size=1, max_size=degree, unique=True)
+    gens = data.draw(st.lists(st.lists(cycle, max_size=2), max_size=3), label="gens")
+    try:
+        perms = [cycles_to_perm(degree, cycles) for cycles in gens]
+    except InvalidPermutation:
+        assume(False)
+    G = group_from_json({"kind": "permutation", "degree": degree, "generators": gens},
+                        max_order_cap=5040)
+    H = group_from_permutations(degree, perms, max_order_cap=5040)
+    assert (G.table, G.generator_indices) == (H.table, H.generator_indices)
 
 
 def test_isomorphism_backtracking():
@@ -408,6 +453,7 @@ def test_generated_subgroups_satisfy_lagrange(data):
     G = catalog.shared_group(name)
     seed = data.draw(st.sets(st.integers(0, G.order - 1), max_size=3))
     S = subgroup_generated(G, seed)
+    assert S.mask == close_mask(G.table, seed, G.order)
     assert G.order % S.order == 0
     members = S.members()
     assert 0 in members

@@ -1,11 +1,14 @@
 """Theorem harness verdicts, census values, and the suite runner."""
 
+import itertools
+
 import pytest
 
 from modmax import catalog, verify
 from modmax.classify import is_supersoluble
-from modmax.groups import bits, core
+from modmax.groups import bits, core, direct_product
 from modmax.lattice import lattice_of
+from oracles import close_mask
 from modmax.verify import (
     FAILS,
     HOLDS,
@@ -154,6 +157,35 @@ def test_lemma_2_1_per_subgroup(suite_groups):
                for combo, K in decompositions
                if verify._core_free_decomposition(s3, lat, c2, [(combo, K)])]
     assert passing == [((6,), 1)]
+
+
+def _decomposition_groups():
+    for name in catalog.suite_names() + ["S4xC2", "E2^3xS3", "pq2_3_2"]:
+        yield catalog.shared_group(name)
+    yield direct_product(catalog.construct("S3"), catalog.construct("C5"))
+    yield direct_product(catalog.construct("pgroup_7^1:3:2"), catalog.construct("D10"))
+
+
+def test_direct_decompositions_are_internal_direct_products():
+    """Every (S1..Sr, K) found is G as an internal direct product by the
+    literal definition: the parts generate G, meet pairwise in {1}, and
+    members of different parts commute."""
+    shapes = set()
+    for G in _decomposition_groups():
+        full = (1 << G.order) - 1
+        for combo, K in verify._direct_decompositions(G, lattice_of(G)):
+            parts = [S.mask for S in combo] + [K.mask]
+            union = 0
+            for m in parts:
+                union |= m
+            assert close_mask(G.table, bits(union), G.order) == full, G.name
+            for a, b in itertools.combinations(parts, 2):
+                assert a & b == 1, G.name
+                assert all(G.table[x][y] == G.table[y][x]
+                           for x in bits(a) for y in bits(b)), G.name
+            shapes.add((len(combo), K.order == 1))
+    # r = 0, r = 1 beside a nontrivial K, and r = 2 with K = 1 all occur
+    assert {(0, False), (1, False), (1, True), (2, True)} <= shapes
 
 
 def test_lemma_2_1_finds_power_split_candidates_once_per_group(monkeypatch):
