@@ -40,14 +40,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .groups import (
     Group,
     NotNormal,
     SubgroupSet,
+    _closure,
     _greedy_generators,
-    _right_closure,
     bits,
     centralizer_mask,
     commutator_mask,
@@ -147,17 +148,6 @@ def _factor_is_cyclic(G: Group, kmask: int, hmask: int, factor_order: int) -> bo
     return factor_order == 1
 
 
-def _frattini_preimage_mask(G: Group, kmask: int) -> int:
-    """Pullback of Frattini(G/K): intersection of maximal subgroups above K."""
-    lat = lattice_of(G)
-    out = (1 << G.order) - 1
-    for i in lat.covers_down[lat.top()]:
-        m = lat.subgroups[i].mask
-        if m & kmask == kmask:
-            out &= m
-    return out
-
-
 def all_chief_factors(G: Group) -> tuple[ChiefFactor, ...]:
     """Every pair (K, H) of normals with H/K minimal normal in G/K, i.e. H
     covers K in the normal sublattice; K ascending, then H ascending."""
@@ -173,7 +163,7 @@ def all_chief_factors(G: Group) -> tuple[ChiefFactor, ...]:
         for h in bits(above):
             shadow |= lat.up[h] & ~(1 << h)
         K = lat.subgroups[k]
-        km, frattini = K.mask, _frattini_preimage_mask(G, K.mask)
+        km, frattini = K.mask, lat.frattini(k).mask
         for h in bits(above & ~shadow):
             H = lat.subgroups[h]
             hm, forder = H.mask, H.order // K.order
@@ -239,12 +229,13 @@ def is_nilpotent(G: Group, section=None) -> bool:
     """Lower central series reaches the trivial subgroup.  ``section`` =
     (lo, hi), masks with lo normal in hi, asks it of hi/lo inside G: since
     gamma_i(hi/lo) = gamma_i(hi)lo/lo, the series is [cur, hi]lo from hi
-    (the normal subgroup [cur, hi] right-multiplied by generators of lo)."""
+    (the normal subgroup [cur, hi] of hi extended by the generators of lo,
+    which normalise it)."""
     lo, hi = section or (1, (1 << G.order) - 1)
     lo_gens = _greedy_generators(G.table, lo)
     return _series_reaches(
         G, ("nilpotent", lo, hi), lo, hi,
-        lambda cur: _right_closure(G.table, lo_gens, commutator_mask(G, cur, hi)))
+        lambda cur: _closure(G.table, commutator_mask(G, cur, hi), lo_gens))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +356,7 @@ def is_u_critical(G: Group) -> bool:
 def is_phi_dispersive(G: Group, ordering) -> bool:
     """A nested chain of normal subgroups realises the prime ordering:
     for every i there is a normal subgroup of order p_1^a_1 ... p_i^a_i."""
-    phi = tuple(int(p) for p in ordering)
+    phi = tuple(map(operator.index, ordering))
     spectrum = prime_spectrum(G)
     if tuple(sorted(phi)) != spectrum:
         raise BadOrdering(f"{phi} is not an ordering of {spectrum}")

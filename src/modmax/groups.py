@@ -68,33 +68,71 @@ def bits(mask: int):
         mask ^= low
 
 
-def _right_closure(table, gens, start: int = 1) -> int:
-    """Mask of the elements reached from the mask ``start`` by right
-    multiplication with ``gens``, in O(n * |gens|).  In a group, from the
-    identity this is the subgroup they generate (positive words suffice,
-    inverses being positive powers); from a normal subgroup N it is N<gens>."""
+def _closure(table, start: int, gens, elems=None) -> int:
+    """Mask of <H, gens> for the subgroup H = ``start`` (members ``elems``,
+    read off the mask when not given), whenever H <= <N, gens> for some
+    subgroup N <= H that every generator normalises.  Right cosets Hr are
+    added, from H itself, until every representative times every generator
+    lands in their union U (Dimino's method; Holt, Eick and O'Brien,
+    *Handbook of Computational Group Theory*, 2005, section 4.1).
+
+    U is <H, gens>.  A product rs already in U lies in some Hr', so hrs is
+    in Hr' and U is closed under right multiplication by the generators.
+    U holds N, so it holds N<gens>, a subgroup as the generators normalise
+    N (inverses are positive powers).  Its members are products of members
+    of H and generators, so N<gens> <= U <= <H, gens> = <N, gens> =
+    N<gens>, the middle step by H <= <N, gens>.  The callers have
+
+    - N = 1, ``gens`` generating H too: the lattice's extensions,
+      ``_normal_closure_mask``, ``Group.validate``, a cyclic subgroup;
+    - N = H, every generator normalising H: ``is_nilpotent``'s [cur, hi]lo
+      and ``sylow_subgroup``'s step inside the normaliser;
+    - N = ``below`` in ``_greedy_generators``: H = <below, the generators
+      so far>, all of them in ``mask``, where below is normal.
+
+    Early exit: U lies in the subgroup <H, gens>, whose order divides n
+    (Lagrange), so once U has more than n/2 members that subgroup is the
+    whole table.
+
+    On a table not yet known to be associative (``Group.validate``), H and
+    the generators lie in the middle nucleus {a : (xa)y = x(ay) for all x,
+    y}.  With an identity and rows and columns that are permutations it is
+    a group (Bruck, *A Survey of Binary Systems*, 1958): (x(ab))y =
+    ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y) closes it under products,
+    which associate on it, and it is finite with cancellation.  Every
+    product formed here has both factors in it, so the run is Dimino's in
+    that group.  For a subgroup K of it the left cosets xK partition the
+    table: z = xk gives zk' = x(kk'), so zK = xK, and |xK| = |K| as left
+    multiplication is one-to-one.  So |K| divides n, and the early exit
+    holds there too."""
+    if elems is None:
+        elems = tuple(bits(start))
+    n = len(table)
     mask = start
-    stack = list(bits(start))
-    while stack:
-        row = table[stack.pop()]
-        for g in gens:
-            y = row[g]
+    reps = [0]
+    for r in reps:
+        row = table[r]
+        for s in gens:
+            y = row[s]
             if not (mask >> y) & 1:
-                mask |= 1 << y
-                stack.append(y)
+                reps.append(y)
+                if 2 * len(reps) * len(elems) > n:
+                    return (1 << n) - 1
+                for h in elems:
+                    mask |= 1 << table[h][y]
     return mask
 
 
 def _greedy_generators(table, mask: int, below: int = 1) -> tuple[int, ...]:
     """Generators of the subgroup ``mask`` modulo its normal subgroup
     ``below``: each least member outside the subgroup generated by ``below``
-    and the members taken before it."""
+    and the members taken before it, that subgroup extended from the last."""
     gens: list[int] = []
     reached = below
     for x in bits(mask & ~below):
         if not (reached >> x) & 1:
             gens.append(x)
-            reached = _right_closure(table, gens, below)
+            reached = _closure(table, reached, gens)
             if reached == mask:
                 break
     return tuple(gens)
@@ -227,8 +265,11 @@ class Group:
         if generators is None:
             gens = _greedy_generators(rows, full)
         else:
-            gens = tuple(dict.fromkeys(int(g) for g in generators))
-            if _right_closure(rows, gens) != full:
+            gens = tuple(dict.fromkeys(map(operator.index, generators)))
+            for g in gens:
+                if not 0 <= g < n:
+                    raise NotAGroup(f"stated generator {g} out of range")
+            if _closure(rows, 1, gens) != full:
                 raise NotAGroup("stated generators do not generate the group")
         self.generator_indices = gens
 
@@ -286,7 +327,7 @@ class Group:
                         f"associativity fails on triple ({x},{a},{c}): "
                         f"({x}*{a})*{c} = {lhs[c]} but {x}*({a}*{c}) = {rhs[c]}")
             gens.append(a)
-            reached = _right_closure(t, gens)
+            reached = _closure(t, reached, gens)
         return self
 
     def __len__(self) -> int:
@@ -534,15 +575,18 @@ def core(G: Group, H: SubgroupSet) -> SubgroupSet:
 def _normal_closure_mask(G: Group, seed, gens) -> int:
     """Smallest subgroup containing ``seed`` that ``gens`` normalise: each
     seed or conjugate not yet reached becomes a generator, and its
-    conjugates by ``gens`` are queued.  Each new generator at least doubles
-    the span: at most log2(n) + 1 closures of O(n * generators)."""
+    conjugates by ``gens`` are queued.  Each closure extends the subgroup
+    reached by its right cosets, at least doubling it, so for a result H
+    the k <= log2|H| closures compute each member of H once, and multiply
+    at most |H| coset representatives (per closure its index, the indices
+    multiplying to |H|) by at most k generators each."""
     table, mask, found = G.table, 1, []
     stack = list(seed)
     while stack:
         x = stack.pop()
         if not (mask >> x) & 1:
             found.append(x)
-            mask = _right_closure(table, found)
+            mask = _closure(table, mask, found)
             stack.extend(G.conj(g, x) for g in gens)
     return mask
 
@@ -629,7 +673,7 @@ def semidirect_product(N: Group, H: Group, action,
     checked one whole row at a time; the table is built from the rows of
     the generators (n, 1) and (1, h).
     """
-    acts = [tuple(int(v) for v in perm) for perm in action]
+    acts = [tuple(map(operator.index, perm)) for perm in action]
     if len(acts) != H.order:
         raise NotAnAction(f"expected {H.order} automorphisms, got {len(acts)}")
     ident = tuple(range(N.order))
@@ -722,7 +766,7 @@ def sylow_subgroup(G: Group, p: int) -> SubgroupSet:
                 break
         if chosen is None:  # cannot happen for a p-subgroup below full p-order
             raise GroupError(f"Sylow growth stalled for p={p} in {G.name}")
-        current = subgroup_generated(G, list(bits(current.mask)) + [chosen])
+        current = SubgroupSet(G, _closure(G.table, current.mask, (chosen,)))
     return current
 
 
@@ -733,7 +777,7 @@ def hall_subgroup(G: Group, primes) -> SubgroupSet | None:
     subgroup exists (Hall subgroups can fail to exist outside soluble
     groups).  The first lattice member in canonical order is returned.
     """
-    pset = sorted(set(int(p) for p in primes))
+    pset = sorted(set(map(operator.index, primes)))
     for p in pset:
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")

@@ -4,10 +4,11 @@ The lattice of a group is enumerated once by cyclic extension and cached on
 the group.  Starting from the trivial subgroup, a subgroup H is extended by
 one generator x of each cyclic subgroup of prime-power order with x not in
 H, and <H, x> is closed from H by adding right cosets of H one at a time
-(Dimino's method).  Every subgroup is generated by its prime-power
-elements, so a chain of such extensions reaches it; perfect subgroups
-included.  Two exact facts cut the extensions (Holt, Eick and O'Brien,
-*Handbook of Computational Group Theory*, 2005, on cyclic extension):
+(Dimino's method, ``groups._closure``, the package's one subgroup
+closure).  Every subgroup is generated by its prime-power elements, so a
+chain of such extensions reaches it; perfect subgroups included.  Two
+exact facts cut the extensions (Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, 2005, on cyclic extension):
 
 - Conjugacy classes.  A new subgroup K brings its whole class into the
   found set (closed under conjugation by the group's generators, leaving
@@ -88,6 +89,7 @@ from .groups import (
     Group,
     GroupError,
     SubgroupSet,
+    _closure,
     _gatherer,
     _greedy_generators,
     _normal_closure_mask,
@@ -330,11 +332,15 @@ class SubgroupLattice:
                              if self.layers[k] >> p & 1))
         return MaximalChain(self, tuple(reversed(chain)))
 
-    def frattini(self) -> SubgroupSet:
-        """Intersection of the maximal subgroups of the whole group."""
+    def frattini(self, K=None) -> SubgroupSet:
+        """Intersection of the maximal subgroups of the whole group that
+        contain K (every one when K is None).  For K normal it is the
+        preimage of the Frattini subgroup of G/K (correspondence theorem)."""
+        inside_k = self.up[0 if K is None else self.index(K)]
         mask = self._masks[self.top()]
         for i in self.covers_down[self.top()]:
-            mask &= self._masks[i]
+            if inside_k >> i & 1:
+                mask &= self._masks[i]
         return self.subgroups[self.index_of[mask]]
 
     # -- predicate columns ----------------------------------------------------
@@ -540,26 +546,6 @@ def _kurosh(lat, members, m: int, get, sizes) -> bool:
     return a == tuple(b)
 
 
-def _extend(table, elems: tuple[int, ...], mask: int,
-            gens: tuple[int, ...], order: int) -> int:
-    """Mask of <H, x>, where H = <gens[:-1]> has members ``elems`` and mask
-    ``mask`` and x = gens[-1] lies outside H.  Right cosets Hr are added
-    until every rep times every generator lands in the union (Dimino).  A
-    subgroup of more than half the group's order is the whole group."""
-    reps = [0]
-    for r in reps:
-        row = table[r]
-        for s in gens:
-            y = row[s]
-            if not (mask >> y) & 1:
-                reps.append(y)
-                if 2 * len(reps) * len(elems) > order:
-                    return (1 << order) - 1
-                for h in elems:
-                    mask |= 1 << table[h][y]
-    return mask
-
-
 def primary_cyclic(G: Group) -> dict[int, int]:
     """Each cyclic subgroup of G of prime-power order > 1, as a mask, mapped
     to its least generator; memoised on the group."""
@@ -569,11 +555,7 @@ def primary_cyclic(G: Group) -> dict[int, int]:
         cyclic = {}
         for x in range(1, G.order):
             if len(factorize(orders[x])) == 1:
-                m, y = 1, x
-                while y:
-                    m |= 1 << y
-                    y = table[y][x]
-                cyclic.setdefault(m, x)
+                cyclic.setdefault(_closure(table, 1, (x,)), x)
         G._cache["primary_cyclic"] = cyclic
     return cyclic
 
@@ -600,7 +582,7 @@ def enumerate_lattice(G: Group) -> SubgroupLattice:
             for x in cyclic.values():
                 if (skip >> x) & 1:
                     continue
-                k = _extend(table, elems, h, gens + (x,), G.order)
+                k = _closure(table, h, gens + (x,), elems)
                 if is_prime(k.bit_count() // len(elems)):
                     skip |= k
                 if k not in found:

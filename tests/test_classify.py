@@ -239,6 +239,10 @@ def test_dispersive_orderings(suite_groups):
 def test_bad_ordering_rejected(suite_groups):
     with pytest.raises(BadOrdering):
         is_phi_dispersive(suite_groups["S3"], (5, 2))
+    # operator.index rejects floats instead of truncating them to (2, 3)
+    for ordering in ((2.5, 3.1), (2.0, 3), ("2", "3")):
+        with pytest.raises(TypeError):
+            is_phi_dispersive(suite_groups["S3"], ordering)
 
 
 def test_hypercyclic_center(suite_groups):

@@ -20,6 +20,9 @@ from modmax.groups import (
     NotAnAction,
     NotNormal,
     NotPrime,
+    SubgroupSet,
+    _closure,
+    _greedy_generators,
     automorphisms,
     bits,
     center,
@@ -140,6 +143,21 @@ def test_table_checks_name_the_first_failure(table, message):
     with pytest.raises(NotAGroup) as exc:
         Group(table)
     assert str(exc.value) == message
+
+
+def test_stated_generators_are_indices_in_range():
+    c2 = catalog.construct("C2")
+    for gens, message in (([-1], "stated generator -1 out of range"),
+                          ([5], "stated generator 5 out of range"),
+                          ([1, 2], "stated generator 2 out of range")):
+        with pytest.raises(NotAGroup) as exc:
+            Group(c2.table, generators=gens)
+        assert str(exc.value) == message
+    # operator.index rejects floats and strings instead of truncating them
+    for gens in ([1.9], ["1"], [0.5, 1]):
+        with pytest.raises(TypeError):
+            Group(c2.table, generators=gens)
+    assert Group(c2.table, generators=[True, 1]).generator_indices == (1,)
 
 
 def test_every_entry_is_read_as_an_int_before_any_check():
@@ -301,6 +319,10 @@ def test_semidirect_rejects_non_action():
     bad = (0, 1, 2), (1, 0, 2)  # second map moves the identity
     with pytest.raises(NotAnAction):
         semidirect_product(n, h, bad)
+    # operator.index rejects floats instead of truncating them to (0, 2, 1)
+    for bad in ([(0, 1, 2), (0.2, 2.9, 1.5)], [(0, 1, 2), ("0", "2", "1")]):
+        with pytest.raises(TypeError):
+            semidirect_product(n, h, bad)
 
 
 def test_holomorph_c7_has_order_42():
@@ -336,6 +358,9 @@ def test_hall_subgroups(suite_groups):
     assert h3 is not None and h3.order == 3
     h23 = hall_subgroup(a4, [2, 3])
     assert h23 is not None and h23.order == 12
+    for primes in ([2.0], ["3"], [2, 3.5]):  # read with operator.index
+        with pytest.raises(TypeError):
+            hall_subgroup(a4, primes)
 
 
 def test_hall_subgroup_absence_in_insoluble_group():
@@ -461,6 +486,46 @@ def test_generated_subgroups_satisfy_lagrange(data):
         assert G.inverse[a] in S
         for b in members:
             assert G.table[a][b] in S
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_closure_extends_a_subgroup_in_each_of_its_three_cases(data):
+    """``_closure(table, H, gens)`` is <H, gens> when H <= <N, gens> for a
+    subgroup N <= H that gens normalise, checked against the all-pairs
+    closure on groups of at most 6 points in the three cases the package
+    uses: N = 1 (gens generate H too), N = H (gens normalise H), and H =
+    <N, a prefix of gens> with gens normalising N.  The callers built on
+    them, ``subgroup_generated`` and the greedy generators modulo N, are
+    checked the same way."""
+    degree = data.draw(st.integers(1, 6), label="degree")
+    perms = data.draw(st.lists(st.permutations(list(range(degree))),
+                               min_size=1, max_size=3), label="generators")
+    try:
+        G = group_from_permutations(degree, perms, max_order_cap=120)
+    except ClosureExceedsCap:
+        assume(False)
+    t, n = G.table, G.order
+    span = lambda xs: close_mask(t, xs, n)
+    elements = st.lists(st.integers(0, n - 1), max_size=3)
+    a = data.draw(elements, label="generators of H")
+    b = data.draw(elements, label="more generators")
+    H = span(a)
+    # N = 1
+    assert _closure(t, H, a + b) == span(a + b)
+    assert subgroup_generated(G, a + b).mask == span(a + b)
+    # N = H
+    c = data.draw(st.lists(st.sampled_from(normalizer(G, SubgroupSet(G, H)).members()),
+                           max_size=3), label="normalising generators")
+    assert _closure(t, H, c) == span(a + c)
+    # N = H as ``below``, started from <N, a prefix of the generators>
+    j = data.draw(st.integers(0, len(c)), label="prefix")
+    assert _closure(t, span(a + c[:j]), c) == span(a + c)
+    top = span(a + c)
+    gens = _greedy_generators(t, top, H)
+    for i, x in enumerate(gens):
+        assert x == min(bits(top & ~span([*bits(H), *gens[:i]])))
+    assert span([*bits(H), *gens]) == top
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from modmax import catalog
 from modmax import lattice as lattice_module
-from modmax.groups import subgroup_generated, whole_group
+from modmax.groups import quotient, subgroup_generated, whole_group
 from modmax.lattice import (
     BadDepth, TooManySubgroups, enumerate_lattice, lattice_of)
 from modmax.verify import run_suite
@@ -189,6 +189,21 @@ def test_frattini_examples(suite_groups):
     assert phi.order == 2
     from modmax.groups import center
     assert phi.mask == center(q8).mask
+
+
+@pytest.mark.parametrize("name", ["C12", "D8", "Q8", "A4", "S4", "A4xC2", "pq2_2_3"])
+def test_frattini_above_k_is_the_preimage_of_the_quotients(name):
+    """frattini(K), the meet of the maximal subgroups containing K, is the
+    preimage of Frattini(G/K) for every normal K, read through the rebuilt
+    quotient; frattini() is K = 1."""
+    G = catalog.shared_group(name)
+    lat = lattice_of(G)
+    assert lat.frattini() == lat.frattini(0) == lat.frattini(lat.subgroups[0])
+    for k in lat.normal_indices():
+        Q, proj = quotient(G, lat.subgroups[k])
+        phi = lattice_of(Q).frattini().mask
+        preimage = sum(1 << x for x in range(G.order) if phi >> proj[x] & 1)
+        assert lat.frattini(k).mask == preimage
 
 
 def test_covers_are_transitive_reduction(suite_groups):
