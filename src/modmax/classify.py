@@ -49,6 +49,7 @@ from .groups import (
     SubgroupSet,
     _closure,
     _greedy_generators,
+    _memo,
     bits,
     centralizer_mask,
     commutator_mask,
@@ -151,10 +152,10 @@ def _factor_is_cyclic(G: Group, kmask: int, hmask: int, factor_order: int) -> bo
 def all_chief_factors(G: Group) -> tuple[ChiefFactor, ...]:
     """Every pair (K, H) of normals with H/K minimal normal in G/K, i.e. H
     covers K in the normal sublattice; K ascending, then H ascending."""
-    key = "chief_factors"
-    hit = G._cache.get(key)
-    if hit is not None:
-        return hit
+    return _memo(G, "chief_factors", _chief_factors, G)
+
+
+def _chief_factors(G: Group) -> tuple[ChiefFactor, ...]:
     lat = lattice_of(G)
     factors = []
     for k in bits(lat.normal):
@@ -170,9 +171,7 @@ def all_chief_factors(G: Group) -> tuple[ChiefFactor, ...]:
             aut = G.order // centralizer_mask(G, hm, km).bit_count()
             cyc = _factor_is_cyclic(G, km, hm, forder)
             factors.append(ChiefFactor(K, H, forder, aut, cyc, hm & frattini == hm))
-    result = tuple(factors)
-    G._cache[key] = result
-    return result
+    return tuple(factors)
 
 
 def chief_series(G: Group, prefer: str = "first") -> tuple[ChiefFactor, ...]:
@@ -181,6 +180,8 @@ def chief_series(G: Group, prefer: str = "first") -> tuple[ChiefFactor, ...]:
     ``prefer`` picks which normal cover to take at each step ("first" or
     "last" in canonical order); used to cross-check series independence.
     """
+    if prefer not in ("first", "last"):
+        raise ValueError(f"prefer must be 'first' or 'last', not {prefer!r}")
     factors = all_chief_factors(G)
     series = []
     current = trivial_subgroup(G).mask
@@ -204,25 +205,18 @@ def is_abelian(G: Group) -> bool:
     return all(t[a][b] == t[b][a] for a in gens for b in gens)
 
 
-def _series_reaches(G: Group, key, lo: int, hi: int, step) -> bool:
-    """Iterate ``step`` (mask to mask) from ``hi`` to a fixpoint and ask
-    whether it is ``lo``; memoised on G."""
-    hit = G._cache.get(key)
-    if hit is not None:
-        return hit
-    cur = hi
-    while True:
-        nxt = step(cur)
-        if nxt == cur:
-            G._cache[key] = cur == lo
-            return cur == lo
-        cur = nxt
+def _fixpoint(step, cur: int) -> int:
+    """Iterate ``step`` (mask to mask) from ``cur`` until it stops."""
+    nxt = step(cur)
+    while nxt != cur:
+        cur, nxt = nxt, step(nxt)
+    return cur
 
 
 def is_soluble(G: Group) -> bool:
-    """Derived series reaches the trivial subgroup."""
-    return _series_reaches(G, "soluble", 1, (1 << G.order) - 1,
-                           lambda cur: commutator_mask(G, cur, cur))
+    """Derived series reaches the trivial subgroup; its end is memoised."""
+    return _memo(G, "soluble", _fixpoint, lambda cur: commutator_mask(G, cur, cur),
+                 (1 << G.order) - 1) == 1
 
 
 def is_nilpotent(G: Group, section=None) -> bool:
@@ -230,12 +224,11 @@ def is_nilpotent(G: Group, section=None) -> bool:
     (lo, hi), masks with lo normal in hi, asks it of hi/lo inside G: since
     gamma_i(hi/lo) = gamma_i(hi)lo/lo, the series is [cur, hi]lo from hi
     (the normal subgroup [cur, hi] of hi extended by the generators of lo,
-    which normalise it)."""
+    which normalise it).  The series' end is memoised per section."""
     lo, hi = section or (1, (1 << G.order) - 1)
     lo_gens = _greedy_generators(G.table, lo)
-    return _series_reaches(
-        G, ("nilpotent", lo, hi), lo, hi,
-        lambda cur: _closure(G.table, commutator_mask(G, cur, hi), lo_gens))
+    step = lambda cur: _closure(G.table, commutator_mask(G, cur, hi), lo_gens)
+    return _memo(G, ("nilpotent", lo, hi), _fixpoint, step, hi) == lo
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +413,12 @@ def residual(G: Group, test, label: str) -> SubgroupSet:
     """Smallest normal subgroup R with G/R in the class whose chief factors
     all pass ``test``.  G/N is in the class when no failing factor H/K of G
     has N <= K, so R is the intersection of those N.  G/R is rebuilt once
-    and checked, as a cross-check of that reading (G/1 is G itself)."""
+    and checked, as a cross-check of that reading (G/1 is G itself); R is
+    memoised on G per ``test``, so G/R is not kept."""
+    return _memo(G, ("residual", test), _residual, G, test, label)
+
+
+def _residual(G: Group, test, label: str) -> SubgroupSet:
     lat = lattice_of(G)
     bad = 0
     for f in all_chief_factors(G):

@@ -8,9 +8,11 @@ Conventions used throughout the package:
 - a subgroup is a bitmask over element indices (bit i set = element i is a
   member), wrapped in :class:`SubgroupSet`.
 
-Groups are immutable once built.  Derived data (element orders, subgroup
-lattices, quotients) is memoised on the instance under ``_cache`` by the
-modules that need it; the cache never changes observable behaviour.
+Groups are immutable once built.  Answers about a group (element orders,
+primary cyclic subgroups, the subgroup lattice, chief factors, series and
+residuals) are memoised on the instance through :func:`_memo`; no derived
+group (quotient or subgroup) is, so each lives only as long as its caller
+keeps it.  The memo never changes observable behaviour.
 """
 
 from __future__ import annotations
@@ -58,7 +60,17 @@ class LoadError(GroupError):
 
 
 # ---------------------------------------------------------------------------
-# bitmask helpers
+# memo and bitmask helpers
+
+def _memo(owner, key, compute, *args):
+    """``owner._cache[key]``, filled from ``compute(*args)`` on the first
+    read; the only reader and writer of a ``_cache``.  ``compute`` never
+    returns None, which marks a miss."""
+    hit = owner._cache.get(key)
+    if hit is None:
+        hit = owner._cache[key] = compute(*args)
+    return hit
+
 
 def bits(mask: int):
     """Yield the set bit positions of ``mask`` in ascending order."""
@@ -285,18 +297,7 @@ class Group:
         return t[t[t[a][b]][self.inverse[a]]][self.inverse[b]]
 
     def element_orders(self) -> tuple[int, ...]:
-        orders = self._cache.get("element_orders")
-        if orders is None:
-            out = []
-            for x in range(self.order):
-                k, y = 1, x
-                while y != 0:
-                    y = self.table[y][x]
-                    k += 1
-                out.append(k)
-            orders = tuple(out)
-            self._cache["element_orders"] = orders
-        return orders
+        return _memo(self, "element_orders", _element_orders, self.table)
 
     def element_order(self, x: int) -> int:
         return self.element_orders()[x]
@@ -344,6 +345,18 @@ class Group:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
+
+
+def _element_orders(table) -> tuple[int, ...]:
+    """The order of each element, by repeated right multiplication."""
+    out = []
+    for x in range(len(table)):
+        k, y = 1, x
+        while y != 0:
+            y = table[y][x]
+            k += 1
+        out.append(k)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -628,10 +641,6 @@ def quotient(G: Group, N: SubgroupSet) -> tuple[Group, tuple[int, ...]]:
     """
     if N.mask == 1:  # singleton cosets: this construction gives G itself
         return G, tuple(range(G.order))
-    key = ("quotient", N.mask)
-    hit = G._cache.get(key)
-    if hit is not None:
-        return hit  # normality was checked when the entry was built
     if not is_normal_subgroup(G, N):
         raise NotNormal(f"subgroup of order {N.order} is not normal in {G.name}")
     t = G.table
@@ -650,9 +659,7 @@ def quotient(G: Group, N: SubgroupSet) -> tuple[Group, tuple[int, ...]]:
     gen_rows = [_gather(proj, _gather(t[reps[c]], reps)) for c in qgens]
     Q = Group(_table_from_generator_rows(qindex, gen_rows), name=f"{G.name}/{N.order}",
               generators=qgens)
-    result = (Q, tuple(proj))
-    G._cache[key] = result
-    return result
+    return Q, tuple(proj)
 
 
 def direct_product(A: Group, B: Group, name: str | None = None) -> Group:
@@ -745,6 +752,7 @@ def sylow_subgroup(G: Group, p: int) -> SubgroupSet:
     A p-subgroup below full p-order has index divisible by p in its
     normalizer, so it can always be extended by the least suitable element.
     """
+    p = operator.index(p)
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     p_part = 1
@@ -801,21 +809,14 @@ def subgroup_as_group(G: Group, S: SubgroupSet) -> tuple[Group, tuple[int, ...]]
 
     Returns (group, elements) where elements[i] is the parent index of the
     new element i.  Each row is two copies at C speed: the parent row at
-    the members, then its local indices.  Cached per mask on the parent.
+    the members, then its local indices.
     """
-    key = ("subgroup", S.mask)
-    hit = G._cache.get(key)
-    if hit is not None:
-        return hit
     elems = S.members()
     local = [0] * G.order  # parent index -> local index, on the members
     for i, x in enumerate(elems):
         local[x] = i
     table = [_gather(local, _gather(G.table[x], elems)) for x in elems]
-    sub = Group(table, name=f"{G.name}<{S.order}>")
-    result = (sub, elems)
-    G._cache[key] = result
-    return result
+    return Group(table, name=f"{G.name}<{S.order}>"), elems
 
 
 def _extend_partial_map(A: Group, B: Group, span, fmap, g, img):

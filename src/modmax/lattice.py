@@ -92,6 +92,7 @@ from .groups import (
     _closure,
     _gatherer,
     _greedy_generators,
+    _memo,
     _normal_closure_mask,
     bits,
     conjugate_mask,
@@ -255,12 +256,10 @@ class SubgroupLattice:
         self.layers = tuple(layers)
         self.max_chain_length = len(layers) - 1
 
-        # (predicate, lo, hi) -> column of the section [lo, hi]
-        self._columns: dict[tuple[str, int, int], int] = {}
-        # index -> greedy generators; class representative -> subnormal
-        self._generators: dict[int, tuple[int, ...]] = {}
-        self._subnormal: dict[int, bool] = {}
-        self._sizes: tuple[dict[int, int], ...] | None = None
+        # answers memoised through _memo: (predicate, lo, hi) -> column of
+        # the section [lo, hi], "sizes" -> interval sizes, ("generators", i)
+        # -> greedy generators, ("subnormal", class representative) -> bool
+        self._cache: dict = {}
 
     # -- indexing helpers ---------------------------------------------------
 
@@ -288,12 +287,7 @@ class SubgroupLattice:
         """``sizes[a][b]`` is |[a, b]|, the number of subgroups k with
         a <= k <= b, for every b >= a: one AND of inclusion bitsets per
         comparable pair, counted on first use."""
-        if self._sizes is None:
-            up, down = self.up, self.down
-            self._sizes = tuple({b: (up[a] & down[b]).bit_count()
-                                 for b in self.above[a]}
-                                for a in range(self.size))
-        return self._sizes
+        return _memo(self, "sizes", _interval_sizes, self.up, self.down, self.above)
 
     # -- maximality ---------------------------------------------------------
 
@@ -353,12 +347,7 @@ class SubgroupLattice:
         lattice of the subgroup hi (lo = 0) or of the quotient by lo
         (hi = top); it defaults to the whole lattice."""
         lo, hi = (0, self.top()) if section is None else map(self.index, section)
-        key = (predicate, lo, hi)
-        if key not in self._columns:
-            if predicate not in _PREDICATES or not self.up[lo] >> hi & 1:
-                raise KeyError(f"no {predicate!r} column on [{lo}, {hi}]")
-            self._columns[key] = self._evaluate(predicate, lo, hi)
-        return self._columns[key]
+        return _memo(self, (predicate, lo, hi), self._evaluate, predicate, lo, hi)
 
     @property
     def modular(self) -> int:
@@ -411,6 +400,8 @@ class SubgroupLattice:
         subgroup section [1, hi] quantifies over hi's primary cyclic
         subgroups (see ``is_quasinormal``); in a quotient section [lo, hi]
         with lo > 0 over every member."""
+        if predicate not in _PREDICATES or not self.up[lo] >> hi & 1:
+            raise KeyError(f"no {predicate!r} column on [{lo}, {hi}]")
         o, join_t, meet_t = self._orders, self.join_t, self.meet_t
         inside = self.up[lo] & self.down[hi]
         members = tuple(bits(inside))
@@ -449,10 +440,7 @@ class SubgroupLattice:
         so the answer is memoised per class representative."""
         c = self.class_of[self.index(H)]
         rep = (c & -c).bit_length() - 1
-        hit = self._subnormal.get(rep)
-        if hit is None:
-            hit = self._subnormal[rep] = self._descends(rep)
-        return hit
+        return _memo(self, ("subnormal", rep), self._descends, rep)
 
     def _descends(self, mi: int) -> bool:
         """Each term's normal closure of mi, closed from mi's greedy
@@ -471,11 +459,8 @@ class SubgroupLattice:
         return True
 
     def _greedy(self, i: int) -> tuple[int, ...]:
-        gens = self._generators.get(i)
-        if gens is None:
-            gens = self._generators[i] = _greedy_generators(
-                self.group.table, self._masks[i])
-        return gens
+        return _memo(self, ("generators", i), _greedy_generators,
+                     self.group.table, self._masks[i])
 
     # -- export ----------------------------------------------------------------
 
@@ -546,17 +531,23 @@ def _kurosh(lat, members, m: int, get, sizes) -> bool:
     return a == tuple(b)
 
 
+def _interval_sizes(up, down, above) -> tuple[dict[int, int], ...]:
+    return tuple({b: (up[a] & down[b]).bit_count() for b in above_a}
+                 for a, above_a in enumerate(above))
+
+
 def primary_cyclic(G: Group) -> dict[int, int]:
     """Each cyclic subgroup of G of prime-power order > 1, as a mask, mapped
     to its least generator; memoised on the group."""
-    cyclic = G._cache.get("primary_cyclic")
-    if cyclic is None:
-        table, orders = G.table, G.element_orders()
-        cyclic = {}
-        for x in range(1, G.order):
-            if len(factorize(orders[x])) == 1:
-                cyclic.setdefault(_closure(table, 1, (x,)), x)
-        G._cache["primary_cyclic"] = cyclic
+    return _memo(G, "primary_cyclic", _primary_cyclic, G)
+
+
+def _primary_cyclic(G: Group) -> dict[int, int]:
+    table, orders = G.table, G.element_orders()
+    cyclic = {}
+    for x in range(1, G.order):
+        if len(factorize(orders[x])) == 1:
+            cyclic.setdefault(_closure(table, 1, (x,)), x)
     return cyclic
 
 
@@ -606,8 +597,4 @@ def enumerate_lattice(G: Group) -> SubgroupLattice:
 
 def lattice_of(G: Group) -> SubgroupLattice:
     """The subgroup lattice of G, memoised on the group instance."""
-    lat = G._cache.get("lattice")
-    if lat is None:
-        lat = enumerate_lattice(G)
-        G._cache["lattice"] = lat
-    return lat
+    return _memo(G, "lattice", enumerate_lattice, G)

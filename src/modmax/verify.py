@@ -68,6 +68,7 @@ from .classify import (
 from .groups import (
     Group,
     SubgroupSet,
+    _memo,
     bits,
     centralizer,
     conjugate_mask,
@@ -310,10 +311,17 @@ def _residual_hall_conclusion(G: Group, lat, n: int):
 # ---------------------------------------------------------------------------
 # propositions
 
+def _quotient_nearly_nilpotent(G: Group, N: SubgroupSet) -> bool:
+    """G/N is nearly nilpotent, asked of the rebuilt quotient: read through
+    G's chief factors the check would be a tautology.  The answer is
+    memoised on G per N, and G/N is not kept."""
+    return _memo(G, ("nearly nilpotent quotient", N.mask),
+                 lambda: is_nearly_nilpotent(quotient(G, N)[0]))
+
+
 def _prop_2_9_cases(G: Group, lat) -> tuple[bool, bool]:
     """(G nearly nilpotent, G over its Frattini subgroup nearly nilpotent)."""
-    q_phi, _ = quotient(G, lat.frattini())
-    return is_nearly_nilpotent(G), is_nearly_nilpotent(q_phi)
+    return is_nearly_nilpotent(G), _quotient_nearly_nilpotent(G, lat.frattini())
 
 
 def _prop_2_9_hypothesis(G: Group, lat):
@@ -332,8 +340,7 @@ def _prop_2_9_conclusion(G: Group, lat):
         if not is_strongly_supersoluble(G):
             witnesses.append("nearly nilpotent but not strongly supersoluble")
         for N in normal_subgroups(G):
-            Q, _ = quotient(G, N)
-            if not is_nearly_nilpotent(Q):
+            if not _quotient_nearly_nilpotent(G, N):
                 witnesses.append(
                     f"quotient by normal subgroup of order {N.order} "
                     "is not nearly nilpotent")

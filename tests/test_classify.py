@@ -28,6 +28,7 @@ from modmax.classify import (
     is_supersoluble,
     is_u_critical,
     normal_subgroups,
+    residual,
     residual_strongly_supersoluble,
     residual_supersoluble,
 )
@@ -282,6 +283,16 @@ def test_residuals(suite_groups):
     assert residual_strongly_supersoluble(h13).order == 13
 
 
+def test_residual_is_memoised_per_test_not_per_label():
+    """Two tests under one label get their own residuals."""
+    G = catalog.construct("hol_C13")
+    cyclic = lambda f: f.is_cyclic
+    central = lambda f: f.automizer_order == 1
+    assert residual(G, cyclic, "same").order == 1
+    assert residual(G, central, "same").order == 13
+    assert residual(G, cyclic, "same").order == 1
+
+
 def test_nilpotent_hall(suite_groups):
     a4 = suite_groups["A4"]
     assert is_nilpotent_hall(a4, trivial_subgroup(a4))
@@ -290,6 +301,11 @@ def test_nilpotent_hall(suite_groups):
     g24 = suite_groups["A4xC2"]
     v4 = residual_strongly_supersoluble(g24)
     assert v4.order == 4 and not is_nilpotent_hall(g24, v4)
+
+
+def test_chief_series_rejects_an_unknown_preference(suite_groups):
+    with pytest.raises(ValueError, match="'bogus'"):
+        chief_series(suite_groups["S3"], prefer="bogus")
 
 
 def test_jordan_holder_consistency(suite_groups):

@@ -348,6 +348,11 @@ def test_sylow_subgroups(suite_groups):
     assert sylow_subgroup(s4, 3).order == 3
     with pytest.raises(NotPrime):
         sylow_subgroup(s3, 4)
+    with pytest.raises(NotPrime, match="^1 is not prime$"):
+        sylow_subgroup(s3, True)  # read with operator.index, as hall_subgroup does
+    for p in (2.0, 5.0, "3"):
+        with pytest.raises(TypeError):
+            sylow_subgroup(s3, p)
 
 
 def test_hall_subgroups(suite_groups):

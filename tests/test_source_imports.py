@@ -75,3 +75,42 @@ def test_every_private_helper_is_used():
         and not any(name == node.name and (m, owner) != (module, node.name)
                     for m, owner, name in refs))
     assert not unused, f"private helpers nothing refers to: {unused}"
+
+
+def _is_cache_init(node) -> bool:
+    """``x._cache = {}`` or ``x._cache: dict = {}``."""
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    elif isinstance(node, ast.Assign):
+        targets = node.targets
+    else:
+        return False
+    return (len(targets) == 1 and isinstance(targets[0], ast.Attribute)
+            and targets[0].attr == "_cache"
+            and isinstance(node.value, ast.Dict) and not node.value.keys)
+
+
+def _cache_uses(node, scope=()):
+    """(dotted enclosing definition, line) for every ``_cache`` attribute or
+    string under ``node``, leaving out the empty initialisations."""
+    for child in ast.iter_child_nodes(node):
+        if _is_cache_init(child):
+            continue
+        inner = scope + (child.name,) if isinstance(child, _DEFINITIONS) else scope
+        if (isinstance(child, ast.Attribute) and child.attr == "_cache"
+                or isinstance(child, ast.Constant) and child.value == "_cache"):
+            yield ".".join(scope), child.lineno
+        yield from _cache_uses(child, inner)
+
+
+def test_only_memo_reads_or_writes_a_cache():
+    """Every memo goes through ``groups._memo``.  Besides it, a ``_cache``
+    is only set to ``{}``: where an owner is built, and by
+    ``Group.__getstate__``, which ships none to a worker process."""
+    allowed = {("groups.py", "_memo"), ("groups.py", "Group.__getstate__")}
+    uses = {(p.name, scope, line)
+            for p in SRC.glob("*.py")
+            for scope, line in _cache_uses(ast.parse(p.read_text(encoding="utf-8")))}
+    assert {(name, scope) for name, scope, _ in uses} >= allowed
+    stray = sorted(use for use in uses if use[:2] not in allowed)
+    assert not stray, f"_cache read or written outside groups._memo: {stray}"

@@ -1,6 +1,9 @@
 """Theorem harness verdicts, census values, and the suite runner."""
 
+import gc
+import importlib
 import itertools
+import weakref
 
 import pytest
 
@@ -504,3 +507,34 @@ def test_suite_builds_each_lattice_once(monkeypatch):
     run_suite("all", "all")
     assert len(built) == 66, built
     assert not [name for name in built if name.endswith("/1")], built
+
+
+def test_derived_groups_are_not_kept_on_their_parent(monkeypatch):
+    """Every quotient and subgroup rebuilt as a group during the gate and
+    ``classify`` is garbage once they return, although each parent is still
+    alive: only answers are memoised on G.  G/1 is G itself, left out."""
+    # modmax.classify the module: the package binds the name to the function
+    classify, groups = map(importlib.import_module, ("modmax.classify", "modmax.groups"))
+
+    monkeypatch.setattr(catalog, "_shared", {})
+    refs = []
+    for attr in ("quotient", "subgroup_as_group"):
+        real = getattr(groups, attr)
+
+        def recording(G, S, real=real, attr=attr):
+            H, index = real(G, S)
+            if H is not G:
+                refs.append((attr, weakref.ref(H)))
+            return H, index
+
+        for module in (groups, classify, verify):
+            if getattr(module, attr, None) is real:
+                monkeypatch.setattr(module, attr, recording)
+    run_suite("all", "all")
+    parents = [catalog.construct(name) for name in ("S4", "SL23")]
+    for G in parents:
+        classify.classify(G)
+    assert {attr for attr, _ in refs} == {"quotient", "subgroup_as_group"}
+    gc.collect()
+    alive = [ref().name for _, ref in refs if ref() is not None]
+    assert not alive, alive
