@@ -24,10 +24,10 @@ from .groups import (
     DEFAULT_MAX_ORDER,
     ClosureExceedsCap,
     Group,
-    _table_from_generator_rows,
     automorphisms,
     direct_product,
     factorize,
+    group_from_generator_rows,
     group_from_permutations,
     is_prime,
     prime_spectrum,
@@ -51,9 +51,8 @@ def cyclic(n: int, name: str | None = None) -> Group:
     if n < 1:
         raise BadParameters(f"cyclic order must be positive, got {n}")
     index = tuple(range(n))
-    gens, rows = ([1], [index[1:] + index[:1]]) if n > 1 else ([], [])
-    return Group(_table_from_generator_rows(index, rows), name=name or f"C{n}",
-                 generators=gens)
+    rows = [index[1:] + index[:1]] if n > 1 else []
+    return group_from_generator_rows(index, rows, name or f"C{n}")
 
 
 def elementary_abelian(p: int, k: int, name: str | None = None) -> Group:
@@ -70,8 +69,7 @@ def elementary_abelian(p: int, k: int, name: str | None = None) -> Group:
     rows = [tuple(chain.from_iterable(index[s + g:s + g * p] + index[s:s + g]
                                       for s in range(0, n, g * p)))
             for g in gens]
-    return Group(_table_from_generator_rows(index, rows), name=name or f"E{p}^{k}",
-                 generators=gens)
+    return group_from_generator_rows(index, rows, name or f"E{p}^{k}")
 
 
 def dihedral(order: int, name: str | None = None) -> Group:
@@ -84,9 +82,8 @@ def dihedral(order: int, name: str | None = None) -> Group:
     # r^j -> r^(j+1) and s r^j -> s r^(j+1); s r^j -> r^(-j) and r^j -> s r^(-j)
     rotate = rots[1:] + rots[:1] + refls[1:] + refls[:1]
     reflect = refls[:1] + refls[:0:-1] + rots[:1] + rots[:0:-1]
-    gens, rows = ([1, m], [rotate, reflect]) if m > 1 else ([m], [reflect])
-    return Group(_table_from_generator_rows(index, rows), name=name or f"D{order}",
-                 generators=gens)
+    rows = [rotate, reflect] if m > 1 else [reflect]
+    return group_from_generator_rows(index, rows, name or f"D{order}")
 
 
 def quaternion8(name: str = "Q8") -> Group:
@@ -95,8 +92,7 @@ def quaternion8(name: str = "Q8") -> Group:
     # a * a^j b^k = a^(j+1) b^k;  b * a^j = a^(-j) b  and  b * a^j b = a^(2-j)
     times_a = tuple(index[(j + 1) % 4 + 4 * k] for k in (0, 1) for j in range(4))
     times_b = tuple(index[(2 * k - j) % 4 + 4 * (1 - k)] for k in (0, 1) for j in range(4))
-    return Group(_table_from_generator_rows(index, [times_a, times_b]), name=name,
-                 generators=[1, 4])
+    return group_from_generator_rows(index, [times_a, times_b], name)
 
 
 def symmetric(n: int, name: str | None = None) -> Group:

@@ -178,36 +178,64 @@ def _gather(values, positions) -> tuple:
     return _gatherer(positions)(values)
 
 
-def _table_from_generator_rows(index, gen_rows) -> list[tuple[int, ...]]:
-    """The multiplication table of a group from the rows of its generators.
+def group_from_generator_rows(index, gen_rows, name: str = "G") -> "Group":
+    """The group whose table the rows of its generators determine.
 
     ``index`` is ``tuple(range(n))``, and each row in ``gen_rows`` draws its
-    entries from it, with ``row_g[x] = g*x``.  As (g*y)*x = g*(y*x), the
-    row of g*y is the row of y read through the row of g.  Walking the left
-    Cayley graph breadth first from the identity therefore copies each row
-    once, n entries at C speed, with O(n * |gens|) steps in Python; every
-    entry of the table is an object of ``index``.
+    entries from it, with ``row_g[x] = g*x``; the generators are the
+    elements ``row_g[0]``, in order.  As (g*y)*x = g*(y*x), the row of g*y
+    is the row of g read at the row of y.  Walking the left Cayley graph
+    breadth first from the identity copies each row once, n entries at C
+    speed, and every entry of the table is an object of ``index``.
+
+    The walk is also the proof that the table is a group's, so
+    :class:`Group`'s O(n^2) checks are not run again (Holt, Eick and
+    O'Brien, *Handbook of Computational Group Theory*, 2005, section 4.1).
+    Let P be the permutation group the generator rows generate, and R the
+    rows built, one for each element z, with first entry z.  Every row in
+    R is a product of generator rows, so R <= P.  Each edge of the walk
+    checks row_g o row_y = row_(g*y), so R is closed under composition
+    with the generators, hence with P (inverses are positive powers), and
+    R = P as R holds the identity row ``index``.  So |P| = n and P is
+    regular, and row_z o row_x, the member of P with first entry z*x, is
+    row_(z*x): the table is P's under z -> row_z, associative, with
+    identity 0.  The inverses follow the walk: (g*y)^-1 = y^-1 * g^-1.
     """
-    rows: list = [None] * len(index)
+    n = len(index)
+    for k, row in enumerate(gen_rows):
+        if sorted(row) != list(index):
+            raise NotAGroup(f"generator row {k} is not a permutation of 0..{n - 1}")
+    ginv = [row.index(0) for row in gen_rows]  # g*x = 0 at x = g^-1
+    rows: list = [None] * n
     rows[0] = index
-    reached = [0]
+    reached, tree = [0], [None]  # tree[i]: the edge (y, g^-1) reaching reached[i]
     for y in reached:
-        row_y = rows[y]
-        for row_g in gen_rows:
+        times_y = _gatherer(rows[y])  # times_y(row_g) is the row of g*y
+        for row_g, g_inv in zip(gen_rows, ginv):
             z = row_g[y]
+            row = times_y(row_g)
             if rows[z] is None:
-                rows[z] = _gather(row_g, row_y)
+                rows[z] = row
                 reached.append(z)
-    if len(reached) != len(index):
+                tree.append((y, g_inv))
+            elif rows[z] != row:
+                raise NotAGroup(
+                    f"generator rows do not act regularly: element {z} has two rows")
+    if len(reached) != n:
         raise NotAGroup("stated generators do not generate the group")
-    return rows
+    inverse = [index[0]] * n
+    for z, (y, g_inv) in zip(reached[1:], tree[1:]):
+        inverse[z] = rows[inverse[y]][g_inv]
+    G = Group.__new__(Group)
+    G._fill(name, tuple(rows), tuple(inverse), dict.fromkeys(row[0] for row in gen_rows))
+    return G
 
 
-def _pair_table(N: "Group", H: "Group", acts):
-    """Table and generators of the pairs (x, h), packed as index x*|H| + h,
-    with (x, h)(y, k) = (x * acts[h][y], h*k).  Only the rows of the
-    generators (g, 1) and (1, h) are built here; ``acts[h]`` is read for
-    the generators h of H alone."""
+def _pair_group(N: "Group", H: "Group", acts, name: str) -> "Group":
+    """The group of the pairs (x, h), packed as index x*|H| + h, with
+    (x, h)(y, k) = (x * acts[h][y], h*k).  Only the rows of the generators
+    (g, 1) and (1, h) are built here; ``acts[h]`` is read for the
+    generators h of H alone."""
     nh = H.order
     index = tuple(range(N.order * nh))
     blocks = [index[x * nh:(x + 1) * nh] for x in range(N.order)]  # the pairs (x, *)
@@ -217,8 +245,7 @@ def _pair_table(N: "Group", H: "Group", acts):
         row_h = H.table[h]
         gen_rows.append(tuple(chain.from_iterable(
             _gather(blocks[y], row_h) for y in acts[h])))
-    gens = [g * nh for g in N.generator_indices] + list(H.generator_indices)
-    return _table_from_generator_rows(index, gen_rows), gens
+    return group_from_generator_rows(index, gen_rows, name)
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +254,29 @@ def _pair_table(N: "Group", H: "Group", acts):
 class Group:
     """A finite group given by its full multiplication table.
 
-    Construction performs the O(n^2) checks (identity at index 0,
-    Latin-square rows/columns, two-sided inverses), one row or column at a
-    time at C speed, and draws every entry from one tuple of the n indices.
-    Entries are read with :func:`operator.index`, so a float or a string
-    raises TypeError instead of being truncated.
-    Associativity is checked only by :meth:`validate` (O(n^2 log n)), which
-    :func:`group_from_cayley_table` calls on untrusted input.
+    ``Group(table)`` is the path for tables from outside the package.  It
+    performs the O(n^2) checks (identity at index 0, Latin-square
+    rows/columns, two-sided inverses), one row or column at a time at C
+    speed, and draws every entry from one tuple of the n indices.  Entries
+    are read with :func:`operator.index`, so a float or a string raises
+    TypeError instead of being truncated.  Associativity is checked only by
+    :meth:`validate` (O(n^2 log n)), which :func:`group_from_cayley_table`
+    calls on untrusted input.
+
+    Every group the package builds itself (catalog families, permutation
+    closures, quotients, subgroups, direct and semidirect products) comes
+    from :func:`group_from_generator_rows`, whose walk over the generators'
+    rows proves the group axioms, associativity included, without these
+    checks.
     """
+
+    def _fill(self, name, table, inverse, generators) -> None:
+        self.name = str(name)
+        self.order = len(table)
+        self.table = table
+        self.inverse = inverse
+        self.generator_indices = tuple(generators)
+        self._cache: dict = {}
 
     def __init__(self, table, name: str = "G", generators=None):
         rows = [tuple(map(operator.index, row)) for row in table]
@@ -268,11 +310,6 @@ class Group:
             if rows[r][i] != 0:
                 raise NotAGroup(f"element {i} has no two-sided inverse")
             inverse.append(r)
-        self.name = str(name)
-        self.order = n
-        self.table = rows
-        self.inverse = tuple(inverse)
-        self._cache: dict = {}
         full = (1 << n) - 1
         if generators is None:
             gens = _greedy_generators(rows, full)
@@ -283,7 +320,7 @@ class Group:
                     raise NotAGroup(f"stated generator {g} out of range")
             if _closure(rows, 1, gens) != full:
                 raise NotAGroup("stated generators do not generate the group")
-        self.generator_indices = gens
+        self._fill(name, rows, tuple(inverse), gens)
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -428,7 +465,8 @@ def group_from_permutations(degree: int, generators, name: str = "G",
         raise InvalidPermutation("degree must be at least 1")
     gens = [_check_permutation(p, degree) for p in generators]
     if degree == 1:  # itemgetter of one point returns that point, not a tuple
-        return Group([[0]], name=name, generators=[0] * len(gens))
+        index = (0,)
+        return group_from_generator_rows(index, [index] * len(gens), name)
     ident = tuple(range(degree))
     elems = [ident]
     seen = {ident}
@@ -451,8 +489,7 @@ def group_from_permutations(degree: int, generators, name: str = "G",
     index = tuple(range(len(elems)))
     lookup = dict(zip(elems, index)).__getitem__
     gen_rows = [tuple(map(lookup, map(itemgetter(*g), elems))) for g in gens]  # g*p
-    return Group(_table_from_generator_rows(index, gen_rows), name=name,
-                 generators=map(lookup, gens))
+    return group_from_generator_rows(index, gen_rows, name)
 
 
 def group_from_cayley_table(table, name: str = "G",
@@ -501,6 +538,8 @@ def group_from_json(data, max_order_cap: int = DEFAULT_MAX_ORDER) -> Group:
     if not isinstance(data, dict):
         raise LoadError("group description must be a JSON object")
     name = data.get("name", "G")
+    if not isinstance(name, str):
+        raise LoadError(f"group name must be a string, got {name!r}")
     kind = data.get("kind")
     try:
         if kind == "permutation":
@@ -657,16 +696,13 @@ def quotient(G: Group, N: SubgroupSet) -> tuple[Group, tuple[int, ...]]:
             proj[row[nmem]] = idx
     qgens = tuple(dict.fromkeys(proj[g] for g in G.generator_indices if proj[g] != 0))
     gen_rows = [_gather(proj, _gather(t[reps[c]], reps)) for c in qgens]
-    Q = Group(_table_from_generator_rows(qindex, gen_rows), name=f"{G.name}/{N.order}",
-              generators=qgens)
-    return Q, tuple(proj)
+    return group_from_generator_rows(qindex, gen_rows, f"{G.name}/{N.order}"), tuple(proj)
 
 
 def direct_product(A: Group, B: Group, name: str | None = None) -> Group:
     """Direct product on pairs, packed as index a*|B| + b, built from the
     rows of the generators (a, 1) and (1, b)."""
-    table, gens = _pair_table(A, B, [range(A.order)] * B.order)
-    return Group(table, name=name or f"{A.name}x{B.name}", generators=gens)
+    return _pair_group(A, B, [range(A.order)] * B.order, name or f"{A.name}x{B.name}")
 
 
 def semidirect_product(N: Group, H: Group, action,
@@ -705,8 +741,7 @@ def semidirect_product(N: Group, H: Group, action,
             if acts[h12] != _gather(act, acts[h2]):  # action[h1] after action[h2]
                 raise NotAnAction(
                     f"action is not a homomorphism (fails on pair ({h1},{h2}))")
-    table, gens = _pair_table(N, H, acts)
-    return Group(table, name=name or f"{N.name}:{H.name}", generators=gens)
+    return _pair_group(N, H, acts, name or f"{N.name}:{H.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -808,15 +843,19 @@ def subgroup_as_group(G: Group, S: SubgroupSet) -> tuple[Group, tuple[int, ...]]
     """Reindex a subgroup as its own Group.
 
     Returns (group, elements) where elements[i] is the parent index of the
-    new element i.  Each row is two copies at C speed: the parent row at
-    the members, then its local indices.
+    new element i.  The rows of S's greedy generators are two copies at C
+    speed each: the parent row at the members, then its local indices; the
+    other rows are copied from them.  Local indices keep the parent's order,
+    so the generators are the ones greedy generation finds in the new table.
     """
     elems = S.members()
+    index = tuple(range(len(elems)))
     local = [0] * G.order  # parent index -> local index, on the members
-    for i, x in enumerate(elems):
+    for i, x in zip(index, elems):
         local[x] = i
-    table = [_gather(local, _gather(G.table[x], elems)) for x in elems]
-    return Group(table, name=f"{G.name}<{S.order}>"), elems
+    gen_rows = [_gather(local, _gather(G.table[x], elems))
+                for x in _greedy_generators(G.table, S.mask)]
+    return group_from_generator_rows(index, gen_rows, f"{G.name}<{S.order}>"), elems
 
 
 def _extend_partial_map(A: Group, B: Group, span, fmap, g, img):

@@ -35,11 +35,13 @@ from modmax.groups import (
     direct_product,
     find_isomorphism,
     group_from_cayley_table,
+    group_from_generator_rows,
     group_from_json,
     group_from_permutations,
     hall_subgroup,
     is_isomorphic,
     is_normal_subgroup,
+    load_group,
     normal_closure,
     normalizer,
     prime_spectrum,
@@ -158,6 +160,42 @@ def test_stated_generators_are_indices_in_range():
         with pytest.raises(TypeError):
             Group(c2.table, generators=gens)
     assert Group(c2.table, generators=[True, 1]).generator_indices == (1,)
+
+
+@pytest.mark.parametrize("gen_rows, message", [
+    ([(1, 1, 2)], "generator row 0 is not a permutation of 0..2"),
+    ([(1, 0, 2)], "stated generators do not generate the group"),
+    # S3 on 3 points: transitive, but six permutations cannot be three rows
+    ([(1, 0, 2), (1, 2, 0)], "generator rows do not act regularly: element 1 has two rows"),
+])
+def test_generator_rows_that_give_no_group_table_are_refused(gen_rows, message):
+    with pytest.raises(NotAGroup) as exc:
+        group_from_generator_rows((0, 1, 2), gen_rows)
+    assert str(exc.value) == message
+
+
+def test_package_constructors_never_run_group_init(monkeypatch, tmp_path):
+    """Every group the package builds itself comes from its generators'
+    rows; only a table from outside runs ``Group.__init__``'s checks."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("Group.__init__ ran")
+
+    monkeypatch.setattr(Group, "__init__", refuse)
+    names = set(catalog._NAMED) | set(catalog.suite_names()) | {
+        "C1", "C3", "D2", "D12", "E2^0", "E5^2", "hol_C5", "pq2_3_7", "pgroup_7^2:3:2", "S3xQ8"}
+    built = {name: catalog.construct(name) for name in sorted(names)}
+    s4 = built["S4"]
+    a4 = derived_subgroup(s4)
+    assert quotient(s4, a4)[0].order == 2
+    assert subgroup_as_group(s4, a4)[0].order == 12
+    assert direct_product(built["S3"], built["C2"]).order == 12
+    assert semidirect_product(built["C3"], built["C2"], [(0, 1, 2), (0, 2, 1)]).order == 6
+    path = tmp_path / "a4.json"
+    path.write_text('{"kind": "permutation", "degree": 4, '
+                    '"generators": [[[0, 1], [2, 3]], [[1, 2, 3]]]}', encoding="utf-8")
+    assert load_group(path).order == 12
+    with pytest.raises(AssertionError, match="Group.__init__ ran"):
+        group_from_cayley_table([[0, 1], [1, 0]])
 
 
 def test_every_entry_is_read_as_an_int_before_any_check():
@@ -398,6 +436,20 @@ def test_group_json_roundtrip(tmp_path):
         group_from_json(bad)
 
 
+@pytest.mark.parametrize("name, message", [
+    (["a"], "group name must be a string, got ['a']"),
+    (None, "group name must be a string, got None"),
+    (7, "group name must be a string, got 7"),
+])
+def test_group_json_name_must_be_a_string(name, message):
+    data = {"name": name, "kind": "permutation", "degree": 2, "generators": [[[0, 1]]]}
+    with pytest.raises(LoadError) as exc:
+        group_from_json(data)
+    assert str(exc.value) == message
+    del data["name"]
+    assert group_from_json(data).name == "G"
+
+
 def test_cycles_to_perm():
     assert cycles_to_perm(4, [[0, 1], [2, 3]]) == (1, 0, 3, 2)
     assert cycles_to_perm(3, [[0, 1], [1, 0]]) == (1, 0, 2)  # a later cycle overwrites
@@ -554,6 +606,8 @@ def test_suite_tables_are_groups(suite_groups):
         for g in G.generator_indices:
             assert 0 <= g < G.order
         assert subgroup_generated(G, G.generator_indices).order == G.order
+        for x, x_inv in enumerate(G.inverse):
+            assert G.table[x][x_inv] == 0 == G.table[x_inv][x], (name, x)
 
 
 def test_subgroup_as_group_consistency(suite_groups):
@@ -1196,8 +1250,9 @@ def test_semidirect_checks_name_the_first_failure(n, k, action, message):
 
 
 def test_catalog_builders_hold_one_table_of_shared_entries():
-    """The builders' rows draw on one tuple of indices, so a build peaks at
-    about two tables of n^2 pointers: the builder's and Group()'s copy."""
+    """The builders' rows draw on one tuple of indices and the group keeps
+    the rows its generators' rows give, so a build peaks at about one
+    table of n^2 pointers."""
     for name in ("D600", "C600", "E2^9", "hol_C23", "S3xC2xD50"):
         tracemalloc.start()
         try:
@@ -1206,4 +1261,4 @@ def test_catalog_builders_hold_one_table_of_shared_entries():
         finally:
             tracemalloc.stop()
         pointers = sys.getsizeof(G.table) + sum(map(sys.getsizeof, G.table))
-        assert peak < 2.5 * pointers, (name, peak / pointers)
+        assert peak < 1.5 * pointers, (name, peak / pointers)
