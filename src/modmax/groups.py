@@ -18,6 +18,7 @@ keeps it.  The memo never changes observable behaviour.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass
 from itertools import chain
@@ -930,3 +931,106 @@ def is_isomorphic(A: Group, B: Group) -> bool:
 def automorphisms(G: Group) -> list[tuple[int, ...]]:
     """All automorphisms as index permutations, sorted.  Desk scale only."""
     return sorted(_isomorphisms(G, G))
+
+
+# ---------------------------------------------------------------------------
+# automorphisms found from the generators
+
+def found_automorphisms(G: Group) -> tuple[tuple[int, ...], ...]:
+    """Some automorphisms of G as index permutations, found by a bounded
+    search from ``G.generator_indices`` and each one verified; memoised on
+    the group.  Their number is not Aut(G)'s: a caller that reads orbits of
+    the group they generate gets smaller orbits from fewer of them, never a
+    wrong answer.
+
+    For each generator g_i, with g_j the next one (cyclically), the
+    candidate images of the generators are: g_i -> g_i*g_j; g_i and g_j
+    swapped when they have the same order; g_i -> g_i^a for each a among
+    the greedy generators of the units modulo the order of g_i.  So at
+    most 2k + sum_i |unit generators of ord(g_i)| candidates are tried for
+    k generators.  With the catalog's stated generators these include a
+    swap, a transvection and, for p > 2, a scalar on one coordinate of
+    E_p^k (generating GL(k, p) together), the unit multipliers of C_n and
+    x -> x^a on the rotations of D_n.  A candidate whose images differ in
+    order from the generators is skipped; each other one is extended along
+    one breadth-first spanning tree of the right Cayley graph and kept
+    when :func:`_is_automorphism` accepts it."""
+    return _memo(G, "found automorphisms", _found_automorphisms, G)
+
+
+def _found_automorphisms(G: Group) -> tuple[tuple[int, ...], ...]:
+    t, gens, orders = G.table, G.generator_indices, G.element_orders()
+    reached, seen = [0], bytearray(G.order)
+    seen[0] = 1
+    tree = []  # (z, x, j): z = x*g_j was first reached from x, breadth first
+    for x in reached:
+        row = t[x]
+        for j, g in enumerate(gens):
+            z = row[g]
+            if not seen[z]:
+                seen[z] = 1
+                reached.append(z)
+                tree.append((z, x, j))
+    found = {}
+    for images in _automorphism_candidates(G):
+        if any(orders[a] != orders[g] for a, g in zip(images, gens)):
+            continue
+        phi = [0] * G.order
+        for z, x, j in tree:
+            phi[z] = t[phi[x]][images[j]]
+        if _is_automorphism(G, phi):
+            found.setdefault(tuple(phi))
+    return tuple(found)
+
+
+def _automorphism_candidates(G: Group):
+    """The candidate images of the generators, as tuples (see
+    :func:`found_automorphisms`)."""
+    t, gens, orders = G.table, G.generator_indices, G.element_orders()
+    k = len(gens)
+    for i, g in enumerate(gens):
+        j = (i + 1) % k
+        h = gens[j]
+        yield gens[:i] + (t[g][h],) + gens[i + 1:]
+        if j != i and orders[g] == orders[h]:
+            swapped = list(gens)
+            swapped[i], swapped[j] = h, g
+            yield tuple(swapped)
+        for a in _unit_generators(orders[g]):
+            power = g
+            for _ in range(a - 1):
+                power = t[power][g]
+            yield gens[:i] + (power,) + gens[i + 1:]
+
+
+def _unit_generators(m: int) -> tuple[int, ...]:
+    """Greedy generators of the units modulo m: each least unit outside the
+    subgroup the ones before it generate."""
+    gens: list[int] = []
+    reached = {1}
+    for a in range(2, m):
+        if a not in reached and math.gcd(a, m) == 1:
+            gens.append(a)
+            power, layer = a, set(reached)
+            while power not in reached:  # reached times a^e, e = 1, 2, ...
+                layer = {x * a % m for x in layer}
+                reached |= layer
+                power = power * a % m
+    return tuple(gens)
+
+
+def _is_automorphism(G: Group, phi) -> bool:
+    """``phi`` (phi[x] the image of x) is a bijection with
+    phi(x*g) = phi(x)*phi(g) for every x and every generator g, compared one
+    whole column per generator at C speed, O(n*k).  By induction on the
+    length of a word w in the generators, phi(x*w) = phi(x)*phi(w), so phi
+    is a homomorphism, and being one-to-one an automorphism (Holt, Eick and
+    O'Brien, *Handbook of Computational Group Theory*, 2005)."""
+    n, t = G.order, G.table
+    if len(set(phi)) != n:
+        return False
+    for g in G.generator_indices:
+        column = list(map(itemgetter(phi[g]), t))  # column[y] = y*phi(g)
+        if _gather(phi, list(map(itemgetter(g), t))) != _gather(column, phi):
+            return False
+    return True

@@ -31,10 +31,10 @@ the join of i and j is the lowest index of ``up[i] & up[j]`` and the meet
 the highest of ``down[i] & down[j]``; covers and both tables need no
 closure.  The join and meet tables (``join_t``, ``meet_t``) build row i the
 first time it is read and keep it: a column tests one representative per
-class, so only the representatives' rows are built, and a lattice asked
-only for normal subgroups and covers (a quotient's, for its chief factors)
-builds none.  ``tests/oracles.py`` builds both tables whole, as the
-oracle.
+orbit or class, so only the representatives' rows are built, and a
+lattice asked only for normal subgroups and covers (a quotient's, for its
+chief factors) builds none.  ``tests/oracles.py`` builds both tables
+whole, as the oracle.
 
 Each embedding predicate is one int bitset over those indices, a column:
 ``normal`` is built with the lattice, ``modular``, ``quasinormal`` and
@@ -44,14 +44,22 @@ one bitset per depth, ``layers[n]``; n-maximality is read existentially
 several n) and each layer is the covers of the one above.  "Every
 n-maximal subgroup is modular" is ``layers[n] & ~modular`` being 0.
 
-Conjugation by g is a lattice automorphism that fixes G and every normal
-subgroup.  So each predicate, subnormality, and each predicate inside a
-quotient section [N, G] gives the same answer on every member of a
-conjugacy class of subgroups.  The enumeration records each subgroup's
-class (``class_of``), a subgroup is normal exactly when its class is
-itself, and each answer is evaluated on one representative per class and
-its class bitset ORed in.  A subgroup section [lo, hi] with hi < G is not
-fixed by conjugation and is evaluated member by member.
+An automorphism phi of G maps the subgroup lattice onto itself, keeping
+orders, joins and meets, and maps Sylow subgroups to Sylow subgroups and
+normal subgroups to normal ones.  So the modular, quasinormal and
+S-quasinormal columns of the whole lattice, and subnormality, give the same
+answer on every member of an orbit of the group of automorphisms (this is
+not a theorem of the paper, and no predicate uses one).  Conjugation is the
+inner case: it also fixes every normal subgroup N, so each predicate inside
+a quotient section [N, G] is constant on conjugacy classes.  The
+enumeration records each subgroup's class (``class_of``), a subgroup is
+normal exactly when its class is itself, and ``orbit_of`` joins the
+classes under the automorphisms that ``groups.found_automorphisms`` finds
+and verifies.  An answer on the whole lattice is evaluated on one
+representative per orbit and its orbit bitset ORed in, one on [N, G] per
+class; fewer automorphisms found only give smaller orbits.  phi moves N,
+so [N, G] is not read per orbit, and a subgroup section [lo, hi] with
+hi < G is not fixed by conjugation and is evaluated member by member.
 ``tests/oracles.py`` keeps per-member evaluation as the oracle.
 
 A predicate can be asked inside a section [lo, hi] as well.  The lattice
@@ -97,6 +105,7 @@ from .groups import (
     bits,
     conjugate_mask,
     factorize,
+    found_automorphisms,
     is_prime,
 )
 
@@ -258,7 +267,8 @@ class SubgroupLattice:
 
         # answers memoised through _memo: (predicate, lo, hi) -> column of
         # the section [lo, hi], "sizes" -> interval sizes, ("generators", i)
-        # -> greedy generators, ("subnormal", class representative) -> bool
+        # -> greedy generators, "orbits" -> ``orbit_of``, ("subnormal",
+        # orbit representative) -> bool
         self._cache: dict = {}
 
     # -- indexing helpers ---------------------------------------------------
@@ -279,6 +289,45 @@ class SubgroupLattice:
 
     def normal_indices(self) -> tuple[int, ...]:
         return tuple(bits(self.normal))
+
+    @property
+    def orbit_of(self) -> tuple[int, ...]:
+        """``orbit_of[i]``: the bitset of i's orbit under the group that
+        conjugation and ``found_automorphisms`` generate, a union of
+        conjugacy classes; ``class_of`` itself when none is found."""
+        return _memo(self, "orbits", self._orbits)
+
+    def _orbits(self) -> tuple[int, ...]:
+        """An automorphism phi normalises the inner ones (phi(H^g) =
+        phi(H)^phi(g)), so it maps each class onto a class, read off the
+        image of one representative.  The orbits are the classes joined,
+        breadth first, along those images; an orbit that holds every
+        subgroup of its order can grow no further."""
+        autos = found_automorphisms(self.group)
+        class_of = self.class_of
+        if not autos:
+            return class_of
+        shifted = [tuple(1 << y for y in phi) for phi in autos]
+        index_of, masks, orders = self.index_of, self._masks, self._orders
+        of_order: dict[int, int] = {}
+        for i, o in enumerate(orders):
+            of_order[o] = of_order.get(o, 0) | 1 << i
+        orbit_by_class: dict[int, int] = {}
+        for i, c in enumerate(class_of):
+            if c in orbit_by_class:
+                continue
+            orbit, todo, full = c, [c], of_order[orders[i]]
+            for d in todo:
+                if orbit == full:
+                    break
+                members = _gatherer(tuple(bits(masks[(d & -d).bit_length() - 1])))
+                for bit in shifted:
+                    e = class_of[index_of[sum(members(bit))]]
+                    if not e & orbit:
+                        orbit |= e
+                        todo.append(e)
+            orbit_by_class.update(dict.fromkeys(todo, orbit))
+        return tuple(map(orbit_by_class.__getitem__, class_of))
 
     def leq(self, a, b) -> bool:
         return bool(self.up[self.index(a)] >> self.index(b) & 1)
@@ -342,10 +391,11 @@ class SubgroupLattice:
     def column(self, predicate: str, section=None) -> int:
         """Bitset of the members of ``section`` that are ``predicate``
         ("modular", "quasinormal" or "s_quasinormal") in it, evaluated once
-        per conjugacy class when conjugation fixes the section, else once
-        per member.  ``section`` is (lo, hi) with lo <= hi, standing for the
-        lattice of the subgroup hi (lo = 0) or of the quotient by lo
-        (hi = top); it defaults to the whole lattice."""
+        per orbit on the whole lattice, once per conjugacy class on the
+        other sections that conjugation fixes, else once per member.
+        ``section`` is (lo, hi) with lo <= hi, standing for the lattice of
+        the subgroup hi (lo = 0) or of the quotient by lo (hi = top); it
+        defaults to the whole lattice."""
         lo, hi = (0, self.top()) if section is None else map(self.index, section)
         return _memo(self, (predicate, lo, hi), self._evaluate, predicate, lo, hi)
 
@@ -392,11 +442,12 @@ class SubgroupLattice:
         return self._reads("s_quasinormal", H, section)
 
     def _evaluate(self, predicate: str, lo: int, hi: int) -> int:
-        """One column.  On a section [N, G] with N normal (the whole lattice
-        included) conjugation permutes the members and keeps the answer, so
-        the least member of each class is tested and its class ORed in.
-        The quantifier loops walk index tuples of the section: walking
-        bitsets there is several times slower.  Quasinormality in a
+        """One column.  On the whole lattice the automorphisms found permute
+        the members and keep the answer, and on a section [N, G] with N
+        normal conjugation does, so the least member of each orbit (of
+        each class) is tested and its orbit (class) ORed in.  The
+        quantifier loops walk index tuples of the section: walking bitsets
+        there is several times slower.  Quasinormality in a
         subgroup section [1, hi] quantifies over hi's primary cyclic
         subgroups (see ``is_quasinormal``); in a quotient section [lo, hi]
         with lo > 0 over every member."""
@@ -422,11 +473,13 @@ class SubgroupLattice:
                 oi, join_i, meet_i = o[i], join_t[i], meet_t[i]
                 return all(oi * o[j] == o[join_i[j]] * o[meet_i[j]]
                            for j in others)
-        by_class = hi == self.top() and self.normal >> lo & 1
+        same_of = None  # member by member where conjugation moves the section
+        if hi == self.top() and self.normal >> lo & 1:
+            same_of = self.orbit_of if lo == 0 else self.class_of
         column = done = 0
         for i in members:
             if not done >> i & 1:
-                same = self.class_of[i] if by_class else 1 << i
+                same = same_of[i] if same_of else 1 << i
                 done |= same
                 if holds(i):
                     column |= same
@@ -436,9 +489,9 @@ class SubgroupLattice:
 
     def is_subnormal(self, H) -> bool:
         """Iterated normal closure inside the previous term descends to H.
-        Conjugation maps a subnormal series of H to one of each conjugate,
-        so the answer is memoised per class representative."""
-        c = self.class_of[self.index(H)]
+        An automorphism maps a subnormal series of H to one of its image,
+        so the answer is memoised per orbit representative."""
+        c = self.orbit_of[self.index(H)]
         rep = (c & -c).bit_length() - 1
         return _memo(self, ("subnormal", rep), self._descends, rep)
 

@@ -311,17 +311,21 @@ def _residual_hall_conclusion(G: Group, lat, n: int):
 # ---------------------------------------------------------------------------
 # propositions
 
-def _quotient_nearly_nilpotent(G: Group, N: SubgroupSet) -> bool:
+def _quotient_nearly_nilpotent(G: Group, lat, N: SubgroupSet) -> bool:
     """G/N is nearly nilpotent, asked of the rebuilt quotient: read through
-    G's chief factors the check would be a tautology.  The answer is
-    memoised on G per N, and G/N is not kept."""
-    return _memo(G, ("nearly nilpotent quotient", N.mask),
-                 lambda: is_nearly_nilpotent(quotient(G, N)[0]))
+    G's chief factors the check would be a tautology.  G/N is isomorphic to
+    G/phi(N) for every automorphism phi, so the answer is memoised on G per
+    orbit of N (``lat.orbit_of``) and asked of the quotient by the orbit's
+    least member, which is not kept."""
+    orbit = lat.orbit_of[lat.index(N)]
+    rep = lat.subgroups[(orbit & -orbit).bit_length() - 1]
+    return _memo(G, ("nearly nilpotent quotient", rep.mask),
+                 lambda: is_nearly_nilpotent(quotient(G, rep)[0]))
 
 
 def _prop_2_9_cases(G: Group, lat) -> tuple[bool, bool]:
     """(G nearly nilpotent, G over its Frattini subgroup nearly nilpotent)."""
-    return is_nearly_nilpotent(G), _quotient_nearly_nilpotent(G, lat.frattini())
+    return is_nearly_nilpotent(G), _quotient_nearly_nilpotent(G, lat, lat.frattini())
 
 
 def _prop_2_9_hypothesis(G: Group, lat):
@@ -340,7 +344,7 @@ def _prop_2_9_conclusion(G: Group, lat):
         if not is_strongly_supersoluble(G):
             witnesses.append("nearly nilpotent but not strongly supersoluble")
         for N in normal_subgroups(G):
-            if not _quotient_nearly_nilpotent(G, N):
+            if not _quotient_nearly_nilpotent(G, lat, N):
                 witnesses.append(
                     f"quotient by normal subgroup of order {N.order} "
                     "is not nearly nilpotent")

@@ -1,12 +1,13 @@
 """Literal helpers the tests check the package against.
 
 None of these is used by ``modmax`` itself.  ``close_mask`` closes a seed
-under products of every pair of members found so far.  The mask helpers
-translate subgroups between a group and a rebuilt subgroup or quotient; the
-lattice oracles evaluate one subgroup at a time, with no conjugacy classes, the way
-the lattice did before it answered once per class, and decide Kurosh's
-conditions (i) and (ii) by the literal quantifier loops rather than by
-counting interval sizes.  ``join_meet_tables`` builds both tables whole,
+under products of every pair of members found so far, and ``relabel``
+renames a table's elements at random.  The mask helpers translate
+subgroups between a group and a rebuilt subgroup or quotient; the lattice
+oracles evaluate one subgroup at a time, with no conjugacy classes or
+automorphism orbits, the way the lattice did before it answered once per
+class, and decide Kurosh's conditions (i) and (ii) by the literal
+quantifier loops rather than by counting interval sizes.  ``join_meet_tables`` builds both tables whole,
 against the lattice's rows built on first read.
 """
 
@@ -49,6 +50,16 @@ def close_mask(table, seed, ambient_order: int) -> int:
         if count > threshold:
             return (1 << ambient_order) - 1
     return mask
+
+
+def relabel(table, rng):
+    """The same table under a random permutation p of the non-identity
+    indices: entry p(a)p(b) is p(ab)."""
+    rest = list(range(1, len(table)))
+    rng.shuffle(rest)
+    p = [0] + rest
+    q = sorted(range(len(p)), key=p.__getitem__)  # the inverse of p
+    return [list(map(p.__getitem__, map(table[a].__getitem__, q))) for a in q]
 
 
 def product_mask(G, a_mask: int, b_mask: int) -> int:

@@ -160,11 +160,13 @@ def test_verify_class_heavy_bytes_are_pinned(capsys, name, size, digest):
      "932584615c5968d45d2f36a95c7859d49805f1cccef177eaffd1ccbd0289086c"),
     (("census", "catalog:E2^3xS3"), 631,
      "1426c6b6e0bb7fa6381211f9f9e56b734a8b8bbd88e577d239f4716842544faa"),
+    (("census", "catalog:E2^6"), 751,
+     "2bd10f4865f965a8cc8b916542bda1f586e5bba1b75df16f50a088cb2162e6f2"),
 ])
 def test_lattice_and_census_bytes_are_pinned(capsys, argv, size, digest):
     """The normal, modular and S-quasinormal columns and the cover lists of
     two large lattices (E2^5: 374 subgroups, S5: 156), and the census of
-    E2^3xS3, byte for byte."""
+    E2^3xS3 and of E2^6 (2,825 subgroups, all modular), byte for byte."""
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == EXIT_OK
     data = out.encode()

@@ -53,7 +53,7 @@ from modmax.groups import (
     trivial_subgroup,
     whole_group,
 )
-from oracles import close_mask
+from oracles import close_mask, relabel
 
 
 def test_symmetric_3_from_permutations():
@@ -655,16 +655,6 @@ def _validate_verdict(table):
     return True
 
 
-def _relabel(table, rng):
-    """The same table under a random permutation p of the non-identity
-    indices: entry p(a)p(b) is p(ab)."""
-    rest = list(range(1, len(table)))
-    rng.shuffle(rest)
-    p = [0] + rest
-    q = sorted(range(len(p)), key=p.__getitem__)  # the inverse of p
-    return [list(map(p.__getitem__, map(table[a].__getitem__, q))) for a in q]
-
-
 def _switch_intercalate(table, rng):
     """Swap the two values of a random 2x2 subsquare holding only non-zero
     values off row and column 0; identity and inverses are kept.  Returns
@@ -730,14 +720,14 @@ def _times_c2(loop):
 def test_validate_accepts_relabelled_suite_groups(suite_groups):
     rng = random.Random(7)
     for G in suite_groups.values():
-        assert _validate_verdict(_relabel(G.table, rng))
+        assert _validate_verdict(relabel(G.table, rng))
 
 
 def test_validate_rejects_switched_elementary_abelian_loops():
     rng = random.Random(11)
     for rank in (3, 4, 5, 6):
         for _ in range(3):
-            table = _relabel(_switch_intercalate(_xor_table(rank), rng), rng)
+            table = relabel(_switch_intercalate(_xor_table(rank), rng), rng)
             assert not _validate_verdict(table)
 
 
@@ -750,7 +740,7 @@ def test_validate_agrees_with_triple_loop_on_small_loops(data):
     else:
         name = data.draw(st.sampled_from(
             ["1", "C2", "C3", "V4", "C4", "C5", "S3", "C6", "C7", "D8", "Q8", "E2^3", "C2xC4"]))
-        table = _relabel(catalog.shared_group(name).table, rng)
+        table = relabel(catalog.shared_group(name).table, rng)
         if data.draw(st.booleans()):
             table = _switch_intercalate(table, rng)
     assume(table is not None)
@@ -785,7 +775,7 @@ def _dihedral_table(order):
 def test_validate_at_the_order_cap_is_not_cubic():
     """A relabelled order-2000 dihedral table is accepted in seconds; the
     literal triple loop took about five minutes on it."""
-    table = _relabel(_dihedral_table(2000), random.Random(2000))
+    table = relabel(_dihedral_table(2000), random.Random(2000))
     start = time.perf_counter()
     G = group_from_cayley_table(table, max_order_cap=2000)
     assert G.order == 2000

@@ -281,11 +281,12 @@ def test_rows_are_built_on_first_read():
 
 
 def test_suite_builds_no_rows_of_derived_lattices(monkeypatch):
-    """``run_suite("all", "all")`` builds 66 lattices: the 18 groups' own
-    and 48 of quotients and subgroups (Prop2.9 quotients, residual
-    self-checks).  Those 48 are asked for normal subgroups and covers only,
-    so none of their join or meet rows is built: 264 rows per table of the
-    397 that the 66 lattices could build, all in the 18 groups' own."""
+    """``run_suite("all", "all")`` builds 55 lattices: the 18 groups' own
+    and 37 of quotients and subgroups (Prop2.9 quotients, one per orbit of
+    normal subgroups; residual self-checks).  Those 37 are asked for normal
+    subgroups and covers only, so none of their join or meet rows is built:
+    264 rows per table of the 363 that the 55 lattices could build, all in
+    the 18 groups' own."""
     lattices = []
 
     class Recorded(lattice_module.SubgroupLattice):
@@ -298,9 +299,9 @@ def test_suite_builds_no_rows_of_derived_lattices(monkeypatch):
     run_suite("all", "all")
     own = {id(G) for G in catalog._shared.values()}
     derived = [lat for lat in lattices if id(lat.group) not in own]
-    assert (len(lattices), len(derived)) == (66, 48)
+    assert (len(lattices), len(derived)) == (55, 37)
     assert not any(_built(lat.join_t) or _built(lat.meet_t) for lat in derived)
-    assert sum(lat.size for lat in lattices) == 397
+    assert sum(lat.size for lat in lattices) == 363
     for table in ("join_t", "meet_t"):
         rows = sum(len(_built(getattr(lat, table))) for lat in lattices)
         assert rows == 264, table

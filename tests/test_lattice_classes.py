@@ -1,14 +1,19 @@
-"""Answers read once per conjugacy class against per-member evaluation.
+"""Answers read once per automorphism orbit or conjugacy class against
+per-member evaluation.
 
 The lattice records each subgroup's conjugacy class as the enumeration
-finds it, evaluates the predicate columns of the whole lattice and of every
-quotient section [N, G] on one representative per class, and memoises
-subnormality per class.  The oracles in ``oracles.py`` evaluate every
+finds it, and joins the classes into orbits under the automorphisms that
+``found_automorphisms`` finds and verifies.  It evaluates the predicate
+columns of the whole lattice on one representative per orbit, those of
+every other quotient section [N, G] on one per class, and memoises
+subnormality per orbit.  The oracles in ``oracles.py`` evaluate every
 member on its own: the columns with quantifier loops (Kurosh's conditions
 (i) and (ii) literally, not by counting; permutability against every
 member, not only the primary cyclic ones), subnormality by joining the
 conjugates of H by every member of each term.
 """
+
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,12 +22,14 @@ from modmax import catalog
 from modmax import lattice as lattice_module
 from modmax.groups import (
     ClosureExceedsCap,
+    Group,
     bits,
     conjugate_mask,
+    found_automorphisms,
     group_from_permutations,
 )
 from modmax.lattice import enumerate_lattice, lattice_of
-from oracles import column_by_members, subnormal_by_members
+from oracles import column_by_members, relabel, subnormal_by_members
 
 SUITE = [e.name for e in catalog.standard_suite()]
 GROUPS = SUITE + ["S4xC2", "A5", "S5", "pq2_3_11", "E2^3xS3", "C2xD8xS3"]
@@ -55,6 +62,53 @@ def test_classes_are_the_conjugacy_classes(name):
             expected |= 1 << lat.index_of[conjugate_mask(G, g, H.mask)]
         assert lat.class_of[i] == expected, (name, i)
         assert lat.is_normal(i) == (expected == 1 << i), (name, i)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_orbits_are_unions_of_classes_of_one_order(name):
+    """Each orbit is a union of whole conjugacy classes of subgroups of one
+    order, is the orbit of each of its members, and is mapped into itself
+    by every automorphism found."""
+    lat = lattice_of(catalog.shared_group(name))
+    orbit_of, class_of = lat.orbit_of, lat.class_of
+    for i in range(lat.size):
+        orbit = orbit_of[i]
+        assert orbit >> i & 1 and class_of[i] & ~orbit == 0, (name, i)
+        assert {lat.subgroups[j].order for j in bits(orbit)} == {
+            lat.subgroups[i].order}, (name, i)
+        assert all(orbit_of[j] == orbit for j in bits(orbit)), (name, i)
+        for phi in found_automorphisms(lat.group):
+            image = sum(1 << phi[x] for x in lat.subgroups[i])
+            assert orbit >> lat.index_of[image] & 1, (name, i)
+
+
+def _relabelled(name, seed):
+    return Group(relabel(catalog.construct(name).table, random.Random(seed)),
+                 name=f"{name}~{seed}")
+
+
+def _assert_orbit_answers_match(lat, name):
+    """The whole lattice's columns and subnormality, read once per orbit,
+    equal the answers evaluated member by member."""
+    top = lat.top()
+    for p in PREDICATES:
+        assert lat.column(p) == column_by_members(lat, p, 0, top), (name, p)
+    for i in range(lat.size):
+        assert lat.is_subnormal(i) == subnormal_by_members(lat, i), (name, i)
+
+
+@pytest.mark.parametrize("name, seed", [
+    ("E2^5", 1), ("E2^5", 2), ("E2^3xS3", 1), ("E2^3xS3", 2), ("S5", 1)])
+def test_orbit_answers_on_relabelled_tables(name, seed):
+    """Tables from outside, relabelled at random, have other generators
+    and so other automorphisms found; the answers stay those of every
+    member evaluated on its own.  Any basis of E2^5 gives a swap and a
+    transvection per coordinate, which generate GL(5, 2), so its orbits
+    are the 6 orders under every relabelling."""
+    G = _relabelled(name, seed)
+    lat = enumerate_lattice(G)
+    assert name != "E2^5" or len(set(lat.orbit_of)) == 6
+    _assert_orbit_answers_match(lat, G.name)
 
 
 @pytest.mark.parametrize("name", GROUPS)
@@ -124,6 +178,13 @@ def test_quasinormal_sections_match_on_random_permutation_groups(data):
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
+def test_orbit_answers_match_on_random_permutation_groups(data):
+    G = _draw_permutation_group(data)
+    _assert_orbit_answers_match(enumerate_lattice(G), G.name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
 def test_modular_sections_match_on_random_permutation_groups(data):
     """The interval count carries both of Kurosh's conditions, so its
     column must equal the literal one on every subgroup section [1, B]
@@ -154,3 +215,29 @@ def test_one_modularity_test_per_class(monkeypatch):
     d8 = next(i for i, s in enumerate(lat.subgroups) if s.order == 8)
     lat.column("modular", (0, d8))
     assert len(calls) == lat.down[d8].bit_count() == 10
+
+
+def test_one_modularity_test_per_orbit(monkeypatch):
+    """E2^5's 374 subgroups are 374 conjugacy classes but 6 orbits, one per
+    order, so its modular column runs Kurosh's conditions 6 times."""
+    lat = enumerate_lattice(catalog.construct("E2^5"))
+    calls = []
+    real = lattice_module._kurosh
+    monkeypatch.setattr(lattice_module, "_kurosh",
+                        lambda *args: calls.append(args[2]) or real(*args))
+    assert lat.modular == (1 << lat.size) - 1
+    assert (lat.size, len(set(lat.class_of)), len(set(lat.orbit_of))) == (374, 374, 6)
+    assert len(calls) == 6
+
+
+def test_e2_6_ground_truth():
+    """E2^6 has sum_j [6 choose j]_2 = 2,825 subgroups, in 7 orbits (one per
+    order: GL(6, 2) is transitive on the subspaces of each dimension), and
+    in an abelian group every subgroup is normal, modular, quasinormal and
+    S-quasinormal."""
+    lat = enumerate_lattice(catalog.construct("E2^6"))
+    counts = [sum(1 for s in lat.subgroups if s.order == 2 ** j) for j in range(7)]
+    assert counts == [1, 63, 651, 1395, 651, 63, 1]
+    assert (lat.size, len(set(lat.orbit_of))) == (2825, 7)
+    every = (1 << lat.size) - 1
+    assert (lat.normal, lat.modular, lat.quasinormal, lat.s_quasinormal) == (every,) * 4
