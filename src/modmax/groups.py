@@ -97,7 +97,7 @@ def _closure(table, start: int, gens, elems=None) -> int:
     N<gens>, the middle step by H <= <N, gens>.  The callers have
 
     - N = 1, ``gens`` generating H too: the lattice's extensions,
-      ``_normal_closure_mask``, ``Group.validate``, a cyclic subgroup;
+      ``_normal_closure_mask``, a cyclic subgroup;
     - N = H, every generator normalising H: ``is_nilpotent``'s [cur, hi]lo
       and ``sylow_subgroup``'s step inside the normaliser;
     - N = ``below`` in ``_greedy_generators``: H = <below, the generators
@@ -105,19 +105,8 @@ def _closure(table, start: int, gens, elems=None) -> int:
 
     Early exit: U lies in the subgroup <H, gens>, whose order divides n
     (Lagrange), so once U has more than n/2 members that subgroup is the
-    whole table.
-
-    On a table not yet known to be associative (``Group.validate``), H and
-    the generators lie in the middle nucleus {a : (xa)y = x(ay) for all x,
-    y}.  With an identity and rows and columns that are permutations it is
-    a group (Bruck, *A Survey of Binary Systems*, 1958): (x(ab))y =
-    ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y) closes it under products,
-    which associate on it, and it is finite with cancellation.  Every
-    product formed here has both factors in it, so the run is Dimino's in
-    that group.  For a subgroup K of it the left cosets xK partition the
-    table: z = xk gives zk' = x(kk'), so zK = xK, and |xK| = |K| as left
-    multiplication is one-to-one.  So |K| divides n, and the early exit
-    holds there too."""
+    whole table.  ``table`` is always a proven group's: every
+    :class:`Group` is proved one before it exists."""
     if elems is None:
         elems = tuple(bits(start))
     n = len(table)
@@ -189,8 +178,7 @@ def group_from_generator_rows(index, gen_rows, name: str = "G") -> "Group":
     breadth first from the identity copies each row once, n entries at C
     speed, and every entry of the table is an object of ``index``.
 
-    The walk is also the proof that the table is a group's, so
-    :class:`Group`'s O(n^2) checks are not run again (Holt, Eick and
+    The walk is also the proof that the table is a group's (Holt, Eick and
     O'Brien, *Handbook of Computational Group Theory*, 2005, section 4.1).
     Let P be the permutation group the generator rows generate, and R the
     rows built, one for each element z, with first entry z.  Every row in
@@ -224,12 +212,19 @@ def group_from_generator_rows(index, gen_rows, name: str = "G") -> "Group":
                     f"generator rows do not act regularly: element {z} has two rows")
     if len(reached) != n:
         raise NotAGroup("stated generators do not generate the group")
-    inverse = [index[0]] * n
+    G = Group.__new__(Group)
+    G._fill(name, tuple(rows), _tree_inverses(rows, reached, tree),
+            dict.fromkeys(row[0] for row in gen_rows))
+    return G
+
+
+def _tree_inverses(rows, reached, tree) -> tuple:
+    """The inverses along a walk's spanning tree, where ``tree[i] = (y,
+    g^-1)`` is the edge reaching ``reached[i] = g*y``: (g*y)^-1 = y^-1 * g^-1."""
+    inverse = [rows[0][0]] * len(rows)
     for z, (y, g_inv) in zip(reached[1:], tree[1:]):
         inverse[z] = rows[inverse[y]][g_inv]
-    G = Group.__new__(Group)
-    G._fill(name, tuple(rows), tuple(inverse), dict.fromkeys(row[0] for row in gen_rows))
-    return G
+    return tuple(inverse)
 
 
 def _pair_group(N: "Group", H: "Group", acts, name: str) -> "Group":
@@ -256,19 +251,26 @@ class Group:
     """A finite group given by its full multiplication table.
 
     ``Group(table)`` is the path for tables from outside the package.  It
-    performs the O(n^2) checks (identity at index 0, Latin-square
-    rows/columns, two-sided inverses), one row or column at a time at C
-    speed, and draws every entry from one tuple of the n indices.  Entries
-    are read with :func:`operator.index`, so a float or a string raises
-    TypeError instead of being truncated.  Associativity is checked only by
-    :meth:`validate` (O(n^2 log n)), which :func:`group_from_cayley_table`
-    calls on untrusted input.
+    reads entries with :func:`operator.index`, so a float or a string
+    raises TypeError instead of being truncated, draws every entry from one
+    tuple of the n indices, and checks that index 0 is a two-sided
+    identity.  Then one walk of the left Cayley graph proves every group
+    axiom, the proof of :func:`group_from_generator_rows` with every row
+    given.  The generators are the stated ones, or else each least element
+    not yet reached; each generator's row must be a permutation.  For every
+    reached y and every generator g the row of g*y must be g's row read at
+    y's row, one comparison of n entries at C speed; a mismatch at x is a
+    failing triple, (g*y)*x != g*(y*x).  With the walk reaching all n
+    elements, the rows form the regular permutation group the generator
+    rows generate, so the table is that group's.  The walk costs O(n^2 k)
+    for k generators.  On a group each least unreached element is
+    :func:`_greedy_generators`' choice, and each at least doubles the
+    subgroup reached, so k <= log2(n) then.
 
     Every group the package builds itself (catalog families, permutation
     closures, quotients, subgroups, direct and semidirect products) comes
-    from :func:`group_from_generator_rows`, whose walk over the generators'
-    rows proves the group axioms, associativity included, without these
-    checks.
+    from :func:`group_from_generator_rows`, whose walk builds the rows it
+    proves.
     """
 
     def _fill(self, name, table, inverse, generators) -> None:
@@ -301,27 +303,39 @@ class Group:
                 raise NotAGroup(f"index 0 is not a left identity: 0*{j} = {rows[0][j]}")
             if rows[j][0] != j:
                 raise NotAGroup(f"index 0 is not a right identity: {j}*0 = {rows[j][0]}")
-        inverse = []
-        for i, (row, col) in enumerate(zip(rows, zip(*rows))):
-            if len(set(row)) != n:
-                raise NotAGroup(f"row {i} is not a permutation")
-            if len(set(col)) != n:
-                raise NotAGroup(f"column {i} is not a permutation")
-            r = row.index(0)
-            if rows[r][i] != 0:
-                raise NotAGroup(f"element {i} has no two-sided inverse")
-            inverse.append(r)
-        full = (1 << n) - 1
-        if generators is None:
-            gens = _greedy_generators(rows, full)
+        seen = bytearray(n)
+        seen[0] = 1
+        if generators is None:  # the least element not yet reached, until all are
+            stated = iter(lambda: seen.find(0), -1)
         else:
-            gens = tuple(dict.fromkeys(map(operator.index, generators)))
-            for g in gens:
+            stated = tuple(dict.fromkeys(map(operator.index, generators)))
+            for g in stated:
                 if not 0 <= g < n:
                     raise NotAGroup(f"stated generator {g} out of range")
-            if _closure(rows, 1, gens) != full:
-                raise NotAGroup("stated generators do not generate the group")
-        self._fill(name, rows, tuple(inverse), gens)
+        edges = []  # (g, row_g, g^-1) for each generator g
+        reached, tree = [0], [None]  # tree[i]: the edge (y, g^-1) reaching reached[i]
+        for g in stated:
+            row_g = rows[g]
+            if len(set(row_g)) != n:
+                raise NotAGroup(f"row {g} is not a permutation")
+            edges.append((g, row_g, row_g.index(0)))
+            old = len(reached)  # reached before g: only g's edges are new there
+            for i, y in enumerate(reached):
+                times_y = _gatherer(rows[y])  # times_y(row_h)[x] is h*(y*x)
+                for h, row_h, h_inv in edges[-1:] if i < old else edges:
+                    z, row = row_h[y], times_y(row_h)
+                    if rows[z] != row:
+                        x = next(x for x, (u, v) in enumerate(zip(rows[z], row)) if u != v)
+                        raise NotAGroup(
+                            f"associativity fails on triple ({h},{y},{x}): "
+                            f"({h}*{y})*{x} = {rows[z][x]} but {h}*({y}*{x}) = {row[x]}")
+                    if not seen[z]:
+                        seen[z] = 1
+                        reached.append(z)
+                        tree.append((y, h_inv))
+        if len(reached) != n:
+            raise NotAGroup("stated generators do not generate the group")
+        self._fill(name, rows, _tree_inverses(rows, reached, tree), map(itemgetter(0), edges))
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -341,32 +355,9 @@ class Group:
         return self.element_orders()[x]
 
     def validate(self) -> "Group":
-        """Associativity by Light's test; raises NotAGroup naming a triple.
-
-        Each round takes the least element a not yet reached and checks
-        (x*a)*y = x*(a*y) for every x and y, one row comparison per x.  The
-        checked elements lie in the middle nucleus, which is closed under
-        products, so once right multiplication by them reaches every element
-        from 0 the table is associative.  Each round's reached set is a
-        group at least twice the last, so there are at most log2(n) + 1
-        rounds of O(n^2) each (Clifford-Preston, vol. I, 1961).
-        """
-        t = self.table
-        full = (1 << self.order) - 1
-        gens: list[int] = []
-        reached = 1
-        while reached != full:
-            a = (~reached & (reached + 1)).bit_length() - 1
-            times_a = _gatherer(t[a])  # times_a(tx)[c] is x*(a*c)
-            for x, tx in enumerate(t):
-                lhs, rhs = t[tx[a]], times_a(tx)
-                if lhs != rhs:
-                    c = next(c for c, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
-                    raise NotAGroup(
-                        f"associativity fails on triple ({x},{a},{c}): "
-                        f"({x}*{a})*{c} = {lhs[c]} but {x}*({a}*{c}) = {rhs[c]}")
-            gens.append(a)
-            reached = _closure(t, reached, gens)
+        """``self``: every way to build a group already proves the axioms,
+        so nothing is left to check.  Kept for callers of the earlier
+        two-step check, such as perfbench's tracer."""
         return self
 
     def __len__(self) -> int:
@@ -495,14 +486,12 @@ def group_from_permutations(degree: int, generators, name: str = "G",
 
 def group_from_cayley_table(table, name: str = "G",
                             max_order_cap: int = DEFAULT_MAX_ORDER) -> Group:
-    """Build a group from an explicit table, with full axiom validation.
-
-    The order cap is compared with the number of rows before any row is read.
-    """
+    """``Group(table)``, once the order cap has been compared with the
+    number of rows, before any row is read."""
     if len(table) > max_order_cap:
         raise ClosureExceedsCap(
             f"order {len(table)} exceeds max_order_cap {max_order_cap}")
-    return Group(table, name=name).validate()
+    return Group(table, name=name)
 
 
 def _cycle_images(degree: int, cycles) -> dict[int, int]:

@@ -128,9 +128,12 @@ def test_identity_must_sit_at_zero():
     ([[1, 0], [0, 1]], "index 0 is not a left identity: 0*0 = 1"),
     ([[0, 1, 2], [1, 2, 0], [0, 0, 1]], "index 0 is not a right identity: 2*0 = 0"),
     ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "row 1 is not a permutation"),
-    ([[0, 1, 2], [1, 2, 0], [2, 2, 1]], "column 1 is not a permutation"),
+    # a column that is no permutation, and an element with no two-sided
+    # inverse, each break an edge of the walk from 0
+    ([[0, 1, 2], [1, 2, 0], [2, 2, 1]],
+     "associativity fails on triple (1,1,1): (1*1)*1 = 2 but 1*(1*1) = 0"),
     ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0],
-      [4, 2, 0, 1, 3]], "element 2 has no two-sided inverse"),
+      [4, 2, 0, 1, 3]], "associativity fails on triple (1,1,2): (1*1)*2 = 2 but 1*(1*2) = 4"),
     ([[0, 1, 2], [1, 5, -1], [2, 0, 1]], "table entry 5 at row 1 out of range"),
     ([[0, 1, 2], [1, -1, 5], [2, 0, 1]], "table entry -1 at row 1 out of range"),
     ([[0, 1, 2], [1, 2, 0], [2, 0, 3]], "table entry 3 at row 2 out of range"),
@@ -140,11 +143,20 @@ def test_identity_must_sit_at_zero():
     ([[0, 1], [True, 2]], "table entry 2 at row 1 out of range"),
     ([[False, True], [True, -1]], "table entry -1 at row 1 out of range"),
     ([[False, True], [True, True]], "row 1 is not a permutation"),
+    # C2 x {e, z} with z idempotent: an associative monoid whose every edge
+    # checks, stopped only by the row of its second generator
+    ([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 2, 3], [3, 2, 3, 2]], "row 2 is not a permutation"),
+    # every element's first edge checks; only 2*1 = 0, an edge back to an
+    # element already reached, fails
+    ([[0, 1, 2, 3], [1, 0, 2, 3], [2, 0, 1, 3], [3, 0, 1, 2]],
+     "associativity fails on triple (2,1,1): (2*1)*1 = 1 but 2*(1*1) = 2"),
 ])
 def test_table_checks_name_the_first_failure(table, message):
     with pytest.raises(NotAGroup) as exc:
         Group(table)
     assert str(exc.value) == message
+    if "triple" in message:
+        _assert_named_triple_fails(table, exc.value)
 
 
 def test_stated_generators_are_indices_in_range():
@@ -620,7 +632,7 @@ def test_subgroup_as_group_consistency(suite_groups):
             assert elems[sub.table[i][j]] == a4.table[elems[i]][elems[j]]
 
 
-# -- validation: Light's test against the literal triple loop ----------------
+# -- validation: the left-multiplication walk against the literal triple loop
 
 def _literal_witness(table):
     """Oracle: the first triple (a, b, c) with (ab)c != a(bc), or None."""
@@ -641,14 +653,14 @@ def _assert_named_triple_fails(table, exc):
 
 
 def _validate_verdict(table):
-    """Whether validate accepts the table, asserting that it accepts exactly
-    the associative tables and that a rejection names a failing triple."""
-    G = Group(table)
-    witness = _literal_witness(G.table)
+    """Whether ``group_from_cayley_table`` accepts a loop's table, asserting
+    that it accepts exactly the associative tables and that a rejection
+    names a failing triple."""
+    witness = _literal_witness(table)
     try:
-        G.validate()
+        group_from_cayley_table(table)
     except NotAGroup as exc:
-        _assert_named_triple_fails(G.table, exc)
+        _assert_named_triple_fails(table, exc)
         assert witness is not None
         return False
     assert witness is None
@@ -748,15 +760,16 @@ def test_validate_agrees_with_triple_loop_on_small_loops(data):
 
 
 def test_validate_needs_more_than_its_first_round():
-    """In C2 x L the central index 1 passes the first round's check, so a
-    test that stopped there would accept a non-associative table."""
+    """In C2 x L the walk's first generator, the central index 1, passes
+    every edge, so a walk that checked only its first generator would
+    accept a non-associative table."""
     rng = random.Random(3)
     for order in (5, 6, 7):
         loop = None
         while loop is None or _literal_witness(loop) is None:
             loop = _random_loop(order, rng)
-        t = Group(_times_c2(loop)).table
-        assert all(t[t[x][1]] == tuple(map(t[x].__getitem__, t[1])) for x in range(len(t)))
+        t = _times_c2(loop)
+        assert all(t[t[1][y]] == list(map(t[1].__getitem__, t[y])) for y in range(len(t)))
         assert not _validate_verdict(t)
 
 
@@ -835,6 +848,26 @@ def test_greedy_generators_by_right_multiplication(name):
     G = catalog.shared_group(name)
     assert Group(G.table).generator_indices == _greedy_by_close_mask(G)
     assert Group(G.table, generators=G.generator_indices).generator_indices == G.generator_indices
+
+
+def _assert_walk_generators_are_greedy(table):
+    G = Group(table)
+    assert G.generator_indices == _greedy_generators(G.table, (1 << G.order) - 1)
+    assert all(G.table[x][x_inv] == 0 == G.table[x_inv][x] for x, x_inv in enumerate(G.inverse))
+
+
+def test_walk_generators_are_the_greedy_generators(suite_groups):
+    """``found_automorphisms``, and the orbits read off it, start from an
+    outside table's generators, so the walk must choose exactly
+    ``_greedy_generators``' (and find two-sided inverses) on the suite and
+    on relabelled copies of the benchmark's lattice groups."""
+    for G in suite_groups.values():
+        _assert_walk_generators_are_greedy(G.table)
+    for name in ("E2^5", "E2^3xS3", "S5"):
+        table = catalog.shared_group(name).table
+        _assert_walk_generators_are_greedy(table)
+        for seed in range(1, 5):
+            _assert_walk_generators_are_greedy(relabel(table, random.Random(seed)))
 
 
 def _quotient_by_cosets(G, N):
