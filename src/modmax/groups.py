@@ -174,21 +174,19 @@ def group_from_generator_rows(index, gen_rows, name: str = "G") -> "Group":
     ``index`` is ``tuple(range(n))``, and each row in ``gen_rows`` draws its
     entries from it, with ``row_g[x] = g*x``; the generators are the
     elements ``row_g[0]``, in order.  As (g*y)*x = g*(y*x), the row of g*y
-    is the row of g read at the row of y.  Walking the left Cayley graph
-    breadth first from the identity copies each row once, n entries at C
-    speed, and every entry of the table is an object of ``index``.
+    is the row of g read at the row of y.  A breadth-first walk of the left
+    Cayley graph from the identity copies each row once, along its
+    spanning tree: n - 1 gathers of n entries at C speed, and every entry
+    of the table is an object of ``index``.  Edges outside the tree are
+    not compared.
 
-    The walk is also the proof that the table is a group's (Holt, Eick and
-    O'Brien, *Handbook of Computational Group Theory*, 2005, section 4.1).
-    Let P be the permutation group the generator rows generate, and R the
-    rows built, one for each element z, with first entry z.  Every row in
-    R is a product of generator rows, so R <= P.  Each edge of the walk
-    checks row_g o row_y = row_(g*y), so R is closed under composition
-    with the generators, hence with P (inverses are positive powers), and
-    R = P as R holds the identity row ``index``.  So |P| = n and P is
-    regular, and row_z o row_x, the member of P with first entry z*x, is
-    row_(z*x): the table is P's under z -> row_z, associative, with
-    identity 0.  The inverses follow the walk: (g*y)^-1 = y^-1 * g^-1.
+    The proof that the table is a group's is :func:`_check_columns`, run on
+    the rows of the generators' elements, O(n k^2) for k generators.
+    Before it, each generator's row must be the row the walk gave its
+    element (the edges from 0, O(n k)): then the group the generator rows
+    generate is the one the columns are checked against, and a named
+    triple fails in the table built.  The inverses follow the tree:
+    (g*y)^-1 = y^-1 * g^-1.
     """
     n = len(index)
     for k, row in enumerate(gen_rows):
@@ -199,23 +197,57 @@ def group_from_generator_rows(index, gen_rows, name: str = "G") -> "Group":
     rows[0] = index
     reached, tree = [0], [None]  # tree[i]: the edge (y, g^-1) reaching reached[i]
     for y in reached:
-        times_y = _gatherer(rows[y])  # times_y(row_g) is the row of g*y
+        row_y = rows[y]
         for row_g, g_inv in zip(gen_rows, ginv):
             z = row_g[y]
-            row = times_y(row_g)
             if rows[z] is None:
-                rows[z] = row
+                rows[z] = _gather(row_g, row_y)
                 reached.append(z)
                 tree.append((y, g_inv))
-            elif rows[z] != row:
-                raise NotAGroup(
-                    f"generator rows do not act regularly: element {z} has two rows")
     if len(reached) != n:
         raise NotAGroup("stated generators do not generate the group")
+    for row in gen_rows:
+        if rows[row[0]] != row:
+            raise NotAGroup(
+                f"generator rows do not act regularly: element {row[0]} has two rows")
+    gens = tuple(dict.fromkeys(row[0] for row in gen_rows))
+    _check_columns(rows, gens, "generator rows do not act regularly: ")
     G = Group.__new__(Group)
-    G._fill(name, tuple(rows), _tree_inverses(rows, reached, tree),
-            dict.fromkeys(row[0] for row in gen_rows))
+    G._fill(name, tuple(rows), _tree_inverses(rows, reached, tree), gens)
     return G
+
+
+def _check_columns(rows, gens, prefix: str = "") -> None:
+    """Check g*(x*h) = (g*x)*h for every pair of generators g, h and every
+    x: g's row read at h's column against h's column read at g's row, two
+    gathers of n entries at C speed, O(n k^2) for k generators.  A mismatch
+    at x raises NotAGroup naming the triple (g, x, h), which fails.
+
+    After a breadth-first walk from 0 that reached every element and whose
+    tree edges checked row_(g*y) = row_g o row_y, this proves the table a
+    group's.  Let P be the permutation group the generators' rows L_g
+    generate.  The tree edges put every row in P, and row z sends 0 to z.
+    Each column R_h, x -> x*h, commutes with the generators' rows, hence
+    with P (inverses are positive powers).  The columns also reach every
+    element from 0: R_h(0) = h, and for c a composite of columns,
+    L_g(c(0)) = c(L_g(0)) = (c o R_g)(0), so along the tree every element
+    is some c(0); no right-multiplication walk is needed.  A member p of P
+    fixing 0 then fixes every c(0), as p(c(0)) = c(p(0)), so p is the
+    identity: P is transitive with a transitive centraliser, hence regular
+    (Dixon and Mortimer, *Permutation Groups*, 1996, section 4.2).  Row z
+    is the one member of P sending 0 to z, so row_z o row_x, the member
+    sending 0 to z*x, is row_(z*x): the table is P's under z -> row_z,
+    associative with identity 0."""
+    for h in gens:
+        column = tuple(map(itemgetter(h), rows))  # column[x] = x*h
+        for g in gens:
+            row_g = rows[g]
+            lhs, rhs = _gather(row_g, column), _gather(column, row_g)
+            if lhs != rhs:
+                x = next(x for x, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+                raise NotAGroup(
+                    f"{prefix}associativity fails on triple ({g},{x},{h}): "
+                    f"({g}*{x})*{h} = {rhs[x]} but {g}*({x}*{h}) = {lhs[x]}")
 
 
 def _tree_inverses(rows, reached, tree) -> tuple:
@@ -254,16 +286,18 @@ class Group:
     reads entries with :func:`operator.index`, so a float or a string
     raises TypeError instead of being truncated, draws every entry from one
     tuple of the n indices, and checks that index 0 is a two-sided
-    identity.  Then one walk of the left Cayley graph proves every group
-    axiom, the proof of :func:`group_from_generator_rows` with every row
-    given.  The generators are the stated ones, or else each least element
-    not yet reached; each generator's row must be a permutation.  For every
-    reached y and every generator g the row of g*y must be g's row read at
-    y's row, one comparison of n entries at C speed; a mismatch at x is a
-    failing triple, (g*y)*x != g*(y*x).  With the walk reaching all n
-    elements, the rows form the regular permutation group the generator
-    rows generate, so the table is that group's.  The walk costs O(n^2 k)
-    for k generators.  On a group each least unreached element is
+    identity.  Then one walk of the left Cayley graph and
+    :func:`_check_columns` prove every group axiom, the proof of
+    :func:`group_from_generator_rows` with every row given.  The generators
+    are the stated ones, or else each least element not yet reached; each
+    generator's row must be a permutation.  The walk compares its tree
+    edges only: the row of g*y must be g's row read at y's row, one
+    comparison of n entries at C speed, and a mismatch at x is a failing
+    triple, (g*y)*x != g*(y*x).  With the walk reaching all n elements and
+    the generators' columns commuting with their rows, the rows form the
+    regular permutation group the generator rows generate, so the table is
+    that group's.  The proof costs n - 1 row gathers and O(n k^2) for k
+    generators.  On a group each least unreached element is
     :func:`_greedy_generators`' choice, and each at least doubles the
     subgroup reached, so k <= log2(n) then.
 
@@ -321,21 +355,23 @@ class Group:
             edges.append((g, row_g, row_g.index(0)))
             old = len(reached)  # reached before g: only g's edges are new there
             for i, y in enumerate(reached):
-                times_y = _gatherer(rows[y])  # times_y(row_h)[x] is h*(y*x)
                 for h, row_h, h_inv in edges[-1:] if i < old else edges:
-                    z, row = row_h[y], times_y(row_h)
-                    if rows[z] != row:
-                        x = next(x for x, (u, v) in enumerate(zip(rows[z], row)) if u != v)
-                        raise NotAGroup(
-                            f"associativity fails on triple ({h},{y},{x}): "
-                            f"({h}*{y})*{x} = {rows[z][x]} but {h}*({y}*{x}) = {row[x]}")
-                    if not seen[z]:
+                    z = row_h[y]
+                    if not seen[z]:  # a tree edge: compare the row of h*y
+                        row = _gather(row_h, rows[y])  # row[x] is h*(y*x)
+                        if rows[z] != row:
+                            x = next(x for x, (u, v) in enumerate(zip(rows[z], row)) if u != v)
+                            raise NotAGroup(
+                                f"associativity fails on triple ({h},{y},{x}): "
+                                f"({h}*{y})*{x} = {rows[z][x]} but {h}*({y}*{x}) = {row[x]}")
                         seen[z] = 1
                         reached.append(z)
                         tree.append((y, h_inv))
         if len(reached) != n:
             raise NotAGroup("stated generators do not generate the group")
-        self._fill(name, rows, _tree_inverses(rows, reached, tree), map(itemgetter(0), edges))
+        gens = tuple(map(itemgetter(0), edges))
+        _check_columns(rows, gens)
+        self._fill(name, rows, _tree_inverses(rows, reached, tree), gens)
 
     # -- basic arithmetic ---------------------------------------------------
 

@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from modmax import catalog
+from modmax import catalog, groups
 from modmax.groups import (
     ClosureExceedsCap,
     Group,
@@ -128,12 +128,12 @@ def test_identity_must_sit_at_zero():
     ([[1, 0], [0, 1]], "index 0 is not a left identity: 0*0 = 1"),
     ([[0, 1, 2], [1, 2, 0], [0, 0, 1]], "index 0 is not a right identity: 2*0 = 0"),
     ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "row 1 is not a permutation"),
-    # a column that is no permutation, and an element with no two-sided
-    # inverse, each break an edge of the walk from 0
+    # a column that is no permutation breaks an edge of the walk's tree; an
+    # element with no two-sided inverse, the column check
     ([[0, 1, 2], [1, 2, 0], [2, 2, 1]],
      "associativity fails on triple (1,1,1): (1*1)*1 = 2 but 1*(1*1) = 0"),
     ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0],
-      [4, 2, 0, 1, 3]], "associativity fails on triple (1,1,2): (1*1)*2 = 2 but 1*(1*2) = 4"),
+      [4, 2, 0, 1, 3]], "associativity fails on triple (2,1,1): (2*1)*1 = 4 but 2*(1*1) = 2"),
     ([[0, 1, 2], [1, 5, -1], [2, 0, 1]], "table entry 5 at row 1 out of range"),
     ([[0, 1, 2], [1, -1, 5], [2, 0, 1]], "table entry -1 at row 1 out of range"),
     ([[0, 1, 2], [1, 2, 0], [2, 0, 3]], "table entry 3 at row 2 out of range"),
@@ -146,10 +146,14 @@ def test_identity_must_sit_at_zero():
     # C2 x {e, z} with z idempotent: an associative monoid whose every edge
     # checks, stopped only by the row of its second generator
     ([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 2, 3], [3, 2, 3, 2]], "row 2 is not a permutation"),
-    # every element's first edge checks; only 2*1 = 0, an edge back to an
-    # element already reached, fails
+    # every edge of the walk's tree checks; the columns of the generators
+    # do not commute with their rows
     ([[0, 1, 2, 3], [1, 0, 2, 3], [2, 0, 1, 3], [3, 0, 1, 2]],
-     "associativity fails on triple (2,1,1): (2*1)*1 = 1 but 2*(1*1) = 2"),
+     "associativity fails on triple (1,2,1): (1*2)*1 = 0 but 1*(2*1) = 1"),
+    # C5 with two entries of row 3 swapped: the one generator's row and
+    # column still commute, and only the tree edge reaching 3 fails
+    ([[0, 1, 2, 3, 4], [1, 2, 3, 4, 0], [2, 3, 4, 0, 1], [3, 4, 2, 1, 0], [4, 0, 1, 2, 3]],
+     "associativity fails on triple (1,2,2): (1*2)*2 = 2 but 1*(2*2) = 0"),
 ])
 def test_table_checks_name_the_first_failure(table, message):
     with pytest.raises(NotAGroup) as exc:
@@ -184,6 +188,109 @@ def test_generator_rows_that_give_no_group_table_are_refused(gen_rows, message):
     with pytest.raises(NotAGroup) as exc:
         group_from_generator_rows((0, 1, 2), gen_rows)
     assert str(exc.value) == message
+
+
+def _rows_along_the_tree(gen_rows):
+    """The rows a breadth-first walk from 0 builds from the permutations
+    ``gen_rows``, row_(g*y) = row_g o row_y along its spanning tree, as
+    ``group_from_generator_rows`` builds them: the table of a group only
+    when the permutations generate a regular one."""
+    n = len(gen_rows[0])
+    rows = [None] * n
+    rows[0] = list(range(n))
+    reached = [0]
+    for y in reached:
+        for row_g in gen_rows:
+            z = row_g[y]
+            if rows[z] is None:
+                rows[z] = [row_g[v] for v in rows[y]]
+                reached.append(z)
+    return rows
+
+
+# transitive permutation groups larger than their degree, each generator's
+# first point new to the walk, so both walks take the same tree
+NON_REGULAR = {
+    "S3 on 3 points": [(1, 0, 2), (2, 1, 0)],
+    "A4 on 4 points": [(1, 0, 3, 2), (2, 1, 3, 0)],
+    "D8 on 4 points": [(1, 0, 3, 2), (2, 1, 0, 3)],
+    # C2 x S3 on two copies of three points, point 2i + c: the central swap
+    # comes first, and its column commutes with every generator's row
+    "C2xS3 on 6 points": [(1, 0, 3, 2, 5, 4), (2, 3, 0, 1, 4, 5), (4, 5, 2, 3, 0, 1)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_REGULAR))
+def test_only_the_column_check_refuses_tree_tables_of_non_regular_groups(monkeypatch, name):
+    gen_rows = NON_REGULAR[name]
+    table = _rows_along_the_tree(gen_rows)
+    index = tuple(range(len(table)))
+    builds = (lambda: group_from_generator_rows(index, gen_rows),
+              lambda: Group(table, generators=[row[0] for row in gen_rows]))
+    for build in builds:
+        with pytest.raises(NotAGroup, match="associativity fails") as exc:
+            build()
+        _assert_named_triple_fails(table, exc.value)
+    # every tree edge agrees: with the column check stubbed out, both accept
+    monkeypatch.setattr(groups, "_check_columns", lambda *args: None)
+    for build in builds:
+        assert build().table == tuple(map(tuple, table))
+
+
+def test_a_later_generators_column_refuses_alone():
+    """In C2 x S3 on six points the first generator's column commutes with
+    every generator's row: a check of only the first generator accepts."""
+    gen_rows = NON_REGULAR["C2xS3 on 6 points"]
+    table = _rows_along_the_tree(gen_rows)
+    gens = [row[0] for row in gen_rows]
+    column = [row[gens[0]] for row in table]
+    for g in gens:
+        assert [table[g][c] for c in column] == [column[v] for v in table[g]]
+        assert [table[gens[0]][row[g]] for row in table] == [table[v][g] for v in table[gens[0]]]
+    with pytest.raises(NotAGroup) as exc:
+        Group(table, generators=gens)
+    g, _, h = map(int, re.search(r"triple \((\d+),(\d+),(\d+)\)", str(exc.value)).groups())
+    assert gens[0] not in (g, h)
+
+
+def _permutation_closure(gen_rows, degree):
+    """Oracle: every product of the permutations, identity included."""
+    closure = {tuple(range(degree))}
+    frontier = list(closure)
+    while frontier:
+        p = frontier.pop()
+        for g in gen_rows:
+            q = tuple(g[v] for v in p)
+            if q not in closure:
+                closure.add(q)
+                frontier.append(q)
+    return closure
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_generator_rows_give_a_group_exactly_when_they_act_regularly(data):
+    degree = data.draw(st.integers(1, 6))
+    gen_rows = data.draw(st.lists(st.permutations(range(degree)).map(tuple), max_size=3))
+    if data.draw(st.booleans()):  # rows of a group's table: a regular action
+        name = data.draw(st.sampled_from(["1", "C2", "C3", "V4", "C4", "C5", "S3", "C6"]))
+        rng = data.draw(st.randoms(use_true_random=False))
+        table = relabel(catalog.shared_group(name).table, rng)
+        degree = len(table)
+        gen_rows = [tuple(table[g]) for g in data.draw(st.lists(st.sampled_from(range(degree))))]
+    closure = _permutation_closure(gen_rows, degree)
+    regular = len(closure) == degree and {p[0] for p in closure} == set(range(degree))
+    try:
+        G = group_from_generator_rows(tuple(range(degree)), gen_rows)
+    except NotAGroup as exc:
+        assert not regular
+        if "triple" in str(exc):
+            _assert_named_triple_fails(_rows_along_the_tree(gen_rows), exc)
+        return
+    assert regular
+    t, inv = G.table, G.inverse
+    assert _literal_witness(t) is None
+    assert all(t[x][inv[x]] == 0 == t[inv[x]][x] for x in range(degree))
 
 
 def test_package_constructors_never_run_group_init(monkeypatch, tmp_path):
@@ -806,6 +913,37 @@ def test_validate_rejects_a_switched_loop_at_order_2048():
         group_from_cayley_table(table, max_order_cap=2048)
     assert time.perf_counter() - start < 30
     _assert_named_triple_fails(table, exc.value)
+
+
+def _count_gathers(monkeypatch):
+    """The list that gets one entry per row gather ``groups`` makes from
+    now on: ``_gather`` goes through ``_gatherer`` too."""
+    calls = []
+    gatherer = groups._gatherer
+    monkeypatch.setattr(groups, "_gatherer",
+                        lambda positions: calls.append(None) or gatherer(positions))
+    return calls
+
+
+def test_generator_rows_gather_once_per_element_and_twice_per_generator_pair(monkeypatch):
+    """One gather per tree edge and two per pair of generators: 1,223 for
+    E2^10, where a walk comparing every edge made n*k = 10,240."""
+    calls = _count_gathers(monkeypatch)
+    G = catalog.construct("E2^10", max_order_cap=1024)
+    n, k = G.order, len(G.generator_indices)
+    assert k == 10
+    assert n - 1 <= len(calls) <= (n - 1) + 2 * k * k
+
+
+def test_outside_tables_gather_once_per_row_and_tree_edge(monkeypatch):
+    """``Group()`` copies each row from the index once, then gathers once
+    per tree edge and twice per pair of generators."""
+    table = relabel(_xor_table(8), random.Random(8))
+    calls = _count_gathers(monkeypatch)
+    G = Group(table)
+    n, k = G.order, len(G.generator_indices)
+    assert k == 8
+    assert len(calls) <= n + (n - 1) + 2 * k * k
 
 
 # -- construction: shared entries, generators by right multiplication --------
