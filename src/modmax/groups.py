@@ -884,61 +884,66 @@ def subgroup_as_group(G: Group, S: SubgroupSet) -> tuple[Group, tuple[int, ...]]
     return group_from_generator_rows(index, gen_rows, f"{G.name}<{S.order}>"), elems
 
 
-def _extend_partial_map(A: Group, B: Group, span, fmap, g, img):
-    """Extend a partial isomorphism by one generator image and re-close.
+def _extend_map(A: Group, B: Group, gens, images):
+    """The map phi from <gens> <= A into B sending each generator to its
+    image in ``images``, as a list over A's indices (None off <gens>), or
+    None when no one-to-one homomorphism does.
 
-    Returns the extended (span, fmap) or None on any inconsistency.  The
-    span is kept multiplication-closed, every product pair is checked, and
-    injectivity is enforced, so a surviving total map is an isomorphism.
-    """
-    span = list(span)
-    fmap = dict(fmap)
-    if g in fmap:
-        return (span, fmap) if fmap[g] == img else None
-    fmap[g] = img
-    span.append(g)
-    i = 0
-    while i < len(span):
-        x = span[i]
-        i += 1
-        fx = fmap[x]
-        for y in tuple(span):
-            fy = fmap[y]
-            for p, q in ((A.table[x][y], B.table[fx][fy]),
-                         (A.table[y][x], B.table[fy][fx])):
-                known = fmap.get(p)
-                if known is None:
-                    fmap[p] = q
-                    span.append(p)
-                elif known != q:
+    phi is built breadth first along the right Cayley graph of <gens> from
+    phi(0) = 0, and every edge is compared: phi(x*g) = phi(x)*phi(g) for
+    every reached x and every generator g.  By induction on the length of
+    a word w in the generators, phi(x*w) = phi(x)*phi(w), so phi is a
+    homomorphism; each new image is refused if already taken, so it is
+    one-to-one (Holt, Eick and O'Brien, *Handbook of Computational Group
+    Theory*, 2005).  O(|<gens>| k) for k generators; the first edge that
+    disagrees ends the walk."""
+    ta, tb = A.table, B.table
+    edges = tuple(zip(gens, images))
+    phi = [None] * A.order
+    phi[0] = 0
+    taken = bytearray(B.order)
+    taken[0] = 1
+    reached = [0]
+    for x in reached:
+        row, image_row = ta[x], tb[phi[x]]
+        for g, a in edges:
+            z, fz = row[g], image_row[a]
+            known = phi[z]
+            if known is None:
+                if taken[fz]:
                     return None
-    if len(set(fmap.values())) != len(fmap):
-        return None
-    return (span, fmap)
+                taken[fz] = 1
+                phi[z] = fz
+                reached.append(z)
+            elif known != fz:
+                return None
+    return phi
 
 
 def _isomorphisms(A: Group, B: Group):
     """Yield every isomorphism A -> B as an image tuple.
 
     Backtracking over the images of A's greedy generators, each image
-    restricted to elements of the same order; exponential in the worst case.
+    restricted to elements of the same order, a partial assignment kept
+    when :func:`_extend_map` extends it; exponential in the worst case.
     """
     gens = _greedy_generators(A.table, (1 << A.order) - 1)
     orders_a, orders_b = A.element_orders(), B.element_orders()
     candidates = [tuple(b for b in range(B.order) if orders_b[b] == orders_a[g])
                   for g in gens]
 
-    def backtrack(i, span, fmap):
+    def backtrack(images, phi):
+        i = len(images)
         if i == len(gens):
-            if len(span) == A.order:
-                yield tuple(fmap[x] for x in range(A.order))
+            yield tuple(phi)
             return
         for img in candidates[i]:
-            ext = _extend_partial_map(A, B, span, fmap, gens[i], img)
-            if ext is not None:
-                yield from backtrack(i + 1, *ext)
+            ext = images + (img,)
+            ext_phi = _extend_map(A, B, gens[:i + 1], ext)
+            if ext_phi is not None:
+                yield from backtrack(ext, ext_phi)
 
-    return backtrack(0, [0], {0: 0})
+    return backtrack((), [0])
 
 
 def find_isomorphism(A: Group, B: Group) -> tuple[int, ...] | None:
@@ -977,33 +982,20 @@ def found_automorphisms(G: Group) -> tuple[tuple[int, ...], ...]:
     swap, a transvection and, for p > 2, a scalar on one coordinate of
     E_p^k (generating GL(k, p) together), the unit multipliers of C_n and
     x -> x^a on the rotations of D_n.  A candidate whose images differ in
-    order from the generators is skipped; each other one is extended along
-    one breadth-first spanning tree of the right Cayley graph and kept
-    when :func:`_is_automorphism` accepts it."""
+    order from the generators is skipped; each other one is kept when
+    :func:`_extend_map` extends it, every edge of the right Cayley graph
+    agreeing and the map one-to-one, O(n*k)."""
     return _memo(G, "found automorphisms", _found_automorphisms, G)
 
 
 def _found_automorphisms(G: Group) -> tuple[tuple[int, ...], ...]:
-    t, gens, orders = G.table, G.generator_indices, G.element_orders()
-    reached, seen = [0], bytearray(G.order)
-    seen[0] = 1
-    tree = []  # (z, x, j): z = x*g_j was first reached from x, breadth first
-    for x in reached:
-        row = t[x]
-        for j, g in enumerate(gens):
-            z = row[g]
-            if not seen[z]:
-                seen[z] = 1
-                reached.append(z)
-                tree.append((z, x, j))
+    gens, orders = G.generator_indices, G.element_orders()
     found = {}
     for images in _automorphism_candidates(G):
         if any(orders[a] != orders[g] for a, g in zip(images, gens)):
             continue
-        phi = [0] * G.order
-        for z, x, j in tree:
-            phi[z] = t[phi[x]][images[j]]
-        if _is_automorphism(G, phi):
+        phi = _extend_map(G, G, gens, images)
+        if phi is not None:
             found.setdefault(tuple(phi))
     return tuple(found)
 
@@ -1042,20 +1034,3 @@ def _unit_generators(m: int) -> tuple[int, ...]:
                 reached |= layer
                 power = power * a % m
     return tuple(gens)
-
-
-def _is_automorphism(G: Group, phi) -> bool:
-    """``phi`` (phi[x] the image of x) is a bijection with
-    phi(x*g) = phi(x)*phi(g) for every x and every generator g, compared one
-    whole column per generator at C speed, O(n*k).  By induction on the
-    length of a word w in the generators, phi(x*w) = phi(x)*phi(w), so phi
-    is a homomorphism, and being one-to-one an automorphism (Holt, Eick and
-    O'Brien, *Handbook of Computational Group Theory*, 2005)."""
-    n, t = G.order, G.table
-    if len(set(phi)) != n:
-        return False
-    for g in G.generator_indices:
-        column = list(map(itemgetter(phi[g]), t))  # column[y] = y*phi(g)
-        if _gather(phi, list(map(itemgetter(g), t))) != _gather(column, phi):
-            return False
-    return True
