@@ -307,6 +307,10 @@ _PRIME_ARGS = {elementary_abelian: (0,), holomorph_cyclic: (0,), pq2: (0, 1),
 # orders up to this bound are exact, in messages too
 _EXACT_ORDERS = 10 ** 12
 
+# resolving and building a product recurse once per factor, so a name with
+# more factors is refused before either starts
+_MAX_FACTORS = 64
+
 
 def _resolve(name: str, limit: int = _EXACT_ORDERS,
              memo: dict | None = None) -> tuple[int, Callable[[], Group]]:
@@ -360,6 +364,9 @@ def _resolve_new(name: str, limit: int, memo: dict):
 def construct(name: str, max_order_cap: int = DEFAULT_MAX_ORDER) -> Group:
     """Build a catalog group by name; raises UnknownName, BadParameters, or
     ClosureExceedsCap when the order is above the cap, before building."""
+    if name.count("x") >= _MAX_FACTORS:
+        raise BadParameters(
+            f"{name[:20]}... has more than {_MAX_FACTORS} direct factors")
     limit = max(max_order_cap, _EXACT_ORDERS)
     order, build = _resolve(name, limit)
     if order > max_order_cap:

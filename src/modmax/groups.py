@@ -971,7 +971,8 @@ def found_automorphisms(G: Group) -> tuple[tuple[int, ...], ...]:
     search from ``G.generator_indices`` and each one verified; memoised on
     the group.  Their number is not Aut(G)'s: a caller that reads orbits of
     the group they generate gets smaller orbits from fewer of them, never a
-    wrong answer.
+    wrong answer; the lattice enumeration, which extends one subgroup per
+    orbit, makes more extensions, never a wrong lattice.
 
     For each generator g_i, with g_j the next one (cyclically), the
     candidate images of the generators are: g_i -> g_i*g_j; g_i and g_j

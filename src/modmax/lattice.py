@@ -10,12 +10,14 @@ chain of such extensions reaches it; perfect subgroups included.  Two
 exact facts cut the extensions (Holt, Eick and O'Brien, *Handbook of
 Computational Group Theory*, 2005, on cyclic extension):
 
-- Conjugacy classes.  A new subgroup K brings its whole class into the
-  found set (closed under conjugation by the group's generators, leaving
-  out those that commute with every generator: a central element fixes
-  every subgroup) and only K is extended further: <H^g, x> =
-  <H, x^(g^-1)>^g, and x^(g^-1) is again of prime-power order, so the
-  extensions of a conjugate are the conjugates of the extensions of K.
+- Orbits.  A new subgroup K brings its whole orbit into the found set,
+  under the group that conjugation and ``groups.found_automorphisms``
+  generate, and only K is extended further: <phi(H), x> =
+  phi(<H, phi^-1(x)>) with phi^-1(x) again of prime-power order.  The
+  orbit joins class by class: a class is closed under conjugation by the
+  generators (not the central ones, which fix every subgroup), and each
+  image of a representative not yet found opens the next class
+  (phi(H^g) = phi(H)^phi(g): the image of one member gives the class's).
 - Prime index.  When |<H, x> : H| is prime, H is maximal in K = <H, x>, so
   <H, y> = K for every y in K outside H, and those y are skipped for H.
 
@@ -52,10 +54,10 @@ answer on every member of an orbit of the group of automorphisms (this is
 not a theorem of the paper, and no predicate uses one).  Conjugation is the
 inner case: it also fixes every normal subgroup N, so each predicate inside
 a quotient section [N, G] is constant on conjugacy classes.  The
-enumeration records each subgroup's class (``class_of``), a subgroup is
-normal exactly when its class is itself, and ``orbit_of`` joins the
-classes under the automorphisms that ``groups.found_automorphisms`` finds
-and verifies.  An answer on the whole lattice is evaluated on one
+enumeration records each subgroup's class (``class_of``) and orbit
+(``orbit_of``, a union of classes; ``class_of`` itself when no
+automorphism is found), and a subgroup is normal exactly when its class
+is itself.  An answer on the whole lattice is evaluated on one
 representative per orbit and its orbit bitset ORed in, one on [N, G] per
 class; fewer automorphisms found only give smaller orbits.  phi moves N,
 so [N, G] is not read per orbit, and a subgroup section [lo, hi] with
@@ -176,11 +178,11 @@ class SubgroupLattice:
     columns, and join/meet tables whose rows are built on first read
     (``join_t[i][j]``, ``meet_t[i][j]``; each row a tuple of shared ints)."""
 
-    def __init__(self, group: Group, masks: list[int], classes: dict[int, int]):
-        # ``classes`` maps each mask to a representative mask of its
-        # conjugacy class, as the enumeration found them.  It stays the third
-        # positional argument: perfbench's traced run subclasses this class
-        # with a (group, masks, joins) signature and forwards it unchanged.
+    def __init__(self, group: Group, masks: list[int], classes: dict):
+        # ``classes`` maps each mask to its class and orbit representatives,
+        # as the enumeration found them.  It stays the third positional
+        # argument: perfbench's traced run subclasses this class with a
+        # (group, masks, joins) signature and forwards it unchanged.
         keyed = sorted((m.bit_count(), tuple(bits(m)), m) for m in masks)
         canonical = [m for _, _, m in keyed]
         n = len(canonical)
@@ -245,12 +247,17 @@ class SubgroupLattice:
 
         self.join_t, self.meet_t = _Rows(n, join_row), _Rows(n, meet_row)
 
-        # class_of[i]: the bitset of i's conjugacy class; a subgroup is
-        # normal exactly when its class is itself
-        by_rep: dict[int, int] = {}
-        for i, m in enumerate(canonical):
-            by_rep[classes[m]] = by_rep.get(classes[m], 0) | 1 << i
-        self.class_of = tuple(by_rep[classes[m]] for m in canonical)
+        # class_of[i], orbit_of[i]: the bitsets of i's conjugacy class and
+        # of its orbit (a union of classes); a subgroup is normal exactly
+        # when its class is itself
+        def blocks(reps):
+            by_rep: dict[int, int] = {}
+            for i, r in enumerate(reps):
+                by_rep[r] = by_rep.get(r, 0) | 1 << i
+            return tuple(map(by_rep.__getitem__, reps))
+
+        class_reps, orbit_reps = zip(*map(classes.__getitem__, canonical))
+        self.class_of, self.orbit_of = blocks(class_reps), blocks(orbit_reps)
         self.normal = sum(
             1 << i for i, c in enumerate(self.class_of) if c == 1 << i)
 
@@ -267,8 +274,7 @@ class SubgroupLattice:
 
         # answers memoised through _memo: (predicate, lo, hi) -> column of
         # the section [lo, hi], "sizes" -> interval sizes, ("generators", i)
-        # -> greedy generators, "orbits" -> ``orbit_of``, ("subnormal",
-        # orbit representative) -> bool
+        # -> greedy generators, ("subnormal", orbit representative) -> bool
         self._cache: dict = {}
 
     # -- indexing helpers ---------------------------------------------------
@@ -289,45 +295,6 @@ class SubgroupLattice:
 
     def normal_indices(self) -> tuple[int, ...]:
         return tuple(bits(self.normal))
-
-    @property
-    def orbit_of(self) -> tuple[int, ...]:
-        """``orbit_of[i]``: the bitset of i's orbit under the group that
-        conjugation and ``found_automorphisms`` generate, a union of
-        conjugacy classes; ``class_of`` itself when none is found."""
-        return _memo(self, "orbits", self._orbits)
-
-    def _orbits(self) -> tuple[int, ...]:
-        """An automorphism phi normalises the inner ones (phi(H^g) =
-        phi(H)^phi(g)), so it maps each class onto a class, read off the
-        image of one representative.  The orbits are the classes joined,
-        breadth first, along those images; an orbit that holds every
-        subgroup of its order can grow no further."""
-        autos = found_automorphisms(self.group)
-        class_of = self.class_of
-        if not autos:
-            return class_of
-        shifted = [tuple(1 << y for y in phi) for phi in autos]
-        index_of, masks, orders = self.index_of, self._masks, self._orders
-        of_order: dict[int, int] = {}
-        for i, o in enumerate(orders):
-            of_order[o] = of_order.get(o, 0) | 1 << i
-        orbit_by_class: dict[int, int] = {}
-        for i, c in enumerate(class_of):
-            if c in orbit_by_class:
-                continue
-            orbit, todo, full = c, [c], of_order[orders[i]]
-            for d in todo:
-                if orbit == full:
-                    break
-                members = _gatherer(tuple(bits(masks[(d & -d).bit_length() - 1])))
-                for bit in shifted:
-                    e = class_of[index_of[sum(members(bit))]]
-                    if not e & orbit:
-                        orbit |= e
-                        todo.append(e)
-            orbit_by_class.update(dict.fromkeys(todo, orbit))
-        return tuple(map(orbit_by_class.__getitem__, class_of))
 
     def leq(self, a, b) -> bool:
         return bool(self.up[self.index(a)] >> self.index(b) & 1)
@@ -605,9 +572,11 @@ def _primary_cyclic(G: Group) -> dict[int, int]:
 
 
 def enumerate_lattice(G: Group) -> SubgroupLattice:
-    """Enumerate every subgroup by cyclic extension, one conjugacy class at
-    a time (see the module docstring).  Raises ``TooManySubgroups`` as soon
-    as more than ``MAX_SUBGROUPS`` are found, before any table is built."""
+    """Enumerate every subgroup by cyclic extension, one orbit at a time
+    (see the module docstring): a new subgroup k brings its whole orbit
+    into the found set, class by class, and only k is extended further.
+    Raises ``TooManySubgroups`` as soon as a class closure passes
+    ``MAX_SUBGROUPS`` found, before any table is built."""
     table = G.table
     cyclic = primary_cyclic(G)
     # conjugation by a central element fixes every subgroup, so the class
@@ -615,9 +584,27 @@ def enumerate_lattice(G: Group) -> SubgroupLattice:
     gens_g = G.generator_indices
     movers = [g for g in gens_g
               if any(table[g][h] != table[h][g] for h in gens_g)]
-    # every subgroup found -> its class representative, whole classes at a time
-    found = {1: 1}
-    frontier = [(1, ())]  # class representatives with their generators
+    shifted = [tuple(1 << y for y in phi) for phi in found_automorphisms(G)]
+    # every subgroup found -> (its class representative, its orbit
+    # representative), whole orbits at a time
+    found = {1: (1, 1)}
+
+    def add_class(r, k):
+        """r, not yet found, and its conjugates join k's orbit."""
+        found[r] = (r, k)
+        conjugates = [r]
+        for c in conjugates:
+            for g in movers:
+                d = conjugate_mask(G, g, c)
+                if d not in found:
+                    found[d] = (r, k)
+                    conjugates.append(d)
+        if len(found) > MAX_SUBGROUPS:
+            raise TooManySubgroups(
+                f"{G.name} has more than {MAX_SUBGROUPS} "
+                f"subgroups, the limit of one lattice")
+
+    frontier = [(1, ())]  # orbit representatives with their generators
     while frontier:
         new = []
         for h, gens in frontier:
@@ -631,19 +618,18 @@ def enumerate_lattice(G: Group) -> SubgroupLattice:
                     skip |= k
                 if k not in found:
                     new.append((k, gens + (x,)))
-                    found[k] = k
-                    # found holds whole classes, so none of k's is in it yet
-                    conjugates = [k]
-                    for c in conjugates:
-                        for g in movers:
-                            d = conjugate_mask(G, g, c)
-                            if d not in found:
-                                found[d] = k
-                                conjugates.append(d)
-                    if len(found) > MAX_SUBGROUPS:
-                        raise TooManySubgroups(
-                            f"{G.name} has more than {MAX_SUBGROUPS} "
-                            f"subgroups, the limit of one lattice")
+                    # found holds whole orbits, so none of k's is in it yet;
+                    # an automorphism maps each class onto a class, read off
+                    # the image of its representative
+                    reps = [k]
+                    add_class(k, k)
+                    for r in reps:
+                        members = _gatherer(tuple(bits(r)))
+                        for bit in shifted:
+                            e = sum(members(bit))
+                            if e not in found:
+                                add_class(e, k)
+                                reps.append(e)
         frontier = new
     return SubgroupLattice(G, list(found), found)
 

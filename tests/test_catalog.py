@@ -188,6 +188,15 @@ def test_product_sub_names_are_resolved_once(monkeypatch):
     assert calls <= 19 ** 3
 
 
+def test_deep_product_names_are_refused_before_resolving():
+    """Resolving and building a product recurse once per factor, so 501
+    factors would pass the interpreter's recursion limit; such a name is
+    refused first, and 64 factors still resolve and build."""
+    with pytest.raises(catalog.BadParameters, match="more than 64 direct factors"):
+        catalog.construct("C1x" * 500 + "C2")
+    assert catalog.construct("C1x" * 63 + "C2").order == 2
+
+
 def test_requested_cap_reaches_the_builder():
     assert catalog.construct("D2002", max_order_cap=2002).order == 2002
 

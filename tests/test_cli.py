@@ -294,3 +294,18 @@ def test_lattice_over_the_subgroup_limit_is_a_load_error(capsys):
     assert out == ""
     assert err == ("error: E2^7 has more than 4096 subgroups, "
                    "the limit of one lattice\n")
+
+
+DEEP_PRODUCT = "C1x" * 500 + "C2"
+
+
+def test_deep_product_name_is_a_load_error(capsys):
+    code, out, err = run(capsys, "classify", f"catalog:{DEEP_PRODUCT}")
+    assert (code, out) == (EXIT_LOAD, "")
+    assert err.startswith("error: ") and "more than 64 direct factors" in err
+
+
+def test_verify_deep_product_name_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--groups", DEEP_PRODUCT)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("usage error: ") and "more than 64 direct factors" in err

@@ -1,9 +1,10 @@
 """Answers read once per automorphism orbit or conjugacy class against
 per-member evaluation.
 
-The lattice records each subgroup's conjugacy class as the enumeration
-finds it, and joins the classes into orbits under the automorphisms that
-``found_automorphisms`` finds and verifies.  It evaluates the predicate
+The enumeration finds the subgroups one orbit at a time, under the group
+that conjugation and the automorphisms ``found_automorphisms`` finds and
+verifies generate, and each orbit class by class, so the lattice records
+both each subgroup's conjugacy class and its orbit.  It evaluates the predicate
 columns of the whole lattice on one representative per orbit, those of
 every other quotient section [N, G] on one per class, and memoises
 subnormality per orbit.  The oracles in ``oracles.py`` evaluate every
@@ -80,6 +81,19 @@ def test_orbits_are_unions_of_classes_of_one_order(name):
         for phi in found_automorphisms(lat.group):
             image = sum(1 << phi[x] for x in lat.subgroups[i])
             assert orbit >> lat.index_of[image] & 1, (name, i)
+
+
+@pytest.mark.parametrize("name", SUITE + ["E2^5", "D400", "C2xD8xS3"])
+def test_no_automorphisms_found_gives_the_same_lattice(monkeypatch, name):
+    """With no automorphism found the enumeration walks conjugacy classes
+    alone: the same subgroups and classes, and each orbit one class."""
+    G = catalog.shared_group(name)
+    lat = enumerate_lattice(G)
+    monkeypatch.setattr(lattice_module, "found_automorphisms", lambda G: ())
+    bare = enumerate_lattice(G)
+    assert [s.mask for s in bare.subgroups] == [s.mask for s in lat.subgroups]
+    assert bare.class_of == lat.class_of, name
+    assert bare.orbit_of == bare.class_of, name
 
 
 def _relabelled(name, seed):

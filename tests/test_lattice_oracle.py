@@ -1,7 +1,7 @@
 """Independent oracles for the lattice builder and its tables.
 
 The oracles below deliberately avoid the production path (cyclic extension
-of one subgroup per conjugacy class by Dimino coset closure, tables read off
+of one subgroup per automorphism orbit by Dimino coset closure, tables read off
 inclusion bitsets, permutability decided by counting): one walks the full
 power set, another runs a depth-first search over multiplication-closed sets
 using a fixpoint product scan, and the table and permutability oracles apply
@@ -11,10 +11,15 @@ conjugation, HP = PH as sets, modular = both Kurosh conditions over every
 pair of a section, interval sizes = the subgroups counted between the two
 ends, primary cyclic subgroups = the powers of each element of prime-power
 order).  The literal cyclic extension oracle extends every
-subgroup found by every prime-power cyclic generator, with no conjugacy
-classes and no prime-index skip; it reaches the orders the DFS cannot.
-Expected counts asserted here were frozen from the oracles.
+subgroup found by every prime-power cyclic generator, with no orbits,
+classes or prime-index skip; it reaches the orders the DFS cannot.
+Expected counts asserted here were frozen from the oracles, except the
+closed-form counts of C_n, D_2n, E_p^k and C_m x C_n, computed from the
+parameters.
 """
+
+import math
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -30,6 +35,7 @@ from modmax.groups import (
     group_from_permutations,
 )
 from modmax.lattice import (
+    TooManySubgroups,
     enumerate_lattice,
     lattice_of,
     primary_cyclic,
@@ -271,11 +277,15 @@ def test_class_enumeration_agrees_on_random_permutation_groups(data):
     assert _lattice_membersets(G) == oracle_subgroups_cyclic_literal(G)
 
 
-@pytest.mark.parametrize("name, most", [("hol_C13", 400), ("E2^5", 3000)])
+@pytest.mark.parametrize("name, most", [
+    ("hol_C13", 400), ("E2^5", 3000), ("E2^6", 300), ("E3^5", 400)])
 def test_enumeration_extends_one_subgroup_per_class(monkeypatch, name, most):
     """Extending every subgroup found, as the literal oracle does, takes
-    2,640 calls on hol_C13 and 9,517 on E2^5.  The primary cyclic subgroups
-    are listed before counting, so only the extensions are counted."""
+    2,640 calls on hol_C13 and 9,517 on E2^5; extending one subgroup per
+    conjugacy class takes 23,562 on E2^6 and 25,652 on E3^5, where every
+    class is one subgroup but the automorphisms found make one orbit per
+    order.  The primary cyclic subgroups are listed before counting, so
+    only the extensions are counted."""
     G = catalog.construct(name)
     primary_cyclic(G)
     calls = []
@@ -287,6 +297,59 @@ def test_enumeration_extends_one_subgroup_per_class(monkeypatch, name, most):
     monkeypatch.setattr(lattice_module, "_closure", counting)
     enumerate_lattice(G)
     assert 0 < len(calls) < most
+
+
+def test_a_huge_orbit_stops_at_the_limit():
+    """E2^11's 2,047 subgroups of order 2 form one orbit and its 698,027 of
+    order 4 another; the limit is checked as each class joins an orbit, so
+    the enumeration stops at the 4,097th subgroup, not after the orbit."""
+    G = catalog.construct("E2^11", max_order_cap=2048)
+    start = time.perf_counter()
+    with pytest.raises(TooManySubgroups):
+        enumerate_lattice(G)
+    assert time.perf_counter() - start < 5
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _gaussian_binomial(k, j, p):
+    num = den = 1
+    for i in range(j):
+        num *= p ** (k - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+# closed forms, computed from the parameters: C_n has tau(n) subgroups; D_2n
+# has tau(n) + sigma(n), of which tau(n) + 1 are normal for n odd and
+# tau(n) + 3 for n even; E_p^k has sum_j [k choose j]_p; C_m x C_n has
+# sum over a | m, b | n of gcd(a, b)
+@pytest.mark.parametrize("n", [1680])
+def test_cyclic_subgroup_count(n):
+    assert len(enumerate_lattice(catalog.construct(f"C{n}"))) == len(_divisors(n))
+
+
+@pytest.mark.parametrize("n", [200, 999])
+def test_dihedral_subgroup_counts(n):
+    lat = enumerate_lattice(catalog.construct(f"D{2 * n}"))
+    tau, sigma = len(_divisors(n)), sum(_divisors(n))
+    assert (lat.size, lat.normal.bit_count()) == (
+        tau + sigma, tau + (1 if n % 2 else 3))
+
+
+@pytest.mark.parametrize("p, k", [(3, 4), (5, 3)])
+def test_elementary_abelian_subgroup_count(p, k):
+    lat = enumerate_lattice(catalog.construct(f"E{p}^{k}"))
+    assert lat.size == sum(_gaussian_binomial(k, j, p) for j in range(k + 1))
+
+
+@pytest.mark.parametrize("m, n", [(12, 18), (20, 30)])
+def test_two_cyclic_factors_subgroup_count(m, n):
+    lat = enumerate_lattice(catalog.construct(f"C{m}xC{n}"))
+    assert lat.size == sum(math.gcd(a, b) for a in _divisors(m)
+                           for b in _divisors(n))
 
 
 def test_oracles_agree_with_each_other():
