@@ -6,6 +6,10 @@ automorphisms are realised through the least primitive root, and searched
 objects (an order-3 automorphism of the quaternion group, action matrices
 for the pq^2 family) are chosen as the lexicographically least candidate.
 
+The split extensions E_q^k x| C_m (holomorphs, C3:C4, the pq^2 and
+power-split families) share one builder, ``_linear_split``: a k x k matrix
+over Z/q acting on the base-q digit vectors of elementary_abelian(q, k).
+
 ``standard_suite`` returns the catalog entries with the expected slices of
 their classification profiles; the golden test asserts every expected
 field against a fresh computation.  The provenance tag records whether a
@@ -17,13 +21,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, product
+from operator import mul
 from typing import Callable
 
 from .groups import (
     DEFAULT_MAX_ORDER,
     ClosureExceedsCap,
     Group,
+    _gather,
     automorphisms,
     direct_product,
     factorize,
@@ -116,11 +122,29 @@ def alternating(n: int, name: str | None = None) -> Group:
 
 
 def _least_primitive_root(p: int) -> int:
+    # from 1: the units modulo 2 are trivial, and 1 is never primitive for p > 2
     fac = factorize(p - 1)
-    for g in range(2, p):
+    for g in range(1, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
             return g
     raise BadParameters(f"no primitive root modulo {p}")
+
+
+def _linear_split(q: int, mat, order: int, name: str) -> Group:
+    """E_q^k x| C_order, the generator acting by the k x k matrix ``mat``
+    (rows of entries mod q, order dividing ``order``) on the digit vectors
+    (d_0, ..., d_(k-1)) of the indices sum(d_i * q^i) of
+    elementary_abelian(q, k).  The matrix is applied once; each further
+    power is the previous one read at it."""
+    k = len(mat)
+    weights = [q ** i for i in range(k)]
+    vectors = [d[::-1] for d in product(range(q), repeat=k)]  # d_0 varies fastest
+    gen = tuple(sum(w * (sum(map(mul, row, v)) % q) for w, row in zip(weights, mat))
+                for v in vectors)
+    action = [tuple(range(q ** k))]
+    for _ in range(order - 1):
+        action.append(_gather(action[-1], gen))
+    return semidirect_product(elementary_abelian(q, k), cyclic(order), action, name=name)
 
 
 def holomorph_cyclic(p: int, name: str | None = None) -> Group:
@@ -131,26 +155,12 @@ def holomorph_cyclic(p: int, name: str | None = None) -> Group:
     """
     if not is_prime(p):
         raise BadParameters(f"{p} is not prime")
-    if p == 2:
-        return cyclic(2, name=name or "hol_C2")
-    g = _least_primitive_root(p)
-    base = cyclic(p)
-    top = cyclic(p - 1)
-    action = []
-    for h in range(p - 1):
-        mult = pow(g, h, p)
-        action.append(tuple((x * mult) % p for x in range(p)))
-    return semidirect_product(base, top, action, name=name or f"hol_C{p}")
+    return _linear_split(p, ((_least_primitive_root(p),),), p - 1, name or f"hol_C{p}")
 
 
 def dicyclic12(name: str = "C3:C4") -> Group:
     """C3 x| C4 with the order-4 generator inverting the C3."""
-    base = cyclic(3)
-    top = cyclic(4)
-    invert = (0, 2, 1)
-    ident = (0, 1, 2)
-    action = [ident, invert, ident, invert]
-    return semidirect_product(base, top, action, name=name)
+    return _linear_split(3, ((2,),), 4, name)
 
 
 def sl23(name: str = "SL23") -> Group:
@@ -208,8 +218,6 @@ def pq2(p: int, q: int, name: str | None = None) -> Group:
         raise BadParameters(f"need two primes, got p={p}, q={q}")
     if p == q:
         raise BadParameters("p and q must be distinct")
-    base = elementary_abelian(q, 2)
-    top = cyclic(p)
     if (q - 1) % p == 0:
         k = next(s for s in range(2, q)
                  if pow(s, p, q) == 1 and s != 1)
@@ -219,23 +227,7 @@ def pq2(p: int, q: int, name: str | None = None) -> Group:
         if mat is None:
             raise BadParameters(
                 f"no order-{p} action on an elementary abelian {q}^2 group")
-    a, b, c, d = mat
-
-    def apply(m, v0, v1):
-        return ((m[0] * v0 + m[1] * v1) % q, (m[2] * v0 + m[3] * v1) % q)
-
-    action = []
-    cur = (1, 0, 0, 1)
-    for _ in range(p):
-        perm = []
-        for idx in range(q * q):
-            v0, v1 = idx % q, idx // q
-            w0, w1 = apply(cur, v0, v1)
-            perm.append(w0 + q * w1)
-        action.append(tuple(perm))
-        cur = ((cur[0] * a + cur[1] * c) % q, (cur[0] * b + cur[1] * d) % q,
-               (cur[2] * a + cur[3] * c) % q, (cur[2] * b + cur[3] * d) % q)
-    return semidirect_product(base, top, action, name=name or f"pq2_{p}_{q}")
+    return _linear_split(q, (mat[:2], mat[2:]), p, name or f"pq2_{p}_{q}")
 
 
 def power_split_group(p: int, k: int, q: int, power: int,
@@ -249,22 +241,8 @@ def power_split_group(p: int, k: int, q: int, power: int,
     if m in (0, 1) or pow(m, q, p) != 1:
         raise BadParameters(
             f"power {power} does not have multiplicative order {q} modulo {p}")
-    base = elementary_abelian(p, k)
-    top = cyclic(q)
-    action = []
-    for h in range(q):
-        mult = pow(m, h, p)
-        perm = []
-        for idx in range(p ** k):
-            out, scale, rest = 0, 1, idx
-            for _ in range(k):
-                out += ((rest % p) * mult % p) * scale
-                rest //= p
-                scale *= p
-            perm.append(out)
-        action.append(tuple(perm))
-    return semidirect_product(base, top, action,
-                              name=name or f"pgroup_{p}^{k}:{q}")
+    scalar = tuple(tuple(m if i == j else 0 for j in range(k)) for i in range(k))
+    return _linear_split(p, scalar, q, name or f"pgroup_{p}^{k}:{q}")
 
 
 # ---------------------------------------------------------------------------

@@ -492,9 +492,6 @@ def group_from_permutations(degree: int, generators, name: str = "G",
     if degree < 1:
         raise InvalidPermutation("degree must be at least 1")
     gens = [_check_permutation(p, degree) for p in generators]
-    if degree == 1:  # itemgetter of one point returns that point, not a tuple
-        index = (0,)
-        return group_from_generator_rows(index, [index] * len(gens), name)
     ident = tuple(range(degree))
     elems = [ident]
     seen = {ident}
@@ -502,7 +499,7 @@ def group_from_permutations(degree: int, generators, name: str = "G",
     while level:
         found = set()
         for x in level:
-            times = itemgetter(*x)  # times(q) is x*q
+            times = _gatherer(x)  # times(q) is x*q
             for g in gens:
                 y = times(g)
                 if y not in seen:
@@ -516,7 +513,7 @@ def group_from_permutations(degree: int, generators, name: str = "G",
                     f"permutation closure exceeds max_order_cap {max_order_cap}")
     index = tuple(range(len(elems)))
     lookup = dict(zip(elems, index)).__getitem__
-    gen_rows = [tuple(map(lookup, map(itemgetter(*g), elems))) for g in gens]  # g*p
+    gen_rows = [tuple(map(lookup, map(_gatherer(g), elems))) for g in gens]  # g*p
     return group_from_generator_rows(index, gen_rows, name)
 
 
@@ -594,7 +591,7 @@ def load_group(path, max_order_cap: int = DEFAULT_MAX_ORDER) -> Group:
             data = json.load(fh)
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too long or deep
         raise LoadError(f"{path} is not valid JSON: {exc}") from exc
     return group_from_json(data, max_order_cap=max_order_cap)
 

@@ -1,5 +1,7 @@
 """Golden classification table and construction determinism."""
 
+import hashlib
+import json
 import time
 import tracemalloc
 
@@ -206,6 +208,33 @@ def test_power_split_constructor_is_split_power_group():
     g = catalog.power_split_group(5, 2, 2, 4)  # inversion on 5^2
     assert g.order == 50
     assert is_p_group_schmidt(g)
+
+
+# sha256 of the split extensions below, taken before they shared one
+# linear-action builder
+SPLIT_DIGEST = "69f727eb83df55b9c7816567f967f00c4234afbfb8d9c8a09c10071254de03c8"
+
+
+def test_split_extensions_are_pinned():
+    """Holomorphs, C3:C4, pq2 in its scalar (2_3, 3_7) and matrix branches
+    and power-split groups of rank 1, 2 and 3, with their refusals."""
+    names = ["hol_C2", "hol_C3", "hol_C7", "hol_C13", "hol_C43", "C3:C4",
+             "pq2_2_3", "pq2_3_7", "pq2_3_5", "pq2_3_11", "pq2_7_13", "pq2_5_19",
+             "pgroup_13^1:3:3", "pgroup_7^2:3:2", "pgroup_3^3:2:2"]
+    digest = hashlib.sha256()
+    for name in names:
+        G = catalog.construct(name)
+        digest.update(json.dumps([G.name, G.table, G.generator_indices, G.inverse]).encode())
+    assert digest.hexdigest() == SPLIT_DIGEST
+    with pytest.raises(catalog.BadParameters, match="no order-5 action on an elementary abelian 7"):
+        catalog.construct("pq2_5_7")
+    with pytest.raises(catalog.BadParameters, match="power 1 does not have multiplicative order 3"):
+        catalog.construct("pgroup_2^4:3:1")
+
+
+def test_least_primitive_roots():
+    # the unit group mod 2 is trivial, so 1 generates it
+    assert [catalog._least_primitive_root(p) for p in (2, 3, 7, 13)] == [1, 2, 3, 2]
 
 
 def test_sl23_matches_quaternion_semidirect():

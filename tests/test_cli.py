@@ -208,6 +208,13 @@ def test_load_errors(capsys, tmp_path):
     assert code == EXIT_LOAD
 
 
+@pytest.mark.parametrize("command", ["classify", "lattice", "census"])
+def test_unreadable_group_files_exit_as_load_errors(capsys, hostile_group_file, command):
+    code, out, err = run(capsys, command, str(hostile_group_file))
+    assert code == EXIT_LOAD and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_group_file_source(capsys, tmp_path):
     payload = {
         "name": "klein",

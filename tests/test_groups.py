@@ -317,6 +317,11 @@ def test_package_constructors_never_run_group_init(monkeypatch, tmp_path):
         group_from_cayley_table([[0, 1], [1, 0]])
 
 
+def test_unreadable_group_files_are_load_errors(hostile_group_file):
+    with pytest.raises(LoadError):
+        load_group(hostile_group_file)
+
+
 def test_every_entry_is_read_as_an_int_before_any_check():
     # operator.index rejects strings and floats instead of truncating them
     with pytest.raises(TypeError):
