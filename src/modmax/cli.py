@@ -53,7 +53,7 @@ def _resolve_group(source: str, max_order: int) -> Group:
         f"{source!r} is neither a catalog:NAME source nor an existing file")
 
 
-def _emit(obj: dict, fmt: str, text_fn) -> None:
+def _emit(obj, fmt: str, text_fn) -> None:
     if fmt == "json":
         print(json.dumps(obj, sort_keys=True, indent=2))
     else:
@@ -149,22 +149,17 @@ def cmd_census(args) -> int:
 def cmd_verify(args) -> int:
     result = run_suite(groups=args.groups, theorems=args.suite,
                        jobs=args.jobs, fast=args.fast, depth=args.n)
-    if args.format == "json":
-        print(json.dumps(result.to_json_obj(deterministic=True),
-                         sort_keys=True, indent=2))
-    else:
-        print(result.to_text(), end="")
+    _emit(result.to_json_obj(), args.format, lambda _: result.to_text())
     return EXIT_SOUNDNESS if result.has_failures() else EXIT_OK
 
 
 def cmd_catalog(args) -> int:
-    listing = catalog.catalog_listing()
-    if args.format == "json":
-        print(json.dumps(listing, sort_keys=True, indent=2))
-    else:
-        for row in listing:
-            print(f"{row['name']:<10} order {row['order']:>4}  "
-                  f"primes {row['primes']}  {row['description']}")
+    def text(rows):
+        return "".join(f"{row['name']:<10} order {row['order']:>4}  "
+                       f"primes {row['primes']}  {row['description']}\n"
+                       for row in rows)
+
+    _emit(catalog.catalog_listing(), args.format, text)
     return EXIT_OK
 
 

@@ -745,7 +745,7 @@ def semidirect_product(N: Group, H: Group, action,
     ident = tuple(range(N.order))
     if acts[0] != ident:
         raise NotAnAction("action of the identity must be the identity map")
-    for h, perm in enumerate(acts):
+    for h, perm in enumerate(acts[1:], 1):
         if sorted(perm) != list(range(N.order)):
             raise NotAnAction(f"action of element {h} is not a bijection")
         if perm[0] != 0:

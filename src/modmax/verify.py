@@ -39,6 +39,11 @@ report them; the --fast mode skips them in exactly that case and reports
 verdict without its conclusion being evaluated: Prop3.2 and Cor4.4 report
 a failed hypothesis and "not-evaluated" on supersoluble groups, Lem2.10
 holds vacuously outside soluble primitive non-nearly-nilpotent groups.
+
+``run_suite`` maps one worker over one list of groups, with the built-in
+``map`` when serial and a process pool's ``map`` when pooled.  A report's
+JSON ``ms`` is always 0.0, so that identical runs serialise byte for
+byte; the text form shows the wall time.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 from . import catalog
 from .classify import (
@@ -108,16 +112,16 @@ class VerdictReport:
         return (self.hypothesis in (HOLDS, VACUOUS)
                 and self.conclusion == FAILS)
 
-    def to_json_obj(self, deterministic: bool = True) -> dict:
-        # "ms" is pinned to 0 in deterministic mode so that identical runs
-        # serialise byte for byte; wall time is still shown in text mode.
+    def to_json_obj(self) -> dict:
+        # "ms" is always 0 so that identical runs serialise byte for byte;
+        # wall time is shown in text mode.
         return {
             "group": self.group,
             "theorem": self.theorem,
             "hypothesis": self.hypothesis,
             "conclusion": self.conclusion,
             "witnesses": list(self.witnesses),
-            "ms": 0.0 if deterministic else round(self.ms, 3),
+            "ms": 0.0,
         }
 
 
@@ -143,55 +147,48 @@ def _offender_witnesses(lat, offenders, cap: int = 4) -> list[str]:
 # ---------------------------------------------------------------------------
 # the check runner
 
-class _Check(NamedTuple):
-    """One numbered result as functions of (G, lattice, *args).
+def _run(hypothesis, conclusion, scope, G: Group, theorem: str, fast: bool,
+         *args) -> VerdictReport:
+    """One numbered result, given as functions of (G, lattice, *args).
 
     ``hypothesis`` gives (status, witnesses) and ``conclusion`` gives
     (ok, witnesses).  ``scope``, when set, gives None for a group the
     statement speaks about and a settled (hypothesis, conclusion, witnesses)
     verdict otherwise, with the conclusion left unevaluated.
     """
-    hypothesis: Callable
-    conclusion: Callable
-    scope: Callable | None = None
-
-
-def _run(check: _Check, G: Group, theorem: str, fast: bool, *args) -> VerdictReport:
     t0 = time.perf_counter()
     lat = lattice_of(G)
-    verdict = check.scope(G, lat, *args) if check.scope else None
+    verdict = scope(G, lat, *args) if scope else None
     if verdict is None:
-        hypothesis, witnesses = check.hypothesis(G, lat, *args)
-        if fast and hypothesis == FAILS:
-            conclusion = NOT_EVALUATED
+        status, witnesses = hypothesis(G, lat, *args)
+        if fast and status == FAILS:
+            outcome = NOT_EVALUATED
         else:
-            ok, more = check.conclusion(G, lat, *args)
-            conclusion, witnesses = (HOLDS if ok else FAILS), witnesses + more
+            ok, more = conclusion(G, lat, *args)
+            outcome, witnesses = (HOLDS if ok else FAILS), witnesses + more
     else:
-        hypothesis, conclusion, witnesses = verdict
+        status, outcome, witnesses = verdict
     ms = (time.perf_counter() - t0) * 1000.0
-    return VerdictReport(G.name, theorem, hypothesis, conclusion,
+    return VerdictReport(G.name, theorem, status, outcome,
                          _cap_witnesses(witnesses), ms)
 
 
 def _nmax_runner(theorem: str, with_squasi: bool, slack: int, conclusion):
     """``verify(G, n, fast=False)`` for a theorem on n-maximal subgroups."""
-    check = _Check(functools.partial(_nmax_hypothesis, with_squasi=with_squasi,
-                                     slack=slack), conclusion)
+    hypothesis = functools.partial(_nmax_hypothesis, with_squasi=with_squasi,
+                                   slack=slack)
 
     def verify(G: Group, n: int, fast: bool = False) -> VerdictReport:
         if n < 1:
             raise BadDepth(f"depth must be >= 1, got {n}")
-        return _run(check, G, f"{theorem}(n={n})", fast, n)
+        return _run(hypothesis, conclusion, None, G, f"{theorem}(n={n})", fast, n)
     return verify
 
 
 def _single_runner(theorem: str, hypothesis, conclusion, scope=None):
     """``verify(G, fast=False)`` for a check without a depth."""
-    check = _Check(hypothesis, conclusion, scope)
-
     def verify(G: Group, fast: bool = False) -> VerdictReport:
-        return _run(check, G, theorem, fast)
+        return _run(hypothesis, conclusion, scope, G, theorem, fast)
     return verify
 
 
@@ -490,6 +487,16 @@ def _is_nonnormal_sylow_of(G: Group, S: SubgroupSet, q_mask: int) -> bool:
     return any(conjugate_mask(G, g, q_mask) != q_mask for g in S.members())
 
 
+def _restriction_failures(lat, predicate: str, members, word: str) -> list[str]:
+    """Witnesses against Lem2.2 and Lem2.3's restriction clause: each
+    member a that is not ``predicate`` (a column name) inside a subgroup b
+    with a < b < G, read in the section [1, b], once per such b."""
+    top = lat.top()
+    return [f"{_descriptor(lat, a)} not {word} inside {_descriptor(lat, b)}"
+            for a in members for b in lat.above[a]
+            if b != a and b != top and not lat.column(predicate, (0, b)) >> a & 1]
+
+
 def _lemma_2_2_conclusion(G: Group, lat):
     """Modular subgroups: closed under joins, stable in quotients, include
     all normals, and restrict to intermediate subgroups."""
@@ -514,30 +521,16 @@ def _lemma_2_2_conclusion(G: Group, lat):
                 bad.append(
                     f"image of {_descriptor(lat, a)} not modular in quotient "
                     f"by order {lat.subgroups[ni].order}")
-    for a in modular:
-        for b in lat.above[a]:
-            if b == a or b == top:
-                continue
-            if not lat.column("modular", (0, b)) >> a & 1:
-                bad.append(
-                    f"{_descriptor(lat, a)} not modular inside {_descriptor(lat, b)}")
+    bad += _restriction_failures(lat, "modular", modular, "modular")
     return not bad, [f"{len(modular)} modular subgroups"] + bad
 
 
 def _lemma_2_3_conclusion(G: Group, lat):
     """S-quasinormal subgroups restrict to intermediates, correspond through
     quotients, and are subnormal with nilpotent closure-over-core."""
-    bad = []
     top, squasi_bits = lat.top(), lat.s_quasinormal
     squasi = list(bits(squasi_bits))
-    for h in squasi:
-        for k in lat.above[h]:
-            if k == h or k == top:
-                continue
-            if not lat.column("s_quasinormal", (0, k)) >> h & 1:
-                bad.append(
-                    f"{_descriptor(lat, h)} not S-quasinormal inside "
-                    f"{_descriptor(lat, k)}")
+    bad = _restriction_failures(lat, "s_quasinormal", squasi, "S-quasinormal")
     for hi in lat.normal_indices():
         # G/H is the section [H, G]; K >= H is its own image there
         in_quotient = lat.column("s_quasinormal", (hi, top))
@@ -779,8 +772,7 @@ def reports_for_group(name: str, checks, fast: bool = False,
 
 
 def _suite_worker(args) -> list[VerdictReport]:
-    name, checks, fast, depth = args
-    return reports_for_group(name, checks, fast, depth)
+    return reports_for_group(*args)
 
 
 @dataclass(frozen=True)
@@ -804,9 +796,9 @@ class SuiteResult:
     def failures(self) -> tuple[VerdictReport, ...]:
         return tuple(r for r in self.reports if r.is_failure())
 
-    def to_json_obj(self, deterministic: bool = True) -> dict:
+    def to_json_obj(self) -> dict:
         return {
-            "reports": [r.to_json_obj(deterministic) for r in self.reports],
+            "reports": [r.to_json_obj() for r in self.reports],
             "summary": self.summary(),
         }
 
@@ -835,8 +827,6 @@ def resolve_group_selector(selector) -> list[str]:
         names = list(selector)
     elif selector == "all":
         names = catalog.suite_names()
-    elif selector == "":
-        names = []
     else:
         names = [part.strip() for part in selector.split(",") if part.strip()]
     for name in names:
@@ -879,17 +869,14 @@ def run_suite(groups="all", theorems="all", jobs: int = 1,
     names = resolve_group_selector(groups)
     checks = resolve_check_selector(theorems)
     workers = min(jobs, len(names), os.cpu_count() or 1)
-    all_reports: list[VerdictReport] = []
+    work = [(name, checks, fast, depth) for name in names]
     if workers > 1:
-        work = [(name, checks, fast, depth) for name in names]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_suite_worker, work):
-                all_reports.extend(chunk)
+            chunks = list(pool.map(_suite_worker, work))
     else:
-        for name in names:
-            all_reports.extend(reports_for_group(name, checks, fast, depth))
-    all_reports.sort(key=_report_order)
-    return SuiteResult(tuple(all_reports))
+        chunks = map(_suite_worker, work)
+    return SuiteResult(tuple(sorted(itertools.chain.from_iterable(chunks),
+                                    key=_report_order)))
 
 
 def _report_order(r: VerdictReport):

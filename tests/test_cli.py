@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import modmax
+from modmax import catalog, verify
 from modmax.cli import EXIT_LOAD, EXIT_OK, EXIT_SOUNDNESS, EXIT_USAGE, main
 
 
@@ -173,6 +175,22 @@ def test_lattice_and_census_bytes_are_pinned(capsys, argv, size, digest):
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
+@pytest.mark.parametrize("argv, size, digest", [
+    (("lattice", "catalog:S4"), 1384,
+     "a946530f2670f72963854b849d356bd245968b796a572c6d0d14ffb76547c028"),
+    (("census", "catalog:A4xC2"), 269,
+     "e3e16ad924ee6390565e29ee4a3cb1dbcd4e5539ce735f0bfa4d52af2e32454c"),
+    (("catalog",), 1149,
+     "48b069aff5b853a7427e45707df3c86fafb95a5a74791155c5d5f32250527a9f"),
+])
+def test_text_bytes_are_pinned(capsys, argv, size, digest):
+    """The text forms of lattice, census and catalog, byte for byte."""
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
 def test_verify_depth_pin(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "theorems",
                        "--groups", "A4", "--n", "3", "--format", "json")
@@ -260,6 +278,57 @@ def test_soundness_exit_code_mapping():
     good = VerdictReport("X", "ThmA(n=1)", "fails", "fails", (), 0.0)
     assert not SuiteResult((good,)).has_failures()
     assert EXIT_SOUNDNESS == 3
+
+
+# with strong supersolubility denied, these reports conclude it under a
+# satisfied hypothesis, so each is a failure of the gate
+DENIED_FAILURES = [
+    ("Q8", "Prop2.11"), ("Q8", "Prop2.9"), ("Q8", "Thm2.12(n=1)"),
+    ("Q8", "ThmA(n=1)"), ("S3", "Prop2.11"), ("S3", "Prop2.9"),
+    ("S3", "Thm2.12(n=1)"), ("S3", "Thm2.12(n=2)"), ("S3", "ThmA(n=1)"),
+    ("S3", "ThmA(n=2)"),
+]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_failure_exits_3_and_is_counted(capsys, monkeypatch, jobs):
+    """The gate's failure path end to end: a check made to fail reaches the
+    JSON summary, the text flags and summary line, and exit code 3, serial
+    and pooled."""
+    if jobs != "1" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers see the patched check only when forked")
+    monkeypatch.setattr(verify, "is_strongly_supersoluble", lambda G: False)
+    argv = ("verify", "--groups", "S3,Q8", "--jobs", jobs)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_SOUNDNESS
+    obj = json.loads(out)
+    assert obj["summary"] == {"pass": 30, "fail": 10, "vacuous": 2}
+    assert [(r["group"], r["theorem"]) for r in obj["reports"]
+            if r["hypothesis"] != "fails" and r["conclusion"] == "fails"] == \
+        DENIED_FAILURES
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_SOUNDNESS
+    lines = out.splitlines()
+    assert [tuple(line.split()[1:3]) for line in lines
+            if line.startswith("[FAIL]")] == DENIED_FAILURES
+    assert lines[-1] == "summary: pass=30 fail=10 vacuous=2"
+
+
+def test_report_witnesses_are_capped(monkeypatch):
+    """A report with more than MAX_WITNESSES witnesses keeps the first
+    MAX_WITNESSES - 1 and counts the rest."""
+    monkeypatch.setattr(verify, "is_nilpotent", lambda *args: False)
+    report = verify.lemma_2_1_suite(catalog.construct("E2^3"))
+    assert report.is_failure()
+    # 16 modular subgroups: one count line and one line per subgroup
+    assert verify.MAX_WITNESSES == 10
+    assert report.witnesses[0] == "16 modular subgroups checked"
+    assert all(w.endswith(": M over its core is not nilpotent")
+               for w in report.witnesses[1:9])
+    assert report.witnesses[9:] == ("... 8 more",)
+    text = verify.SuiteResult((report,)).to_text().splitlines()
+    assert text[0].startswith("[FAIL] E2^3")
+    assert text[-2:] == ["         - ... 8 more", "summary: pass=0 fail=1 vacuous=0"]
 
 
 def test_verify_jobs_below_one_is_a_usage_error(capsys):

@@ -1,5 +1,7 @@
 """Lattice structure and embedding predicates."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -363,3 +365,16 @@ def test_subgroup_limit_is_checked_before_any_table(monkeypatch):
     monkeypatch.setattr(lattice_module, "SubgroupLattice", None)
     with pytest.raises(TooManySubgroups, match="more than 155 subgroups"):
         enumerate_lattice(G)
+
+
+def test_analysed_group_pickles_without_its_cache():
+    """A group whose lattice is built holds closures in its cache, which do
+    not pickle; the group pickles as its table, inverse and generators, and
+    the copy analyses again to the same lattice."""
+    G = catalog.construct("S4")
+    lat = lattice_of(G)
+    copy = pickle.loads(pickle.dumps(G))
+    assert (copy.name, copy.table, copy.inverse, copy.generator_indices) == \
+        (G.name, G.table, G.inverse, G.generator_indices)
+    assert copy._cache == {}
+    assert lattice_of(copy).size == lat.size == 30

@@ -349,7 +349,7 @@ def test_report_json_shape(suite_groups):
     assert set(obj) == {"group", "theorem", "hypothesis", "conclusion",
                         "witnesses", "ms"}
     assert obj["ms"] == 0.0
-    assert r.to_json_obj(deterministic=False)["ms"] >= 0.0
+    assert r.ms >= 0.0  # the wall time, shown in text mode only
 
 
 def test_contrapositive_separating_examples(suite_groups):
