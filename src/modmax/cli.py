@@ -195,7 +195,10 @@ def build_parser() -> _Parser:
                    help="pin depth-parameterised checks to one depth")
     p.add_argument("--groups", default="all",
                    help='"all" or comma-separated catalog names')
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="analyse groups in up to min(JOBS, groups, CPUs) "
+                        "processes, this one included; each takes the "
+                        "largest group not yet started")
     p.add_argument("--fast", action="store_true",
                    help="skip conclusions under failed hypotheses")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -40,10 +40,10 @@ verdict without its conclusion being evaluated: Prop3.2 and Cor4.4 report
 a failed hypothesis and "not-evaluated" on supersoluble groups, Lem2.10
 holds vacuously outside soluble primitive non-nearly-nilpotent groups.
 
-``run_suite`` maps one worker over one list of groups, with the built-in
-``map`` when serial and a process pool's ``map`` when pooled.  A report's
-JSON ``ms`` is always 0.0, so that identical runs serialise byte for
-byte; the text form shows the wall time.
+``run_suite`` runs one list of groups: in order when serial; when pooled,
+the calling process and a process pool take them, largest first, from one
+shared queue.  A report's JSON ``ms`` is always 0.0, so that identical
+runs serialise byte for byte; the text form shows the wall time.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ import itertools
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import catalog
@@ -771,8 +770,24 @@ def reports_for_group(name: str, checks, fast: bool = False,
     return out
 
 
-def _suite_worker(args) -> list[VerdictReport]:
-    return reports_for_group(*args)
+def _take_groups(todo, work) -> list[VerdictReport]:
+    """Reports of every work item whose index is taken from the queue
+    ``todo``, up to the first stop mark (None)."""
+    return [r for i in iter(todo.get, None) for r in reports_for_group(*work[i])]
+
+
+_held_queue = None   # in a pool worker: the (todo, work) of its suite run
+
+
+def _hold_queue(todo, work):
+    """Pool initializer: a queue reaches a worker as it starts, not with a
+    task."""
+    global _held_queue
+    _held_queue = todo, work
+
+
+def _take_held_groups() -> list[VerdictReport]:
+    return _take_groups(*_held_queue)
 
 
 @dataclass(frozen=True)
@@ -821,7 +836,8 @@ class SuiteResult:
 def resolve_group_selector(selector) -> list[str]:
     """"all", "" (empty), or a comma-separated list of catalog names.
 
-    Each group is built at the default order cap.
+    A name given twice is kept once, at its first place.  Each group is
+    built at the default order cap.
     """
     if isinstance(selector, (list, tuple)):
         names = list(selector)
@@ -829,6 +845,7 @@ def resolve_group_selector(selector) -> list[str]:
         names = catalog.suite_names()
     else:
         names = [part.strip() for part in selector.split(",") if part.strip()]
+    names = list(dict.fromkeys(names))
     for name in names:
         try:
             catalog.shared_group(name)
@@ -858,9 +875,14 @@ def run_suite(groups="all", theorems="all", jobs: int = 1,
     """Run the selected checks over the selected groups.
 
     Reports are merged in deterministic order (group name, check id, depth
-    as a number) regardless of worker scheduling.  The worker pool is
-    capped at one process per group and per CPU, because a fork pool
-    starts all its workers at once.
+    as a number) regardless of worker scheduling.  With ``jobs`` above 1,
+    at most min(jobs, groups, CPUs) processes analyse groups, this one
+    included: it and a pool of one fewer take the groups one at a time,
+    largest order first, from one shared queue that ends in a stop mark
+    for each of them.  A group leaves the queue once, so each runs exactly
+    once, and no process holds a group it has not started.  If a group
+    raises, the other processes finish the queue and the pool is shut down
+    before the exception propagates.
     """
     if depth is not None and depth < 1:
         raise BadDepth(f"depth must be >= 1, got {depth}")
@@ -871,10 +893,25 @@ def run_suite(groups="all", theorems="all", jobs: int = 1,
     workers = min(jobs, len(names), os.cpu_count() or 1)
     work = [(name, checks, fast, depth) for name in names]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_suite_worker, work))
+        # imported here so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import SimpleQueue
+        work.sort(key=lambda w: catalog.shared_group(w[0]).order, reverse=True)
+        todo = SimpleQueue()
+        pool = ProcessPoolExecutor(max_workers=workers - 1, initializer=_hold_queue,
+                                   initargs=(todo, work))
+        try:
+            futures = [pool.submit(_take_held_groups) for _ in range(workers - 1)]
+            # filled after the workers start, which drain the pipe should
+            # the list outgrow it
+            for i in [*range(len(work)), *[None] * workers]:
+                todo.put(i)
+            chunks = [_take_groups(todo, work)] + [f.result() for f in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
+            todo.close()
     else:
-        chunks = map(_suite_worker, work)
+        chunks = itertools.starmap(reports_for_group, work)
     return SuiteResult(tuple(sorted(itertools.chain.from_iterable(chunks),
                                     key=_report_order)))
 

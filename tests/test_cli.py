@@ -92,6 +92,25 @@ def test_verify_output_identical_across_runs(capsys):
     assert out1 == out2
 
 
+def test_verify_runs_a_repeated_group_once(capsys):
+    _, once, _ = run(capsys, "verify", "--groups", "S3", "--format", "json")
+    for jobs in ("1", "2"):
+        _, twice, _ = run(capsys, "verify", "--groups", "S3,S3", "--jobs", jobs,
+                          "--format", "json")
+        assert twice == once
+
+
+def test_serial_cli_never_imports_multiprocessing():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(modmax.__file__).resolve().parents[1]))
+    code = ("import sys, modmax.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('multiprocessing', 'concurrent'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=env, timeout=60, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
 GATE_ALL = (97125,
             "164cf7f98e8fbe8bc29292993c8abd5e61e2a98c877df244681dc35e039431dd")
 

@@ -1,8 +1,11 @@
 """Theorem harness verdicts, census values, and the suite runner."""
 
+import concurrent.futures
 import gc
 import importlib
 import itertools
+import multiprocessing
+import os
 import weakref
 
 import pytest
@@ -387,38 +390,99 @@ def test_run_suite_orders_depths_numerically(monkeypatch):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the pool size and runs the
-    work in this process, so no worker is ever started."""
+    """Stands in for ProcessPoolExecutor: records the pool size, and each
+    task it is given ends at once having taken no group, so the caller runs
+    every group itself and no process starts."""
     sizes = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer, initargs):
         self.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
+    def submit(self, fn):
+        done = concurrent.futures.Future()
+        done.set_result([])
+        return done
 
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, work):
-        return map(fn, work)
+    def shutdown(self, cancel_futures=False):
+        pass
 
 
-@pytest.mark.parametrize("jobs, cpus, expected", [
-    (64, 8, 4),     # one worker per group at most
+@pytest.mark.parametrize("jobs, cpus, processes", [
+    (64, 8, 4),     # one process per group at most, the caller included
     (64, 3, 3),     # and one per CPU
     (2, 2, 2),
     (3, None, None),  # unknown CPU count: serial
     (1, 8, None),
 ])
-def test_run_suite_caps_the_worker_pool(monkeypatch, jobs, cpus, expected):
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", _RecordingPool)
+def test_run_suite_caps_the_worker_pool(monkeypatch, jobs, cpus, processes):
+    ran = []
+    real = verify.reports_for_group
+
+    def logged(name, *args):
+        ran.append(name)
+        return real(name, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
     _RecordingPool.sizes = []
-    result = run_suite("S3,Q8,C6,V4", "lemmas", jobs=jobs)
-    assert _RecordingPool.sizes == ([] if expected is None else [expected])
     serial = run_suite("S3,Q8,C6,V4", "lemmas")
+    monkeypatch.setattr(verify, "reports_for_group", logged)
+    result = run_suite("S3,Q8,C6,V4", "lemmas", jobs=jobs)
+    # the caller is one of the processes, so the pool holds one fewer
+    assert _RecordingPool.sizes == ([] if processes is None else [processes - 1])
+    # pooled runs take the largest order first; S3 and C6 (both of order 6)
+    # keep their given order
+    assert ran == (["S3", "Q8", "C6", "V4"] if processes is None
+                   else ["Q8", "S3", "C6", "V4"])
     assert result.to_json_obj() == serial.to_json_obj()
+
+
+def _fork_only():
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers see a patched function only when forked")
+
+
+def test_run_suite_pool_runs_each_group_once(monkeypatch, tmp_path):
+    """With a real pool, every group runs exactly once across the caller and
+    the workers, and the result is the serial one."""
+    _fork_only()
+    names = "S3,A4,Q8,C6,V4,D8"
+    serial = run_suite(names, "lemmas")
+    log = tmp_path / "ran"
+    real = verify.reports_for_group
+
+    def logged(name, *args):
+        with open(log, "a") as f:
+            f.write(f"{name} {os.getpid()}\n")
+        return real(name, *args)
+
+    monkeypatch.setattr(verify, "reports_for_group", logged)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
+    pooled = run_suite(names, "lemmas", jobs=3)
+    ran = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(name for name, _ in ran) == sorted(names.split(","))
+    assert len({pid for _, pid in ran}) <= 3
+    assert pooled.to_json_obj() == serial.to_json_obj()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("bad", ["A4", "V4"])   # first and last in the queue
+def test_run_suite_pool_passes_on_a_group_error(monkeypatch, bad):
+    """A group that raises, in whichever process takes it, reaches the
+    caller as the same exception type, and no worker outlives it."""
+    _fork_only()
+    real = verify.reports_for_group
+
+    def planted(name, *args):
+        if name == bad:
+            raise ArithmeticError(f"planted in {name}")
+        return real(name, *args)
+
+    monkeypatch.setattr(verify, "reports_for_group", planted)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    with pytest.raises(ArithmeticError, match=f"planted in {bad}"):
+        run_suite("S3,A4,Q8,V4", "lemmas", jobs=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_run_suite_rejects_fewer_than_one_job():
