@@ -20,10 +20,9 @@ independent computation ("computed").
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import chain, product
 from operator import mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .groups import (
     DEFAULT_MAX_ORDER,
@@ -369,13 +368,12 @@ def shared_group(name: str) -> Group:
 # ---------------------------------------------------------------------------
 # the standard suite with golden expectations
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     order: int
     description: str
-    expected: dict = field(default_factory=dict)     # profile field -> bool
-    provenance: dict = field(default_factory=dict)   # profile field -> source
+    expected: dict     # profile field -> bool
+    provenance: dict   # profile field -> source
 
     def build(self) -> Group:
         return construct(self.name)

@@ -41,7 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groups import (
     Group,
@@ -75,8 +75,7 @@ class InternalCheckError(Exception):
     """A mathematically guaranteed self-check failed (implementation bug)."""
 
 
-@dataclass(frozen=True)
-class ChiefFactor:
+class ChiefFactor(NamedTuple):
     """A factor H/K with K < H normal in G and nothing normal between."""
 
     below: SubgroupSet          # K
@@ -107,8 +106,7 @@ PROFILE_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class ClassProfile:
+class ClassProfile(NamedTuple):
     abelian: bool
     nilpotent: bool
     soluble: bool

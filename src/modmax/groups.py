@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -424,21 +423,41 @@ def _element_orders(table) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class SubgroupSet:
-    """A subgroup of ``parent`` as a bitmask over element indices."""
+    """A subgroup of ``parent`` as a bitmask over element indices.
 
-    parent: Group
-    mask: int
+    Read-only, and equal and hashed by ``(parent, mask)``.
+    """
 
-    def __post_init__(self):
-        if not self.mask & 1:
+    __slots__ = ("parent", "mask")
+
+    def __init__(self, parent: Group, mask: int):
+        if not mask & 1:
             raise NotAGroup("subgroup must contain the identity (index 0)")
-        if self.mask >> self.parent.order:
+        if mask >> parent.order:
             raise NotAGroup("subgroup mask has bits outside the parent group")
-        if self.parent.order % self.order != 0:
+        if parent.order % mask.bit_count() != 0:
             raise NotAGroup(
-                f"size {self.order} does not divide group order {self.parent.order}")
+                f"size {mask.bit_count()} does not divide group order {parent.order}")
+        _set_parent(self, parent)
+        _set_mask(self, mask)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parent, self.mask) == (other.parent, other.mask)
+
+    def __hash__(self) -> int:
+        return hash((self.parent, self.mask))
+
+    def __reduce__(self):
+        return self.__class__, (self.parent, self.mask)
 
     @property
     def order(self) -> int:
@@ -458,6 +477,12 @@ class SubgroupSet:
 
     def __repr__(self) -> str:
         return f"SubgroupSet({self.parent.name}, order={self.order})"
+
+
+# the slots' own setters, since assignment through an instance is refused;
+# cheaper than object.__setattr__ for the one SubgroupSet per lattice member
+_set_parent = SubgroupSet.parent.__set__
+_set_mask = SubgroupSet.mask.__set__
 
 
 def trivial_subgroup(G: Group) -> SubgroupSet:

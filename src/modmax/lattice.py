@@ -91,7 +91,6 @@ every subgroup, is the oracle in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, getitem, or_
 
@@ -149,21 +148,44 @@ class _Rows(dict):
         return map(self.__getitem__, range(self._n))
 
 
-@dataclass(frozen=True)
 class MaximalChain:
-    """A chain G = M0 > M1 > ... > Mn of lattice indices, each step a cover."""
+    """A chain G = M0 > M1 > ... > Mn of lattice indices, each step a cover.
 
-    lattice: "SubgroupLattice"
-    indices: tuple[int, ...]
+    Read-only, and equal and hashed by ``(lattice, indices)``.
+    """
 
-    def __post_init__(self):
-        lat = self.lattice
-        if not self.indices or self.indices[0] != lat.top():
+    __slots__ = ("lattice", "indices")
+
+    def __init__(self, lattice: SubgroupLattice, indices: tuple[int, ...]):
+        if not indices or indices[0] != lattice.top():
             raise BadDepth("chain must start at the whole group")
-        for parent, child in zip(self.indices, self.indices[1:]):
-            if child not in lat.covers_down[parent]:
+        for parent, child in zip(indices, indices[1:]):
+            if child not in lattice.covers_down[parent]:
                 raise BadDepth(
                     f"step {parent} > {child} is not a cover")
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "indices", indices)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lattice, self.indices) == (other.lattice, other.indices)
+
+    def __hash__(self) -> int:
+        return hash((self.lattice, self.indices))
+
+    def __reduce__(self):
+        return self.__class__, (self.lattice, self.indices)
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(lattice={self.lattice!r}, "
+                f"indices={self.indices!r})")
 
     @property
     def length(self) -> int:

@@ -53,7 +53,7 @@ import itertools
 import math
 import os
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import catalog
 from .classify import (
@@ -98,8 +98,7 @@ class UnknownSelector(Exception):
     worker count is below one."""
 
 
-@dataclass(frozen=True)
-class VerdictReport:
+class VerdictReport(NamedTuple):
     group: str
     theorem: str
     hypothesis: str            # holds | fails | vacuous
@@ -223,8 +222,7 @@ def _is_class(label: str, predicate):
 # ---------------------------------------------------------------------------
 # the modularity census
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     n: int
     total: int
     modular: int
@@ -232,8 +230,7 @@ class CensusRow:
     neither: int
 
 
-@dataclass(frozen=True)
-class ModularityCensus:
+class ModularityCensus(NamedTuple):
     group: str
     rows: tuple[CensusRow, ...]
     min_n_all_modular: int | None
@@ -790,8 +787,7 @@ def _take_held_groups() -> list[VerdictReport]:
     return _take_groups(*_held_queue)
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     reports: tuple[VerdictReport, ...]
 
     def summary(self) -> dict:

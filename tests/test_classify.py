@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -40,6 +41,7 @@ from modmax.groups import (
     conjugate_mask,
     core,
     factorize,
+    group_from_permutations,
     is_isomorphic,
     is_prime,
     prime_spectrum,
@@ -47,6 +49,7 @@ from modmax.groups import (
     semidirect_product,
     subgroup_as_group,
     trivial_subgroup,
+    whole_group,
 )
 from modmax.lattice import lattice_of
 from oracles import product_mask
@@ -154,6 +157,41 @@ def test_power_split_detection(suite_groups):
     assert not is_p_group_schmidt(suite_groups["Q8"])
     assert not is_p_group_schmidt(suite_groups["C6"])
     assert not is_p_group_schmidt(suite_groups["A4"])
+
+
+def _c121_by_c5():
+    """C121 x| C5 with a -> a^3 (3^5 = 243 = 1 mod 121): the kernel has
+    elements of order 11 but is cyclic, not elementary abelian."""
+    action = [[x * 3 ** h % 121 for x in range(121)] for h in range(5)]
+    return semidirect_product(catalog.cyclic(121), catalog.cyclic(5), action)
+
+
+def _heisenberg3_by_c2():
+    """The unitriangular 3x3 matrices over F_3 with diag(1, 2, 1), acting
+    on F_3^3: the kernel has exponent 3 but is not abelian, and the
+    involution inverts both generating transvections."""
+    vectors = list(product(range(3), repeat=3))
+    index = {v: i for i, v in enumerate(vectors)}
+
+    def acting(m):
+        return tuple(index[tuple(sum(a * b for a, b in zip(row, v)) % 3 for row in m)]
+                     for v in vectors)
+
+    e12 = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    e23 = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
+    d = ((1, 0, 0), (0, 2, 0), (0, 0, 1))
+    return group_from_permutations(27, map(acting, (e12, e23, d)))
+
+
+@pytest.mark.parametrize("build, order", [(_c121_by_c5, 605), (_heisenberg3_by_c2, 54)],
+                         ids=["C121:C5", "Heis3:C2"])
+def test_power_split_needs_an_elementary_abelian_kernel(build, order):
+    """A prime-index normal p-subgroup on which the complement acts as one
+    power map, yet not elementary abelian: once with an element of order
+    p^2, once with two generators that do not commute."""
+    G = build()
+    assert G.order == order
+    assert not is_p_group_schmidt(G)
 
 
 def _p_group_schmidt_literal(G, S):
@@ -306,6 +344,20 @@ def test_nilpotent_hall(suite_groups):
 def test_chief_series_rejects_an_unknown_preference(suite_groups):
     with pytest.raises(ValueError, match="'bogus'"):
         chief_series(suite_groups["S3"], prefer="bogus")
+
+
+@pytest.mark.parametrize("name", catalog.suite_names())
+def test_chief_series_climbs_from_one_to_the_whole_group(name):
+    """Each factor starts where the last one ended, the last ends at G, and
+    the factor orders multiply to |G|: two empty series would pass the
+    Jordan-Hoelder comparison below."""
+    G = catalog.shared_group(name)
+    for prefer in ("first", "last"):
+        series = chief_series(G, prefer=prefer)
+        masks = [trivial_subgroup(G).mask] + [f.above.mask for f in series]
+        assert [f.below.mask for f in series] == masks[:-1]
+        assert masks[-1] == whole_group(G).mask
+        assert math.prod(f.factor_order for f in series) == G.order
 
 
 def test_jordan_holder_consistency(suite_groups):

@@ -101,11 +101,14 @@ def test_verify_runs_a_repeated_group_once(capsys):
 
 
 def test_serial_cli_never_imports_multiprocessing():
+    """Nor dataclasses and the inspect machinery it pulls in: every
+    process, a pooled worker too, pays for what `import modmax.cli` loads."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(modmax.__file__).resolve().parents[1]))
     code = ("import sys, modmax.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.startswith(('multiprocessing', 'concurrent'))))")
+            "if m.startswith(('multiprocessing', 'concurrent')) "
+            "or m in ('dataclasses', 'inspect')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           env=env, timeout=60, text=True)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

@@ -1,5 +1,6 @@
 """Lattice structure and embedding predicates."""
 
+import copy
 import pickle
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from modmax import catalog
 from modmax import lattice as lattice_module
-from modmax.groups import quotient, subgroup_generated, whole_group
+from modmax.groups import SubgroupSet, quotient, subgroup_generated, whole_group
 from modmax.lattice import (
     BadDepth, TooManySubgroups, enumerate_lattice, lattice_of)
 from modmax.verify import run_suite
@@ -126,6 +127,27 @@ def test_maximal_chain_validates_cover_steps(suite_groups):
     lat = lattice_of(suite_groups["S3"])
     with pytest.raises(BadDepth):
         MaximalChain(lat, (lat.top(), 0))  # whole group does not cover 1
+
+
+def test_subgroup_sets_and_chains_are_read_only_values(suite_groups):
+    """Assignment and deletion raise, equality and hashing go by the
+    fields, and copies and pickles round-trip."""
+    G = suite_groups["S3"]
+    lat = lattice_of(G)
+    H = lat.subgroups[1]
+    chain = lat.witness_chain(H, 1)
+    for record, field in ((H, "mask"), (chain, "indices")):
+        with pytest.raises(AttributeError, match=field):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError, match=field):
+            delattr(record, field)
+    again = SubgroupSet(G, H.mask)
+    assert again == H and hash(again) == hash(H) and again is not H
+    assert SubgroupSet(catalog.construct("S3"), H.mask) != H  # another parent
+    assert {chain, lat.witness_chain(H, 1), copy.copy(chain)} == {chain}
+    assert copy.copy(H) == H
+    unpickled = pickle.loads(pickle.dumps(H))
+    assert (unpickled.parent.table, unpickled.mask) == (G.table, H.mask)
 
 
 def test_modular_sets_pinned(suite_groups):
