@@ -15,7 +15,7 @@ from modmax.groups import prime_spectrum
 from modmax.lattice import lattice_of
 from modmax.verify import census, verify_sharpness_A, verify_sharpness_B
 
-a4 = catalog.shared_group("A4")
+a4 = catalog.construct("A4")
 lat = lattice_of(a4)
 print("First narrative: the alternating group of order 12.")
 print(f"   prime spectrum {prime_spectrum(a4)}, so the bound allows n <= 2")
@@ -32,7 +32,7 @@ print("   is doing real work and cannot be dropped.")
 print(f"   harness verdict: {verify_sharpness_A(a4).conclusion}")
 
 print()
-g24 = catalog.shared_group("A4xC2")
+g24 = catalog.construct("A4xC2")
 print("Second narrative: the order-24 product with a central involution.")
 print(f"   prime spectrum {prime_spectrum(g24)}, residual bound allows n <= 3")
 r = residual_strongly_supersoluble(g24)

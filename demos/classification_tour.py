@@ -13,7 +13,7 @@ from modmax.classify import all_chief_factors, classify
 
 print(f"{'group':<10} {'order':>5}  nilp  nearnilp  str.super  super  soluble")
 for entry in catalog.standard_suite():
-    g = catalog.shared_group(entry.name)
+    g = catalog.construct(entry.name)
     p = classify(g)
     print(f"{entry.name:<10} {g.order:>5}  "
           f"{str(p.nilpotent):<5} {str(p.nearly_nilpotent):<9} "
@@ -23,7 +23,7 @@ for entry in catalog.standard_suite():
 print()
 print("The separating trio, with the chief factors that decide each level:")
 for name in ("S3", "hol_C7", "hol_C13"):
-    g = catalog.shared_group(name)
+    g = catalog.construct(name)
     p = classify(g)
     print(f"\n{name} (order {g.order}): nilpotent={p.nilpotent}, "
           f"nearly nilpotent={p.nearly_nilpotent}, "

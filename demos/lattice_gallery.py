@@ -11,7 +11,7 @@ from modmax import catalog
 from modmax.lattice import lattice_of
 
 for name in ("S3", "Q8", "A4", "S4"):
-    g = catalog.shared_group(name)
+    g = catalog.construct(name)
     lat = lattice_of(g)
     print(f"{name}: {lat.size} subgroups, longest maximal chain "
           f"{lat.max_chain_length}")
@@ -35,5 +35,5 @@ print("in S3 every subgroup is modular yet the order-2 ones fail to be")
 print("S-quasinormal. Modularity and S-quasinormality are incomparable.")
 
 out = Path(__file__).with_name("quaternion_lattice.dot")
-out.write_text(lattice_of(catalog.shared_group("Q8")).to_dot())
+out.write_text(lattice_of(catalog.construct("Q8")).to_dot())
 print(f"\nwrote {out.name}")

@@ -28,13 +28,13 @@ for name in sorted(by_group):
           f"{blocked:>3} hypothesis-blocked")
 
 print("\nOne verdict in detail, the n-maximal chain theorem on S3 at n=2:")
-r = verify_theorem_A(catalog.shared_group("S3"), 2)
+r = verify_theorem_A(catalog.construct("S3"), 2)
 print(f"   hypothesis {r.hypothesis}, conclusion {r.conclusion}")
 for w in r.witnesses:
     print(f"   - {w}")
 
 print("\nAnd the residual theorem on A4 at n=3 (the edge of its bound):")
-r = verify_theorem_B(catalog.shared_group("A4"), 3)
+r = verify_theorem_B(catalog.construct("A4"), 3)
 print(f"   hypothesis {r.hypothesis}, conclusion {r.conclusion}")
 for w in r.witnesses:
     print(f"   - {w}")

@@ -338,9 +338,9 @@ def _resolve_new(name: str, limit: int, memo: dict):
     return None
 
 
-def construct(name: str, max_order_cap: int = DEFAULT_MAX_ORDER) -> Group:
-    """Build a catalog group by name; raises UnknownName, BadParameters, or
-    ClosureExceedsCap when the order is above the cap, before building."""
+def _checked(name: str, max_order_cap: int) -> tuple[int, Callable[[], Group]]:
+    """``(order, builder)`` of a name whose order is at most the cap; raises
+    UnknownName, BadParameters, or ClosureExceedsCap, before building."""
     if name.count("x") >= _MAX_FACTORS:
         raise BadParameters(
             f"{name[:20]}... has more than {_MAX_FACTORS} direct factors")
@@ -350,19 +350,21 @@ def construct(name: str, max_order_cap: int = DEFAULT_MAX_ORDER) -> Group:
         shown = order if order <= limit else f"more than {limit}"
         raise ClosureExceedsCap(
             f"{name} has order {shown}, above the requested cap {max_order_cap}")
-    return build()
+    return order, build
 
 
-_shared: dict[str, Group] = {}
+def order_of(name: str, max_order_cap: int = DEFAULT_MAX_ORDER) -> int:
+    """The order of the group ``construct`` builds, read off the name with
+    the same checks; parameters that only the builder tests, such as an odd
+    dihedral order, are not checked."""
+    return _checked(name, max_order_cap)[0]
 
 
-def shared_group(name: str) -> Group:
-    """Memoised construct(); analysis caches accumulate on the instance."""
-    G = _shared.get(name)
-    if G is None:
-        G = construct(name)
-        _shared[name] = G
-    return G
+def construct(name: str, max_order_cap: int = DEFAULT_MAX_ORDER) -> Group:
+    """Build a catalog group by name; raises UnknownName, BadParameters, or
+    ClosureExceedsCap when the order is above the cap, before building.
+    Nothing keeps the group: it lives as long as the caller holds it."""
+    return _checked(name, max_order_cap)[1]()
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +462,7 @@ def catalog_listing() -> list[dict]:
     """Name, order, prime spectrum and expected-field summary, JSON-ready."""
     out = []
     for entry in standard_suite():
-        G = shared_group(entry.name)
+        G = construct(entry.name)
         out.append({
             "name": entry.name,
             "order": G.order,

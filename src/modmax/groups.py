@@ -10,9 +10,11 @@ Conventions used throughout the package:
 
 Groups are immutable once built.  Answers about a group (element orders,
 primary cyclic subgroups, the subgroup lattice, chief factors, series and
-residuals) are memoised on the instance through :func:`_memo`; no derived
-group (quotient or subgroup) is, so each lives only as long as its caller
-keeps it.  The memo never changes observable behaviour.
+residuals) are memoised on the instance through :func:`_memo`, the
+package's only cache.  No group is kept anywhere else: not a derived group
+(quotient or subgroup) on its parent, and not a catalog group by name, so
+each group, with its memo, lives only as long as its caller keeps it.  The
+memo never changes observable behaviour.
 """
 
 from __future__ import annotations
@@ -386,9 +388,6 @@ class Group:
     def element_orders(self) -> tuple[int, ...]:
         return _memo(self, "element_orders", _element_orders, self.table)
 
-    def element_order(self, x: int) -> int:
-        return self.element_orders()[x]
-
     def validate(self) -> "Group":
         """``self``: every way to build a group already proves the axioms,
         so nothing is left to check.  Kept for callers of the earlier
@@ -401,7 +400,9 @@ class Group:
     def __repr__(self) -> str:
         return f"Group({self.name!r}, order={self.order})"
 
-    # pickling support for process pools: caches are not shipped
+    # a pickled group carries its table, not its memoised answers, which
+    # can be far larger; no process pool ships one, since each process
+    # builds the groups it analyses from their names
     def __getstate__(self):
         state = dict(self.__dict__)
         state["_cache"] = {}
@@ -568,12 +569,6 @@ def _cycle_images(degree: int, cycles) -> dict[int, int]:
     if len(set(images.values())) != len(images):
         raise InvalidPermutation(f"cycles {cycles!r} are not a bijection")
     return images
-
-
-def cycles_to_perm(degree: int, cycles) -> tuple[int, ...]:
-    """Turn cycle notation (list of lists of 0-based points) into an image tuple."""
-    images = _cycle_images(degree, cycles)
-    return tuple(images.get(v, v) for v in range(degree))
 
 
 def group_from_json(data, max_order_cap: int = DEFAULT_MAX_ORDER) -> Group:

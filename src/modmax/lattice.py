@@ -318,9 +318,6 @@ class SubgroupLattice:
     def normal_indices(self) -> tuple[int, ...]:
         return tuple(bits(self.normal))
 
-    def leq(self, a, b) -> bool:
-        return bool(self.up[self.index(a)] >> self.index(b) & 1)
-
     def interval_sizes(self) -> tuple[dict[int, int], ...]:
         """``sizes[a][b]`` is |[a, b]|, the number of subgroups k with
         a <= k <= b, for every b >= a: one AND of inclusion bitsets per
@@ -328,11 +325,6 @@ class SubgroupLattice:
         return _memo(self, "sizes", _interval_sizes, self.up, self.down, self.above)
 
     # -- maximality ---------------------------------------------------------
-
-    def maximal_subgroups(self, H=None) -> tuple[SubgroupSet, ...]:
-        """All K < H with nothing strictly between (H defaults to the group)."""
-        j = self.top() if H is None else self.index(H)
-        return tuple(self.subgroups[i] for i in self.covers_down[j])
 
     def n_maximal_bits(self, n: int) -> int:
         """Bitset of the n-maximal subgroups (0 beyond the longest chain)."""
@@ -342,9 +334,6 @@ class SubgroupLattice:
 
     def n_maximal_indices(self, n: int) -> tuple[int, ...]:
         return tuple(bits(self.n_maximal_bits(n)))
-
-    def n_maximal_set(self, n: int) -> tuple[SubgroupSet, ...]:
-        return tuple(self.subgroups[i] for i in self.n_maximal_indices(n))
 
     def is_n_maximal(self, H, n: int) -> bool:
         return bool(self.n_maximal_bits(n) >> self.index(H) & 1)

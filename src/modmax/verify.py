@@ -743,9 +743,13 @@ def reports_for_group(name: str, checks, fast: bool = False,
     """All requested reports for one catalog group, deterministic order.
 
     Depth-parameterised checks run at every depth up to the longest maximal
-    chain unless ``depth`` pins a single value.
+    chain unless ``depth`` pins a single value.  The group is built here
+    and nothing keeps it once the reports are returned.
     """
-    G = catalog.shared_group(name)
+    try:
+        G = catalog.construct(name)
+    except (catalog.UnknownName, catalog.BadParameters) as exc:
+        raise UnknownSelector(str(exc)) from exc
     lat = lattice_of(G)
     if depth is None:
         depth_range = range(1, max(1, lat.max_chain_length) + 1)
@@ -832,8 +836,9 @@ class SuiteResult(NamedTuple):
 def resolve_group_selector(selector) -> list[str]:
     """"all", "" (empty), or a comma-separated list of catalog names.
 
-    A name given twice is kept once, at its first place.  Each group is
-    built at the default order cap.
+    A name given twice is kept once, at its first place.  Each name and
+    its order, at the default cap, are checked from the name alone
+    (``catalog.order_of``); no group is built.
     """
     if isinstance(selector, (list, tuple)):
         names = list(selector)
@@ -844,7 +849,7 @@ def resolve_group_selector(selector) -> list[str]:
     names = list(dict.fromkeys(names))
     for name in names:
         try:
-            catalog.shared_group(name)
+            catalog.order_of(name)
         except (catalog.UnknownName, catalog.BadParameters) as exc:
             raise UnknownSelector(str(exc)) from exc
     return names
@@ -871,14 +876,16 @@ def run_suite(groups="all", theorems="all", jobs: int = 1,
     """Run the selected checks over the selected groups.
 
     Reports are merged in deterministic order (group name, check id, depth
-    as a number) regardless of worker scheduling.  With ``jobs`` above 1,
-    at most min(jobs, groups, CPUs) processes analyse groups, this one
+    as a number) regardless of worker scheduling.  Names and orders are
+    checked, and the pool's queue ordered, from the names alone: each group
+    is built by the process that analyses it, when it starts the group,
+    and nothing keeps it after its reports are made.  With ``jobs`` above
+    1, at most min(jobs, groups, CPUs) processes analyse groups, this one
     included: it and a pool of one fewer take the groups one at a time,
     largest order first, from one shared queue that ends in a stop mark
     for each of them.  A group leaves the queue once, so each runs exactly
-    once, and no process holds a group it has not started.  If a group
-    raises, the other processes finish the queue and the pool is shut down
-    before the exception propagates.
+    once.  If a group raises, the other processes finish the queue and the
+    pool is shut down before the exception propagates.
     """
     if depth is not None and depth < 1:
         raise BadDepth(f"depth must be >= 1, got {depth}")
@@ -892,7 +899,7 @@ def run_suite(groups="all", theorems="all", jobs: int = 1,
         # imported here so that a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import SimpleQueue
-        work.sort(key=lambda w: catalog.shared_group(w[0]).order, reverse=True)
+        work.sort(key=lambda w: catalog.order_of(w[0]), reverse=True)
         todo = SimpleQueue()
         pool = ProcessPoolExecutor(max_workers=workers - 1, initializer=_hold_queue,
                                    initargs=(todo, work))

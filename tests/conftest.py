@@ -1,6 +1,7 @@
 import pytest
 
 from modmax import catalog
+from oracles import cached_group
 
 
 @pytest.fixture(scope="session")
@@ -11,7 +12,7 @@ def suite_entries():
 @pytest.fixture(scope="session")
 def suite_groups(suite_entries):
     """Suite groups built once; analysis caches accumulate on the instances."""
-    return {entry.name: catalog.shared_group(entry.name) for entry in suite_entries}
+    return {entry.name: cached_group(entry.name) for entry in suite_entries}
 
 
 # group files that json cannot read: not UTF-8, an integer over Python's

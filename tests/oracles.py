@@ -9,9 +9,26 @@ automorphism orbits, the way the lattice did before it answered once per
 class, and decide Kurosh's conditions (i) and (ii) by the literal
 quantifier loops rather than by counting interval sizes.  ``join_meet_tables`` builds both tables whole,
 against the lattice's rows built on first read.
+
+``cached_group`` is ``catalog.construct`` memoised for the whole test
+session, so that tests share each group and the answers memoised on it;
+the package itself keeps no group.  ``cycles_to_perm`` writes cycle
+notation out as an image tuple.
 """
 
-from modmax.groups import bits, conjugate_mask, factorize
+import functools
+
+from modmax import catalog
+from modmax.groups import _cycle_images, bits, conjugate_mask, factorize
+
+cached_group = functools.cache(catalog.construct)
+
+
+def cycles_to_perm(degree: int, cycles) -> tuple[int, ...]:
+    """The image tuple of cycle notation (lists of 0-based points), checked
+    as ``group_from_json`` checks it."""
+    images = _cycle_images(degree, cycles)
+    return tuple(images.get(v, v) for v in range(degree))
 
 
 def close_mask(table, seed, ambient_order: int) -> int:
@@ -160,7 +177,7 @@ def modular_alt(lat, H) -> bool:
     n = lat.size
     for y in range(n - 1, -1, -1):
         for z in range(n - 1, -1, -1):
-            if not lat.leq(mi, z):
+            if not lat.up[mi] >> z & 1:
                 continue
             if join_t[mi][meet_t[y][z]] != meet_t[join_t[mi][y]][z]:
                 return False

@@ -22,7 +22,7 @@ from modmax.groups import prime_spectrum
 from modmax.lattice import lattice_of
 from modmax.verify import census, run_suite
 
-from oracles import modular_alt
+from oracles import cached_group, modular_alt
 from test_lattice_oracle import oracle_subgroups_dfs
 
 
@@ -71,7 +71,7 @@ def test_criterion_2_soundness_gate():
 def test_criterion_3_sharpness_theorem_A():
     """On A4: 3-maximal set is exactly the trivial subgroup, the prime
     spectrum has 2 elements, and the group is not supersoluble."""
-    g = catalog.shared_group("A4")
+    g = cached_group("A4")
     lat = lattice_of(g)
     n3 = lat.n_maximal_indices(3)
     ok = (len(n3) == 1
@@ -91,7 +91,7 @@ def test_criterion_3_sharpness_theorem_A():
 def test_criterion_4_sharpness_theorem_B():
     """On A4xC2: residual of order 4 in group order 24, not nilpotent Hall,
     and the least all-modular depth exceeds |pi|+1 = 3."""
-    g = catalog.shared_group("A4xC2")
+    g = cached_group("A4xC2")
     r = residual_strongly_supersoluble(g)
     cen = census(g)
     min_n = cen.min_n_all_modular
@@ -122,7 +122,7 @@ def test_criterion_6_lattice_oracle_equivalence():
     ok = True
     details = []
     for entry in catalog.standard_suite():
-        g = catalog.shared_group(entry.name)
+        g = cached_group(entry.name)
         if g.order > 24:
             continue
         lattice_sets = {frozenset(s.members())
@@ -132,7 +132,7 @@ def test_criterion_6_lattice_oracle_equivalence():
             details.append(f"{entry.name} mismatch")
     spots = {"C2": 2, "Q8": 6, "S4": 30}
     for name, want in spots.items():
-        got = len(lattice_of(catalog.shared_group(name)).subgroups)
+        got = len(lattice_of(cached_group(name)).subgroups)
         if got != want:
             ok = False
             details.append(f"{name}: {got} != {want}")
@@ -146,7 +146,7 @@ def test_criterion_7_modularity_definitional_integrity():
     ok = True
     details = []
     for entry in catalog.standard_suite():
-        g = catalog.shared_group(entry.name)
+        g = cached_group(entry.name)
         lat = lattice_of(g)
         for i in range(lat.size):
             if lat.is_modular(i) != modular_alt(lat, i):

@@ -100,10 +100,30 @@ def test_every_pattern_has_a_resolved_name():
         assert any(pattern.match(name) for name in _RESOLVED_NAMES)
 
 
-@pytest.mark.parametrize("name", sorted(catalog._NAMED) + _RESOLVED_NAMES)
+@pytest.mark.parametrize("name", sorted({*catalog._NAMED, *catalog.suite_names()}
+                                         - set(_RESOLVED_NAMES)) + _RESOLVED_NAMES)
 def test_resolved_order_is_the_built_order(name):
-    order, _ = catalog._resolve(name)
-    assert order == catalog.construct(name).order
+    assert catalog.order_of(name) == catalog.construct(name).order
+
+
+@pytest.mark.parametrize("name, error", [
+    ("NoSuchGroup", catalog.UnknownName),
+    ("C3000", ClosureExceedsCap),
+    pytest.param("x".join(["C2"] * 65), catalog.BadParameters, id="65-factors"),
+    pytest.param("C" + "1" * 1001, catalog.BadParameters, id="1001-digits"),
+])
+def test_order_of_raises_what_construct_raises_without_building(monkeypatch, name, error):
+    """``order_of`` runs the checks of ``construct`` and stops before the
+    builder: the same exception and message, and no table made."""
+    for attr in ("group_from_generator_rows", "group_from_permutations",
+                 "direct_product", "semidirect_product"):
+        monkeypatch.setattr(catalog, attr, lambda *args, **kwargs: pytest.fail("built"))
+    messages = []
+    for check in (catalog.order_of, catalog.construct):
+        with pytest.raises(error) as info:
+            check(name)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("name, cap",

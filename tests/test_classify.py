@@ -52,7 +52,7 @@ from modmax.groups import (
     whole_group,
 )
 from modmax.lattice import lattice_of
-from oracles import product_mask
+from oracles import cached_group, product_mask
 
 
 def test_chief_factors_of_prime_cyclic():
@@ -81,7 +81,7 @@ def test_chief_factors_of_a4(suite_groups):
 
 def test_frattini_factor_flag():
     # in the quaternion group the centre sits inside the Frattini subgroup
-    q8 = catalog.shared_group("Q8")
+    q8 = cached_group("Q8")
     bottom = [f for f in all_chief_factors(q8) if f.below.order == 1]
     assert all(f.is_frattini for f in bottom)
 
@@ -96,7 +96,7 @@ def _factor_centralizer_by_members(G, kmask, hmask):
 def test_factor_centralizer_from_generators_matches_all_members(name):
     """C_G(H/K) read off generators of H is the literal all-members set, on
     every chief factor, and with K = 1 on every subgroup H."""
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     for f in all_chief_factors(G):
         km, hm = f.below.mask, f.above.mask
         assert centralizer_mask(G, hm, km) == _factor_centralizer_by_members(G, km, hm)
@@ -112,7 +112,7 @@ def _commutes_literally(G):
 def test_abelian_from_generators_matches_all_pairs(name):
     """On the group, on every subgroup rebuilt with greedy generators and on
     every quotient with generators projected from the group's."""
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     lat = lattice_of(G)
     groups = [G] + [subgroup_as_group(G, S)[0] for S in lat.subgroups]
     groups += [quotient(G, lat.subgroups[n])[0] for n in lat.normal_indices()]
@@ -230,7 +230,7 @@ def _p_group_schmidt_literal(G, S):
 @pytest.mark.parametrize("name", [e.name for e in catalog.standard_suite()]
                          + ["S4xC2", "A5", "E2^3xS3", "C3xS3"])
 def test_power_split_test_by_generators_agrees_with_all_members(name):
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     for S in lattice_of(G).subgroups:
         assert is_p_group_schmidt(G, S) == _p_group_schmidt_literal(G, S), S
 
@@ -351,7 +351,7 @@ def test_chief_series_climbs_from_one_to_the_whole_group(name):
     """Each factor starts where the last one ended, the last ends at G, and
     the factor orders multiply to |G|: two empty series would pass the
     Jordan-Hoelder comparison below."""
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     for prefer in ("first", "last"):
         series = chief_series(G, prefer=prefer)
         masks = [trivial_subgroup(G).mask] + [f.above.mask for f in series]

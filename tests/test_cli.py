@@ -366,6 +366,16 @@ def test_verify_group_with_bad_parameters_is_a_usage_error(capsys):
     assert err.startswith("usage error: ")
 
 
+@pytest.mark.parametrize("groups", ["D7", "NoSuchGroup", "S3,D7"])
+def test_verify_usage_errors_are_the_same_on_two_processes(capsys, monkeypatch, groups):
+    """D7's parameters are refused by its builder, in the process that takes
+    it; the exit code and the message are those of the serial run."""
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    serial = run(capsys, "verify", "--groups", groups)
+    assert serial[:2] == (EXIT_USAGE, "")
+    assert run(capsys, "verify", "--groups", groups, "--jobs", "2") == serial
+
+
 def test_verify_group_over_the_default_cap_is_a_load_error(capsys):
     code, out, err = run(capsys, "verify", "--groups", "C3000")
     assert code == EXIT_LOAD

@@ -30,7 +30,6 @@ from modmax.groups import (
     commutator_mask,
     conjugate_mask,
     core,
-    cycles_to_perm,
     derived_subgroup,
     direct_product,
     find_isomorphism,
@@ -53,7 +52,7 @@ from modmax.groups import (
     trivial_subgroup,
     whole_group,
 )
-from oracles import close_mask, relabel
+from oracles import cached_group, close_mask, cycles_to_perm, relabel
 
 
 def test_symmetric_3_from_permutations():
@@ -99,7 +98,7 @@ def test_cyclic_4_cayley_table():
     table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
     G = group_from_cayley_table(table)
     assert G.order == 4
-    assert G.element_order(1) == 4
+    assert G.element_orders()[1] == 4
 
 
 def test_nonassociative_table_names_triple():
@@ -275,7 +274,7 @@ def test_generator_rows_give_a_group_exactly_when_they_act_regularly(data):
     if data.draw(st.booleans()):  # rows of a group's table: a regular action
         name = data.draw(st.sampled_from(["1", "C2", "C3", "V4", "C4", "C5", "S3", "C6"]))
         rng = data.draw(st.randoms(use_true_random=False))
-        table = relabel(catalog.shared_group(name).table, rng)
+        table = relabel(cached_group(name).table, rng)
         degree = len(table)
         gen_rows = [tuple(table[g]) for g in data.draw(st.lists(st.sampled_from(range(degree))))]
     closure = _permutation_closure(gen_rows, degree)
@@ -342,11 +341,11 @@ def test_every_entry_is_read_as_an_int_before_any_check():
 def test_subgroup_generated_examples(suite_groups):
     s3 = suite_groups["S3"]
     assert subgroup_generated(s3, []).order == 1
-    three_cycle = next(x for x in range(6) if s3.element_order(x) == 3)
+    three_cycle = next(x for x in range(6) if s3.element_orders()[x] == 3)
     assert subgroup_generated(s3, [three_cycle]).order == 3
 
     a4 = suite_groups["A4"]
-    doubles = [x for x in range(12) if a4.element_order(x) == 2]
+    doubles = [x for x in range(12) if a4.element_orders()[x] == 2]
     v4 = subgroup_generated(a4, doubles[:2])
     assert v4.order == 4
 
@@ -407,7 +406,7 @@ def test_core_by_generators_matches_all_elements(name):
     """The core read off the generators is the intersection of the
     conjugates by every element, on every subgroup."""
     from modmax.lattice import lattice_of
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     for S in lattice_of(G).subgroups:
         meet = S.mask
         for g in range(G.order):
@@ -497,7 +496,7 @@ def test_sl23_shape():
     g = catalog.construct("SL23")
     assert g.order == 24
     # unique element of order 2 (the central involution)
-    assert sum(1 for x in range(24) if g.element_order(x) == 2) == 1
+    assert sum(1 for x in range(24) if g.element_orders()[x] == 2) == 1
 
 
 def test_sylow_subgroups(suite_groups):
@@ -656,7 +655,7 @@ _SEED_NAMES = ["S3", "A4", "D8", "Q8", "C3:C4", "pq2_2_3", "S4"]
 @given(data=st.data())
 def test_generated_subgroups_satisfy_lagrange(data):
     name = data.draw(st.sampled_from(_SEED_NAMES))
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     seed = data.draw(st.sets(st.integers(0, G.order - 1), max_size=3))
     S = subgroup_generated(G, seed)
     assert S.mask == close_mask(G.table, seed, G.order)
@@ -713,7 +712,7 @@ def test_closure_extends_a_subgroup_in_each_of_its_three_cases(data):
 @given(data=st.data())
 def test_core_inside_subgroup_inside_closure(data):
     name = data.draw(st.sampled_from(_SEED_NAMES))
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     seed = data.draw(st.sets(st.integers(0, G.order - 1), max_size=2))
     H = subgroup_generated(G, seed)
     c = core(G, H)
@@ -864,7 +863,7 @@ def test_validate_agrees_with_triple_loop_on_small_loops(data):
     else:
         name = data.draw(st.sampled_from(
             ["1", "C2", "C3", "V4", "C4", "C5", "S3", "C6", "C7", "D8", "Q8", "E2^3", "C2xC4"]))
-        table = relabel(catalog.shared_group(name).table, rng)
+        table = relabel(cached_group(name).table, rng)
         if data.draw(st.booleans()):
             table = _switch_intercalate(table, rng)
     assume(table is not None)
@@ -988,7 +987,7 @@ def _greedy_by_close_mask(G):
 
 @pytest.mark.parametrize("name", sorted(set(catalog._NAMED) | set(catalog.suite_names())))
 def test_greedy_generators_by_right_multiplication(name):
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     assert Group(G.table).generator_indices == _greedy_by_close_mask(G)
     assert Group(G.table, generators=G.generator_indices).generator_indices == G.generator_indices
 
@@ -1007,7 +1006,7 @@ def test_walk_generators_are_the_greedy_generators(suite_groups):
     for G in suite_groups.values():
         _assert_walk_generators_are_greedy(G.table)
     for name in ("E2^5", "E2^3xS3", "S5"):
-        table = catalog.shared_group(name).table
+        table = cached_group(name).table
         _assert_walk_generators_are_greedy(table)
         for seed in range(1, 5):
             _assert_walk_generators_are_greedy(relabel(table, random.Random(seed)))
@@ -1029,7 +1028,7 @@ def _quotient_by_cosets(G, N):
 
 @pytest.mark.parametrize("name", sorted(set(catalog._NAMED) | set(catalog.suite_names())))
 def test_quotient_by_the_trivial_subgroup_is_the_group(name):
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     Q, proj = _quotient_by_cosets(G, trivial_subgroup(G))
     assert quotient(G, trivial_subgroup(G)) == (G, proj)
     assert Q.table == G.table and Q.generator_indices == G.generator_indices
@@ -1050,7 +1049,7 @@ def test_commutator_subgroups_from_generators_match_all_members(name):
     every pair of subgroups A <= B: the derived and lower central series
     of every subgroup among them."""
     from modmax.lattice import lattice_of
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     lat = lattice_of(G)
     for b, B in enumerate(lat.subgroups):
         for a in lat.below[b]:
@@ -1064,7 +1063,7 @@ def test_commutator_subgroups_from_generators_match_all_members(name):
 @pytest.mark.parametrize("name", ORACLE_GROUPS)
 def test_centralizer_from_generators_matches_all_members(name):
     from modmax.lattice import lattice_of
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     for S in lattice_of(G).subgroups:
         expected = sum(1 << g for g in range(G.order)
                        if all(G.table[g][s] == G.table[s][g] for s in S))
@@ -1344,7 +1343,7 @@ def _automorphism_group(N):
 def test_holomorphs_match_the_filler(name):
     """N x| Aut(N): a faithful action of a group that is not abelian for
     all but C5, so the order of composition matters (V4 gives S4, E2^3 AGL(3,2))."""
-    N = catalog.shared_group(name)
+    N = cached_group(name)
     A, auts = _automorphism_group(N)
     _assert_same_group(semidirect_product(N, A, auts),
                        _filled_semidirect_product(N, A, auts))
@@ -1356,7 +1355,7 @@ def test_semidirect_checks_name_the_fillers_first_failure(data):
     """Actions by Aut(N) with images replaced, powers of one automorphism,
     or lists of automorphisms, permutations and any indices: accepted, or
     refused with the filler's message."""
-    N = catalog.shared_group(data.draw(st.sampled_from(_ACTION_GROUPS[:7]), label="N"))
+    N = cached_group(data.draw(st.sampled_from(_ACTION_GROUPS[:7]), label="N"))
     auts = automorphisms(N)
     kind = data.draw(st.sampled_from(["holomorph", "powers", "lists"]), label="kind")
     if kind == "holomorph":
@@ -1364,7 +1363,7 @@ def test_semidirect_checks_name_the_fillers_first_failure(data):
         for h in data.draw(st.lists(st.integers(0, H.order - 1), max_size=2), label="moved"):
             action[h] = data.draw(st.sampled_from(auts), label="image")
     else:
-        H = catalog.shared_group(data.draw(st.sampled_from(_ACTION_GROUPS[:5]), label="H"))
+        H = cached_group(data.draw(st.sampled_from(_ACTION_GROUPS[:5]), label="H"))
     if kind == "powers":  # h -> a^h: an action when H is cyclic and a^|H| = 1
         a = data.draw(st.sampled_from(auts), label="a")
         action, cur = [], tuple(range(N.order))

@@ -12,7 +12,7 @@ from modmax.groups import SubgroupSet, quotient, subgroup_generated, whole_group
 from modmax.lattice import (
     BadDepth, TooManySubgroups, enumerate_lattice, lattice_of)
 from modmax.verify import run_suite
-from oracles import join_meet_tables, modular_alt
+from oracles import cached_group, join_meet_tables, modular_alt
 
 SUITE = [e.name for e in catalog.standard_suite()]
 
@@ -29,36 +29,36 @@ def test_lattice_contains_bounds(suite_groups):
 
 
 def test_maximal_subgroups_examples(suite_groups):
-    a4 = lattice_of(suite_groups["A4"])
-    assert sorted(s.order for s in a4.maximal_subgroups()) == [3, 3, 3, 3, 4]
-    s3 = lattice_of(suite_groups["S3"])
-    assert sorted(s.order for s in s3.maximal_subgroups()) == [2, 2, 2, 3]
-    c7 = lattice_of(catalog.construct("C7"))
-    assert [s.order for s in c7.maximal_subgroups()] == [1]
+    def orders(lat):
+        return sorted(lat.subgroups[i].order for i in lat.covers_down[lat.top()])
+
+    assert orders(lattice_of(suite_groups["A4"])) == [3, 3, 3, 3, 4]
+    assert orders(lattice_of(suite_groups["S3"])) == [2, 2, 2, 3]
+    assert orders(lattice_of(catalog.construct("C7"))) == [1]
 
 
 def test_n_maximal_examples(suite_groups):
     a4 = lattice_of(suite_groups["A4"])
-    assert [s.order for s in a4.n_maximal_set(3)] == [1]
+    assert [a4.subgroups[i].order for i in a4.n_maximal_indices(3)] == [1]
     s3 = lattice_of(suite_groups["S3"])
-    assert [s.order for s in s3.n_maximal_set(2)] == [1]
+    assert [s3.subgroups[i].order for i in s3.n_maximal_indices(2)] == [1]
     # depth 1 always equals the maximal subgroups
     for G in suite_groups.values():
         lat = lattice_of(G)
-        assert lat.n_maximal_set(1) == lat.maximal_subgroups()
+        assert lat.n_maximal_indices(1) == tuple(lat.covers_down[lat.top()])
 
 
 def test_n_maximal_rejects_bad_depth(suite_groups):
     lat = lattice_of(suite_groups["S3"])
     with pytest.raises(BadDepth):
-        lat.n_maximal_set(0)
+        lat.n_maximal_indices(0)
     with pytest.raises(BadDepth):
         lat.is_n_maximal(0, -1)
 
 
 def test_depth_beyond_chain_length_is_empty(suite_groups):
     lat = lattice_of(suite_groups["S3"])
-    assert lat.n_maximal_set(lat.max_chain_length + 1) == ()
+    assert lat.n_maximal_indices(lat.max_chain_length + 1) == ()
 
 
 def test_existential_reading_allows_several_depths(suite_groups):
@@ -220,7 +220,7 @@ def test_frattini_above_k_is_the_preimage_of_the_quotients(name):
     """frattini(K), the meet of the maximal subgroups containing K, is the
     preimage of Frattini(G/K) for every normal K, read through the rebuilt
     quotient; frattini() is K = 1."""
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     lat = lattice_of(G)
     assert lat.frattini() == lat.frattini(0) == lat.frattini(lat.subgroups[0])
     for k in lat.normal_indices():
@@ -237,7 +237,7 @@ def test_covers_are_transitive_reduction(suite_groups):
             for i in lat.covers_down[j]:
                 between = [
                     k for k in range(lat.size)
-                    if k not in (i, j) and lat.leq(i, k) and lat.leq(k, j)
+                    if k not in (i, j) and lat.up[i] >> k & lat.up[k] >> j & 1
                 ]
                 assert not between
 
@@ -261,7 +261,7 @@ def test_join_meet_entries_share_one_int_per_index():
     """Past index 256 a computed int is a new object; the tables draw every
     entry from one tuple of the indices instead (join with the trivial
     subgroup and meet with the whole group are the identity maps)."""
-    lat = lattice_of(catalog.shared_group("E2^5"))
+    lat = lattice_of(cached_group("E2^5"))
     assert lat.size > 256
     join_row, meet_row = lat.join_t[0], lat.meet_t[lat.top()]
     assert all(e is join_row[e] for row in lat.join_t for e in row)
@@ -278,7 +278,7 @@ def test_rows_match_the_eager_tables(name):
     """Row by row, both tables equal the whole tables of ``oracles.py``,
     hold n tuples, and draw every entry from one int per index (the join
     with the trivial subgroup is the identity map)."""
-    lat = lattice_of(catalog.shared_group(name))
+    lat = lattice_of(cached_group(name))
     join_t, meet_t = join_meet_tables(lat)
     assert len(lat.join_t) == len(lat.meet_t) == lat.size
     assert list(lat.join_t) == list(join_t), name
@@ -318,11 +318,10 @@ def test_suite_builds_no_rows_of_derived_lattices(monkeypatch):
             super().__init__(*args)
             lattices.append(self)
 
-    monkeypatch.setattr(catalog, "_shared", {})
     monkeypatch.setattr(lattice_module, "SubgroupLattice", Recorded)
     run_suite("all", "all")
-    own = {id(G) for G in catalog._shared.values()}
-    derived = [lat for lat in lattices if id(lat.group) not in own]
+    own = set(catalog.suite_names())
+    derived = [lat for lat in lattices if lat.group.name not in own]
     assert (len(lattices), len(derived)) == (55, 37)
     assert not any(_built(lat.join_t) or _built(lat.meet_t) for lat in derived)
     assert sum(lat.size for lat in lattices) == 363
@@ -335,20 +334,21 @@ def test_suite_builds_no_rows_of_derived_lattices(monkeypatch):
 @given(data=st.data())
 def test_lattice_closure_property(data):
     name = data.draw(st.sampled_from(["S4", "SL23", "A4xC2", "pq2_2_3", "hol_C7"]))
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     lat = lattice_of(G)
     a = data.draw(st.integers(0, lat.size - 1))
     b = data.draw(st.integers(0, lat.size - 1))
     # join and meet land inside the lattice and bound their arguments
     j, m = lat.join_t[a][b], lat.meet_t[a][b]
-    assert lat.leq(m, a) and lat.leq(m, b)
-    assert lat.leq(a, j) and lat.leq(b, j)
+    up = lat.up
+    assert up[m] >> a & up[m] >> b & 1
+    assert up[a] >> j & up[b] >> j & 1
     # least upper bound / greatest lower bound
     for c in range(lat.size):
-        if lat.leq(a, c) and lat.leq(b, c):
-            assert lat.leq(j, c)
-        if lat.leq(c, a) and lat.leq(c, b):
-            assert lat.leq(c, m)
+        if up[a] >> c & up[b] >> c & 1:
+            assert up[j] >> c & 1
+        if up[c] >> a & up[c] >> b & 1:
+            assert up[c] >> m & 1
 
 
 def test_trivial_and_whole_always_modular(suite_groups):

@@ -30,7 +30,7 @@ from modmax.groups import (
     group_from_permutations,
 )
 from modmax.lattice import enumerate_lattice, lattice_of
-from oracles import column_by_members, relabel, subnormal_by_members
+from oracles import cached_group, column_by_members, relabel, subnormal_by_members
 
 SUITE = [e.name for e in catalog.standard_suite()]
 GROUPS = SUITE + ["S4xC2", "A5", "S5", "pq2_3_11", "E2^3xS3", "C2xD8xS3"]
@@ -39,7 +39,7 @@ assert len(set(GROUPS)) == len(GROUPS), "a group listed twice runs twice"
 
 def _central_and_not(name):
     """The group's generators include a central one and a non-central one."""
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     gens, table = G.generator_indices, G.table
     central = {all(table[g][h] == table[h][g] for h in gens) for g in gens}
     return central == {True, False}
@@ -55,7 +55,7 @@ PREDICATES = ("modular", "quasinormal", "s_quasinormal")
 def test_classes_are_the_conjugacy_classes(name):
     """class_of[i] is the set of H^g over every g in G, and the normal
     subgroups are exactly the classes of one subgroup."""
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     lat = lattice_of(G)
     for i, H in enumerate(lat.subgroups):
         expected = 0
@@ -70,7 +70,7 @@ def test_orbits_are_unions_of_classes_of_one_order(name):
     """Each orbit is a union of whole conjugacy classes of subgroups of one
     order, is the orbit of each of its members, and is mapped into itself
     by every automorphism found."""
-    lat = lattice_of(catalog.shared_group(name))
+    lat = lattice_of(cached_group(name))
     orbit_of, class_of = lat.orbit_of, lat.class_of
     for i in range(lat.size):
         orbit = orbit_of[i]
@@ -87,7 +87,7 @@ def test_orbits_are_unions_of_classes_of_one_order(name):
 def test_no_automorphisms_found_gives_the_same_lattice(monkeypatch, name):
     """With no automorphism found the enumeration walks conjugacy classes
     alone: the same subgroups and classes, and each orbit one class."""
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     lat = enumerate_lattice(G)
     monkeypatch.setattr(lattice_module, "found_automorphisms", lambda G: ())
     bare = enumerate_lattice(G)
@@ -127,7 +127,7 @@ def test_orbit_answers_on_relabelled_tables(name, seed):
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_subnormality_matches_the_all_members_loop(name):
-    lat = lattice_of(catalog.shared_group(name))
+    lat = lattice_of(cached_group(name))
     for i in range(lat.size):
         assert lat.is_subnormal(i) == subnormal_by_members(lat, i), (name, i)
 
@@ -135,7 +135,7 @@ def test_subnormality_matches_the_all_members_loop(name):
 @pytest.mark.parametrize("name", GROUPS)
 def test_columns_match_per_member_evaluation(name):
     """The whole lattice and every quotient section [N, G]."""
-    lat = lattice_of(catalog.shared_group(name))
+    lat = lattice_of(cached_group(name))
     top = lat.top()
     for lo in lat.normal_indices():
         for p in PREDICATES:
@@ -147,7 +147,7 @@ def test_columns_match_per_member_evaluation(name):
 def test_every_section_column_matches_per_member_evaluation(name):
     """Every section [lo, hi]: subgroup sections and [lo, G] with lo not
     normal are not fixed by conjugation and are read member by member."""
-    lat = lattice_of(catalog.shared_group(name))
+    lat = lattice_of(cached_group(name))
     for lo in range(lat.size):
         for hi in bits(lat.up[lo]):
             for p in PREDICATES:
@@ -167,7 +167,7 @@ def test_quasinormal_subgroup_sections_match_all_partners(name):
     """Every subgroup section [1, B], the whole lattice included: testing
     H against B's primary cyclic subgroups alone gives the column of
     testing it against every member of B."""
-    lat = lattice_of(catalog.shared_group(name))
+    lat = lattice_of(cached_group(name))
     _assert_quasinormal_sections_match(lat, name)
 
 

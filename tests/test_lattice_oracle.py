@@ -40,7 +40,7 @@ from modmax.lattice import (
     lattice_of,
     primary_cyclic,
 )
-from oracles import column_by_members, kurosh_i, kurosh_ii, product_mask
+from oracles import cached_group, column_by_members, kurosh_i, kurosh_ii, product_mask
 
 
 def _is_closed(table, subset):
@@ -142,19 +142,19 @@ LARGE = ["hol_C7", "E2^4", "C2xC2xS3", "S4xC2", "A5", "E2^3xS3", "E2^5"]
 
 @pytest.mark.parametrize("name", SMALL)
 def test_powerset_oracle_agrees(name):
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     assert _lattice_membersets(G) == oracle_subgroups_powerset(G)
 
 
 @pytest.mark.parametrize("name", SMALL + MEDIUM + LARGE)
 def test_dfs_oracle_agrees(name):
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     assert _lattice_membersets(G) == oracle_subgroups_dfs(G)
 
 
 @pytest.mark.parametrize("name", LARGE)
 def test_tables_agree_with_definitions(name):
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     lat = lattice_of(G)
     sets = [frozenset(s.members()) for s in lat.subgroups]
     index = {m: i for i, m in enumerate(sets)}
@@ -184,7 +184,7 @@ STRUCTURE_GROUPS = [e.name for e in catalog.standard_suite()] + [
 def test_interval_sizes_count_the_interval(name):
     """sizes[a][b] is the number of subgroups k with a <= k <= b, for every
     comparable pair a <= b and no other, inclusion read off member sets."""
-    lat = lattice_of(catalog.shared_group(name))
+    lat = lattice_of(cached_group(name))
     sets = [frozenset(s.members()) for s in lat.subgroups]
     sizes = lat.interval_sizes()
     assert len(sizes) == lat.size
@@ -245,7 +245,7 @@ def _sylow_masks(order, masks):
 @pytest.mark.parametrize("name", [e.name for e in catalog.standard_suite()]
                          + ["A5", "S4xC2", "E2^3xS3"])
 def test_permutability_agrees_with_literal_products(name):
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     lat = lattice_of(G)
     masks = [s.mask for s in lat.subgroups]
     sylows = _sylow_masks(G.order, masks)
@@ -258,7 +258,7 @@ def test_permutability_agrees_with_literal_products(name):
 
 @pytest.mark.parametrize("name", LARGE + ["S5", "hol_C13", "pq2_3_11"])
 def test_class_enumeration_agrees_with_literal_cyclic_extension(name):
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     assert _lattice_membersets(G) == oracle_subgroups_cyclic_literal(G)
 
 
@@ -354,7 +354,7 @@ def test_two_cyclic_factors_subgroup_count(m, n):
 
 def test_oracles_agree_with_each_other():
     for name in SMALL:
-        G = catalog.shared_group(name)
+        G = cached_group(name)
         assert oracle_subgroups_powerset(G) == oracle_subgroups_dfs(G)
 
 
@@ -384,7 +384,7 @@ EXPECTED_COUNTS = {
 
 @pytest.mark.parametrize("name,count", sorted(EXPECTED_COUNTS.items()))
 def test_subgroup_counts(name, count):
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     assert len(lattice_of(G)) == count
 
 
@@ -417,7 +417,7 @@ def test_modular_columns_agree_with_literal_conditions(name):
     """Both conditions decided by counting interval sizes give the literal
     column on every section [1, B] and [N, G]; C2xD8xS3 (562 subgroups) is
     the largest non-abelian lattice."""
-    lat = lattice_of(catalog.shared_group(name))
+    lat = lattice_of(cached_group(name))
     top = lat.top()
     sections = [(0, b) for b in range(lat.size)]
     sections += [(n, top) for n in lat.normal_indices() if n]
@@ -446,7 +446,7 @@ def test_interval_count_decides_condition_ii(name):
     literal (i) but fails the literal (ii) is left out of that section's
     column.  Checked on every section [lo, hi], counted on the sections
     [1, B]."""
-    lat = lattice_of(catalog.shared_group(name))
+    lat = lattice_of(cached_group(name))
     join_t, meet_t = lat.join_t, lat.meet_t
     count = 0
     for lo in range(lat.size):
@@ -470,7 +470,7 @@ def test_interval_count_alone_gives_the_modular_column(name):
     condition (i) (the proof is in ``lattice._kurosh``), so the count alone,
     recomputed here from the size table, gives the literal modular column
     on every section."""
-    lat = lattice_of(catalog.shared_group(name))
+    lat = lattice_of(cached_group(name))
     sizes, join_t, meet_t = lat.interval_sizes(), lat.join_t, lat.meet_t
     for lo in range(lat.size):
         for hi in bits(lat.up[lo]):

@@ -30,7 +30,7 @@ from modmax.classify import (
 from modmax.groups import SubgroupSet
 from modmax.groups import quotient, subgroup_as_group
 from modmax.lattice import lattice_of
-from oracles import image_mask, restrict_mask
+from oracles import cached_group, image_mask, restrict_mask
 
 GROUPS = [e.name for e in catalog.standard_suite()] + ["S4xC2", "A5"]
 PREDICATES = ("modular", "s_quasinormal")
@@ -42,7 +42,7 @@ def _asks(lat, i, section=None):
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_subgroup_sections_agree_with_rebuilt_subgroups(name):
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     lat = lattice_of(G)
     for b, B in enumerate(lat.subgroups):
         sub, elems = subgroup_as_group(G, B)
@@ -54,7 +54,7 @@ def test_subgroup_sections_agree_with_rebuilt_subgroups(name):
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_quotient_sections_agree_with_rebuilt_quotients(name):
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     lat = lattice_of(G)
     for n in lat.normal_indices():
         Q, proj = quotient(G, lat.subgroups[n])
@@ -88,7 +88,7 @@ def _factor_key(f):
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_quotient_chief_factors_are_the_factors_above_n(name):
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     factors = all_chief_factors(G)
     for N in normal_subgroups(G):
         Q, _ = quotient(G, N)
@@ -109,7 +109,7 @@ def _literal_residual(G, predicate):
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_residuals_agree_with_the_literal_quotient_loop(name):
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     assert residual_supersoluble(G).mask == _literal_residual(G, is_supersoluble)
     assert (residual_strongly_supersoluble(G).mask
             == _literal_residual(G, is_strongly_supersoluble))
@@ -118,7 +118,7 @@ def test_residuals_agree_with_the_literal_quotient_loop(name):
 @pytest.mark.parametrize("name", GROUPS)
 def test_section_nilpotency_agrees_with_rebuilt_sections(name):
     """Every subgroup hi and every lo <= hi normal in hi: hi/lo rebuilt."""
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     lat = lattice_of(G)
     for h, H in enumerate(lat.subgroups):
         sub, elems = subgroup_as_group(G, H)
@@ -134,7 +134,7 @@ def test_section_nilpotency_agrees_with_rebuilt_sections(name):
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_subgroup_power_split_test_agrees_with_rebuilt_subgroups(name):
-    G = catalog.shared_group(name)
+    G = cached_group(name)
     for S in lattice_of(G).subgroups:
         sub, _ = subgroup_as_group(G, S)
         assert is_p_group_schmidt(G, S) == is_p_group_schmidt(sub), (name, S)

@@ -14,7 +14,7 @@ from modmax import catalog, verify
 from modmax.classify import is_supersoluble
 from modmax.groups import bits, core, direct_product
 from modmax.lattice import lattice_of
-from oracles import close_mask
+from oracles import cached_group, close_mask
 from modmax.verify import (
     FAILS,
     HOLDS,
@@ -167,7 +167,7 @@ def test_lemma_2_1_per_subgroup(suite_groups):
 
 def _decomposition_groups():
     for name in catalog.suite_names() + ["S4xC2", "E2^3xS3", "pq2_3_2"]:
-        yield catalog.shared_group(name)
+        yield cached_group(name)
     yield direct_product(catalog.construct("S3"), catalog.construct("C5"))
     yield direct_product(catalog.construct("pgroup_7^1:3:2"), catalog.construct("D10"))
 
@@ -437,6 +437,50 @@ def test_run_suite_caps_the_worker_pool(monkeypatch, jobs, cpus, processes):
     assert result.to_json_obj() == serial.to_json_obj()
 
 
+def _recording_construct(monkeypatch):
+    """Patch ``catalog.construct`` to log each group it builds; returns the
+    log, a list of (name, weak reference) pairs."""
+    refs = []
+    real = catalog.construct
+
+    def recording(*args, **kwargs):
+        G = real(*args, **kwargs)
+        refs.append((G.name, weakref.ref(G)))
+        return G
+
+    monkeypatch.setattr(catalog, "construct", recording)
+    return refs
+
+
+def test_pooled_run_builds_no_group_before_the_pool_starts(monkeypatch):
+    """Names are checked and the queue ordered from the names alone, so a
+    process builds a group only once it has taken it from the queue."""
+    refs = _recording_construct(monkeypatch)
+    built_before_pool = []
+
+    class Pool(_RecordingPool):
+        def __init__(self, *args, **kwargs):
+            built_before_pool.append(len(refs))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
+    run_suite("S3,Q8,C6,V4", "lemmas", jobs=2)
+    assert built_before_pool == [0]
+    assert [name for name, _ in refs] == ["Q8", "S3", "C6", "V4"]
+
+
+def test_run_suite_keeps_no_group_it_built(monkeypatch):
+    """Every group the gate builds is garbage once ``run_suite`` returns,
+    with its lattice and the answers memoised on it."""
+    refs = _recording_construct(monkeypatch)
+    run_suite("all", "all")
+    assert len(refs) == 18
+    gc.collect()
+    alive = [name for name, ref in refs if ref() is not None]
+    assert not alive, alive
+
+
 def _fork_only():
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("pool workers see a patched function only when forked")
@@ -564,7 +608,6 @@ def test_suite_builds_each_lattice_once(monkeypatch):
     quotient per orbit of normal subgroups).  None is G/1, which is G."""
     from modmax import lattice
 
-    monkeypatch.setattr(catalog, "_shared", {})
     built = []
     real = lattice.enumerate_lattice
     monkeypatch.setattr(lattice, "enumerate_lattice",
@@ -576,12 +619,12 @@ def test_suite_builds_each_lattice_once(monkeypatch):
 
 def test_derived_groups_are_not_kept_on_their_parent(monkeypatch):
     """Every quotient and subgroup rebuilt as a group during the gate and
-    ``classify`` is garbage once they return, although each parent is still
-    alive: only answers are memoised on G.  G/1 is G itself, left out."""
+    ``classify`` is garbage once they return, although the two parents
+    given to ``classify`` are still alive: only answers are memoised on G.
+    G/1 is G itself, left out."""
     # modmax.classify the module: the package binds the name to the function
     classify, groups = map(importlib.import_module, ("modmax.classify", "modmax.groups"))
 
-    monkeypatch.setattr(catalog, "_shared", {})
     refs = []
     for attr in ("quotient", "subgroup_as_group"):
         real = getattr(groups, attr)
