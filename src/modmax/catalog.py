@@ -377,9 +377,6 @@ class CatalogEntry(NamedTuple):
     expected: dict     # profile field -> bool
     provenance: dict   # profile field -> source
 
-    def build(self) -> Group:
-        return construct(self.name)
-
 
 def _entry(name, order, description, literature=None, computed=None):
     expected = {}

@@ -98,11 +98,9 @@ def _closure(table, start: int, gens, elems=None) -> int:
     N<gens>, the middle step by H <= <N, gens>.  The callers have
 
     - N = 1, ``gens`` generating H too: the lattice's extensions,
-      ``_normal_closure_mask``, a cyclic subgroup;
+      ``_normal_closure_mask``, ``_greedy_generators``, a cyclic subgroup;
     - N = H, every generator normalising H: ``is_nilpotent``'s [cur, hi]lo
-      and ``sylow_subgroup``'s step inside the normaliser;
-    - N = ``below`` in ``_greedy_generators``: H = <below, the generators
-      so far>, all of them in ``mask``, where below is normal.
+      and ``sylow_subgroup``'s step inside the normaliser.
 
     Early exit: U lies in the subgroup <H, gens>, whose order divides n
     (Lagrange), so once U has more than n/2 members that subgroup is the
@@ -126,13 +124,13 @@ def _closure(table, start: int, gens, elems=None) -> int:
     return mask
 
 
-def _greedy_generators(table, mask: int, below: int = 1) -> tuple[int, ...]:
-    """Generators of the subgroup ``mask`` modulo its normal subgroup
-    ``below``: each least member outside the subgroup generated by ``below``
-    and the members taken before it, that subgroup extended from the last."""
+def _greedy_generators(table, mask: int) -> tuple[int, ...]:
+    """Generators of the subgroup ``mask``: each least member outside the
+    subgroup generated by the members taken before it, that subgroup
+    extended from the last."""
     gens: list[int] = []
-    reached = below
-    for x in bits(mask & ~below):
+    reached = 1
+    for x in bits(mask):
         if not (reached >> x) & 1:
             gens.append(x)
             reached = _closure(table, reached, gens)
@@ -624,18 +622,14 @@ def subgroup_generated(G: Group, seed) -> SubgroupSet:
     return SubgroupSet(G, _normal_closure_mask(G, seed, ()))
 
 
-def centralizer_mask(G: Group, hmask: int, kmask: int = 1) -> int:
-    """C_G(H/K) = {g : every commutator [g, h] with h in H lies in K}, for
-    K <= H normal in G; K = 1 gives the centraliser of H.  K is normal, so
-    for each g the h with [g, h] in K form a subgroup containing K (the
-    preimage of the centraliser of gK in G/K): generators of H modulo K
-    suffice."""
-    t, inv = G.table, G.inverse
-    gens = [(h, inv[h]) for h in _greedy_generators(t, hmask, kmask)]
+def centralizer_mask(G: Group, hmask: int) -> int:
+    """C_G(H) = {g : g commutes with every member of H}.  For each g the
+    members commuting with g form a subgroup, so generators of H suffice."""
+    t = G.table
+    gens = _greedy_generators(t, hmask)
     out = 0
     for g, row in enumerate(t):
-        ginv = inv[g]
-        if all(kmask >> t[t[row[h]][ginv]][hinv] & 1 for h, hinv in gens):
+        if all(row[h] == t[h][g] for h in gens):
             out |= 1 << g
     return out
 

@@ -10,10 +10,16 @@ class, and decide Kurosh's conditions (i) and (ii) by the literal
 quantifier loops rather than by counting interval sizes.  ``join_meet_tables`` builds both tables whole,
 against the lattice's rows built on first read.
 
+The chief-factor oracles decide C_G(H/K) and cyclicity of H/K by looping
+over every member, the way ``classify`` did before it read both off the
+normal sublattice.
+
 ``cached_group`` is ``catalog.construct`` memoised for the whole test
 session, so that tests share each group and the answers memoised on it;
 the package itself keeps no group.  ``cycles_to_perm`` writes cycle
-notation out as an image tuple.
+notation out as an image tuple, and ``gaussian_binomial`` counts the
+j-dimensional subspaces of a k-dimensional space over the field of p
+elements.
 """
 
 import functools
@@ -29,6 +35,14 @@ def cycles_to_perm(degree: int, cycles) -> tuple[int, ...]:
     as ``group_from_json`` checks it."""
     images = _cycle_images(degree, cycles)
     return tuple(images.get(v, v) for v in range(degree))
+
+
+def gaussian_binomial(k: int, j: int, p: int) -> int:
+    num = den = 1
+    for i in range(j):
+        num *= p ** (k - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
 
 
 def close_mask(table, seed, ambient_order: int) -> int:
@@ -207,3 +221,23 @@ def column_by_members(lat, predicate: str, lo: int, hi: int) -> int:
         others = tuple(k for k in members if o[k] // o[lo] in parts)
     return sum(1 << i for i in members if all(
         o[i] * o[j] == o[join_t[i][j]] * o[meet_t[i][j]] for j in others))
+
+
+def factor_centralizer_by_members(G, kmask: int, hmask: int) -> int:
+    """{g : [g, h] in K for every member h of H}, for K <= H normal in G."""
+    return sum(1 << g for g in range(G.order)
+               if all((kmask >> G.commutator(g, h)) & 1 for h in bits(hmask)))
+
+
+def factor_is_cyclic_by_cosets(G, kmask: int, hmask: int) -> bool:
+    """H/K is cyclic iff some coset hK has order |H/K| in H/K."""
+    factor_order = hmask.bit_count() // kmask.bit_count()
+    table = G.table
+    for h in bits(hmask):
+        m, y = 1, h
+        while not (kmask >> y) & 1:
+            y = table[y][h]
+            m += 1
+        if m == factor_order:
+            return True
+    return factor_order == 1

@@ -52,7 +52,13 @@ from modmax.groups import (
     whole_group,
 )
 from modmax.lattice import lattice_of
-from oracles import cached_group, product_mask
+from oracles import (
+    cached_group,
+    factor_centralizer_by_members,
+    factor_is_cyclic_by_cosets,
+    gaussian_binomial,
+    product_mask,
+)
 
 
 def test_chief_factors_of_prime_cyclic():
@@ -86,22 +92,44 @@ def test_frattini_factor_flag():
     assert all(f.is_frattini for f in bottom)
 
 
-def _factor_centralizer_by_members(G, kmask, hmask):
-    """Oracle: {g : [g, h] in K for every member h of H}."""
-    return sum(1 << g for g in range(G.order)
-               if all((kmask >> G.commutator(g, h)) & 1 for h in bits(hmask)))
+@pytest.mark.parametrize("name", catalog.suite_names() + ["S4xC2", "A5", "E2^5"])
+def test_factor_centralizer_from_generators_matches_all_members(name):
+    """Each chief factor's automizer order, read off the normal sublattice,
+    is |G| over the literal all-members C_G(H/K); and the centraliser read
+    off generators of H is the literal one on every subgroup H."""
+    G = cached_group(name)
+    for f in all_chief_factors(G):
+        cent = factor_centralizer_by_members(G, f.below.mask, f.above.mask)
+        assert f.automizer_order == G.order // cent.bit_count(), f.descriptor()
+    for H in lattice_of(G).subgroups:
+        assert centralizer_mask(G, H.mask) == factor_centralizer_by_members(G, 1, H.mask)
 
 
 @pytest.mark.parametrize("name", catalog.suite_names() + ["S4xC2", "A5", "E2^5"])
-def test_factor_centralizer_from_generators_matches_all_members(name):
-    """C_G(H/K) read off generators of H is the literal all-members set, on
-    every chief factor, and with K = 1 on every subgroup H."""
+def test_factor_cyclicity_matches_the_coset_orders(name):
+    """A chief factor is cyclic, by its order being prime, exactly when some
+    coset hK has order |H/K|."""
     G = cached_group(name)
     for f in all_chief_factors(G):
-        km, hm = f.below.mask, f.above.mask
-        assert centralizer_mask(G, hm, km) == _factor_centralizer_by_members(G, km, hm)
-    for H in lattice_of(G).subgroups:
-        assert centralizer_mask(G, H.mask) == _factor_centralizer_by_members(G, 1, H.mask)
+        assert f.is_cyclic == factor_is_cyclic_by_cosets(
+            G, f.below.mask, f.above.mask), f.descriptor()
+
+
+@pytest.mark.parametrize("name, p, k", [("E3^5", 3, 5), ("E2^6", 2, 6)])
+def test_chief_factors_of_an_elementary_abelian_group_are_its_covers(name, p, k):
+    """Every subgroup of E_p^k is normal, so its chief factors are the covers
+    of its subspace lattice, sum_j [k choose j]_p [j choose 1]_p of them
+    (25,652 on E3^5, 23,562 on E2^6), each of order p, cyclic, and
+    centralised by the whole abelian group."""
+    G = cached_group(name)
+    lat = lattice_of(G)
+    covers = {(i, j) for j in range(lat.size) for i in lat.covers_down[j]}
+    factors = all_chief_factors(G)
+    assert len(covers) == sum(gaussian_binomial(k, j, p) * gaussian_binomial(j, 1, p)
+                              for j in range(1, k + 1))
+    assert {(lat.index(f.below), lat.index(f.above)) for f in factors} == covers
+    assert len(factors) == len(covers)
+    assert {(f.factor_order, f.automizer_order, f.is_cyclic) for f in factors} == {(p, 1, True)}
 
 
 def _commutes_literally(G):
@@ -360,6 +388,18 @@ def test_chief_series_climbs_from_one_to_the_whole_group(name):
         assert math.prod(f.factor_order for f in series) == G.order
 
 
+def test_chief_series_takes_the_first_or_the_last_normal_cover(suite_groups):
+    """``prefer`` takes the least or the greatest normal cover in canonical
+    order.  V4's three subgroups of order 2 all cover 1 and are normal, so
+    the two series part at the first step."""
+    G = suite_groups["V4"]
+    lat = lattice_of(G)
+    covers = lat.covers_up[0]
+    assert len(covers) == 3 and all(lat.normal >> i & 1 for i in covers)
+    assert lat.index(chief_series(G, prefer="first")[0].above) == min(covers)
+    assert lat.index(chief_series(G, prefer="last")[0].above) == max(covers)
+
+
 def test_jordan_holder_consistency(suite_groups):
     for name in ("S3", "A4", "S4", "SL23", "hol_C7", "C3:C4", "pq2_2_3"):
         G = suite_groups[name]
@@ -479,7 +519,7 @@ def _semidirect_factor_by_automizer(G, f):
     k_local = SubgroupSet(sub, sum(1 << i for i, x in enumerate(elems)
                                    if x in f.below))
     factor, fproj = quotient(sub, k_local)
-    cent = SubgroupSet(G, centralizer_mask(G, f.above.mask, f.below.mask))
+    cent = SubgroupSet(G, factor_centralizer_by_members(G, f.below.mask, f.above.mask))
     autz, aproj = quotient(G, cent)
     elem_index = {x: i for i, x in enumerate(elems)}
     reps = [next(g for g in range(G.order) if aproj[g] == a)

@@ -40,7 +40,14 @@ from modmax.lattice import (
     lattice_of,
     primary_cyclic,
 )
-from oracles import cached_group, column_by_members, kurosh_i, kurosh_ii, product_mask
+from oracles import (
+    cached_group,
+    column_by_members,
+    gaussian_binomial,
+    kurosh_i,
+    kurosh_ii,
+    product_mask,
+)
 
 
 def _is_closed(table, subset):
@@ -314,14 +321,6 @@ def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _gaussian_binomial(k, j, p):
-    num = den = 1
-    for i in range(j):
-        num *= p ** (k - i) - 1
-        den *= p ** (i + 1) - 1
-    return num // den
-
-
 # closed forms, computed from the parameters: C_n has tau(n) subgroups; D_2n
 # has tau(n) + sigma(n), of which tau(n) + 1 are normal for n odd and
 # tau(n) + 3 for n even; E_p^k has sum_j [k choose j]_p; C_m x C_n has
@@ -342,7 +341,7 @@ def test_dihedral_subgroup_counts(n):
 @pytest.mark.parametrize("p, k", [(3, 4), (5, 3)])
 def test_elementary_abelian_subgroup_count(p, k):
     lat = enumerate_lattice(catalog.construct(f"E{p}^{k}"))
-    assert lat.size == sum(_gaussian_binomial(k, j, p) for j in range(k + 1))
+    assert lat.size == sum(gaussian_binomial(k, j, p) for j in range(k + 1))
 
 
 @pytest.mark.parametrize("m, n", [(12, 18), (20, 30)])
