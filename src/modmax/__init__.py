@@ -2,8 +2,8 @@
 
 Core pieces:
 
-- :mod:`modmax.groups`: Cayley-table groups, products, quotients, Sylow
-  and Hall subgroups, isomorphism testing;
+- :mod:`modmax.groups`: Cayley-table groups, products, quotients and
+  subgroups as groups;
 - :mod:`modmax.lattice`: full subgroup lattice with modularity,
   quasinormality, S-quasinormality, subnormality and n-maximality;
 - :mod:`modmax.classify`: chief factors and the supersolubility hierarchy
@@ -24,13 +24,10 @@ from .classify import (
     chief_series,
     classify,
     dispersive_orderings,
-    hypercyclic_center,
     is_abelian,
-    is_hypercyclically_embedded,
     is_nearly_nilpotent,
     is_nilpotent,
     is_nilpotent_hall,
-    is_ore_dispersive,
     is_p_group_schmidt,
     is_phi_dispersive,
     is_schmidt_group,
@@ -45,26 +42,19 @@ from .classify import (
 from .groups import (
     Group,
     SubgroupSet,
-    center,
     centralizer,
     core,
-    derived_subgroup,
     direct_product,
     find_isomorphism,
     group_from_cayley_table,
     group_from_json,
     group_from_permutations,
-    hall_subgroup,
-    is_isomorphic,
     load_group,
     normal_closure,
-    normalizer,
     prime_spectrum,
     quotient,
     semidirect_product,
     subgroup_as_group,
-    subgroup_generated,
-    sylow_subgroup,
     trivial_subgroup,
     whole_group,
 )

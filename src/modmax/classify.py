@@ -48,7 +48,6 @@ from typing import NamedTuple
 
 from .groups import (
     Group,
-    NotNormal,
     SubgroupSet,
     _closure,
     _greedy_generators,
@@ -62,7 +61,6 @@ from .groups import (
     quotient,
     squarefree,
     subgroup_as_group,
-    subgroup_generated,
     trivial_subgroup,
     whole_group,
 )
@@ -378,38 +376,6 @@ def dispersive_orderings(G: Group) -> tuple[tuple[int, ...], ...]:
         phi for phi in itertools.permutations(prime_spectrum(G))
         if is_phi_dispersive(G, phi)
     )
-
-
-def is_ore_dispersive(G: Group) -> bool:
-    """Dispersive for the descending prime ordering."""
-    return is_phi_dispersive(G, tuple(sorted(prime_spectrum(G), reverse=True)))
-
-
-# ---------------------------------------------------------------------------
-# hypercyclic embedding
-
-def is_hypercyclically_embedded(G: Group, A: SubgroupSet) -> bool:
-    """Every chief factor of G below A is cyclic (A must be normal)."""
-    lat = lattice_of(G)
-    if not lat.is_normal(lat.index(A)):
-        raise NotNormal(f"subgroup of order {A.order} is not normal in {G.name}")
-    return all(
-        f.is_cyclic for f in all_chief_factors(G)
-        if f.above.mask & A.mask == f.above.mask
-    )
-
-
-def hypercyclic_center(G: Group) -> SubgroupSet:
-    """Join of all normal hypercyclically embedded subgroups."""
-    seed = 1
-    for N in normal_subgroups(G):
-        if is_hypercyclically_embedded(G, N):
-            seed |= N.mask
-    result = subgroup_generated(G, bits(seed))
-    if not is_hypercyclically_embedded(G, result):
-        raise InternalCheckError(
-            "join of hypercyclically embedded subgroups lost the property")
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -53,10 +53,6 @@ class NotAnAction(GroupError):
     """Supplied maps do not form a homomorphism into the automorphism group."""
 
 
-class NotPrime(GroupError):
-    """Argument must be a prime number."""
-
-
 class LoadError(GroupError):
     """A group description file could not be parsed or validated."""
 
@@ -66,12 +62,19 @@ class LoadError(GroupError):
 
 def _memo(owner, key, compute, *args):
     """``owner._cache[key]``, filled from ``compute(*args)`` on the first
-    read; the only reader and writer of a ``_cache``.  ``compute`` never
-    returns None, which marks a miss."""
+    read; with :func:`_forget`, the only reader and writer of a
+    ``_cache``.  ``compute`` never returns None, which marks a miss."""
     hit = owner._cache.get(key)
     if hit is None:
         hit = owner._cache[key] = compute(*args)
     return hit
+
+
+def _forget(owner) -> None:
+    """Empty ``owner``'s memo.  A group's memo holds its lattice, which
+    points back at the group; emptied, the group is freed as soon as its
+    caller drops it, not at the collector's next full pass."""
+    owner._cache.clear()
 
 
 def bits(mask: int):
@@ -99,8 +102,7 @@ def _closure(table, start: int, gens, elems=None) -> int:
 
     - N = 1, ``gens`` generating H too: the lattice's extensions,
       ``_normal_closure_mask``, ``_greedy_generators``, a cyclic subgroup;
-    - N = H, every generator normalising H: ``is_nilpotent``'s [cur, hi]lo
-      and ``sylow_subgroup``'s step inside the normaliser.
+    - N = H, every generator normalising H: ``is_nilpotent``'s [cur, hi]lo.
 
     Early exit: U lies in the subgroup <H, gens>, whose order divides n
     (Lagrange), so once U has more than n/2 members that subgroup is the
@@ -172,48 +174,75 @@ def group_from_generator_rows(index, gen_rows, name: str = "G") -> "Group":
 
     ``index`` is ``tuple(range(n))``, and each row in ``gen_rows`` draws its
     entries from it, with ``row_g[x] = g*x``; the generators are the
-    elements ``row_g[0]``, in order.  As (g*y)*x = g*(y*x), the row of g*y
-    is the row of g read at the row of y.  A breadth-first walk of the left
-    Cayley graph from the identity copies each row once, along its
-    spanning tree: n - 1 gathers of n entries at C speed, and every entry
-    of the table is an object of ``index``.  Edges outside the tree are
-    not compared.
-
-    The proof that the table is a group's is :func:`_check_columns`, run on
-    the rows of the generators' elements, O(n k^2) for k generators.
-    Before it, each generator's row must be the row the walk gave its
-    element (the edges from 0, O(n k)): then the group the generator rows
-    generate is the one the columns are checked against, and a named
-    triple fails in the table built.  The inverses follow the tree:
-    (g*y)^-1 = y^-1 * g^-1.
+    elements ``row_g[0]``, in order.  :func:`_walk` copies each row once
+    from the generators' rows, and :func:`_check_columns` on the
+    generators' rows proves the table a group's, O(n k^2) for k
+    generators.
     """
     n = len(index)
     for k, row in enumerate(gen_rows):
         if sorted(row) != list(index):
             raise NotAGroup(f"generator row {k} is not a permutation of 0..{n - 1}")
-    ginv = [row.index(0) for row in gen_rows]  # g*x = 0 at x = g^-1
     rows: list = [None] * n
     rows[0] = index
-    reached, tree = [0], [None]  # tree[i]: the edge (y, g^-1) reaching reached[i]
-    for y in reached:
-        row_y = rows[y]
-        for row_g, g_inv in zip(gen_rows, ginv):
-            z = row_g[y]
-            if rows[z] is None:
-                rows[z] = _gather(row_g, row_y)
-                reached.append(z)
-                tree.append((y, g_inv))
-    if len(reached) != n:
-        raise NotAGroup("stated generators do not generate the group")
-    for row in gen_rows:
-        if rows[row[0]] != row:
-            raise NotAGroup(
-                f"generator rows do not act regularly: element {row[0]} has two rows")
-    gens = tuple(dict.fromkeys(row[0] for row in gen_rows))
+    gens, inverse = _walk(rows, lambda seen: ((row[0], row) for row in gen_rows), False)
     _check_columns(rows, gens, "generator rows do not act regularly: ")
     G = Group.__new__(Group)
-    G._fill(name, tuple(rows), _tree_inverses(rows, reached, tree), gens)
+    G._fill(name, tuple(rows), inverse, gens)
     return G
+
+
+def _walk(rows, stated, given: bool):
+    """Walk the left Cayley graph from 0 along the generators ``(g,
+    row_g)`` that ``stated(seen)`` yields one at a time, ``seen[x]`` set
+    once x is reached; each new generator's edges are walked from every
+    element reached before it.  As (g*y)*x = g*(y*x), the row of g*y is
+    g's row read at y's row: at each edge of the spanning tree the walk
+    gathers that row, n - 1 gathers of n entries at C speed, and stores it
+    in ``rows`` or, when the rows are ``given``, compares it with the
+    given row, a mismatch at x being a failing triple (g*y)*x != g*(y*x).
+    Edges outside the tree are not compared.  A generator already reached
+    must have the row the walk gave it: then the group the generators'
+    rows generate is the one their columns are checked against, and a
+    named triple fails in the table built.
+
+    Returns the generators, each once, and the inverses along the tree:
+    (g*y)^-1 = y^-1 * g^-1.  Once :func:`_check_columns` passes on the
+    generators, the rows are a group's table."""
+    n = len(rows)
+    seen = bytearray(n)
+    seen[0] = 1
+    edges = {}  # g -> (g, row_g, g^-1), for each generator g
+    reached, tree = [0], [None]  # tree[i]: the edge (y, g^-1) reaching reached[i]
+    for g, row_g in stated(seen):
+        if seen[g] and rows[g] != row_g:
+            raise NotAGroup(f"generator rows do not act regularly: element {g} has two rows")
+        if g in edges:
+            continue
+        edges[g] = g, row_g, row_g.index(0)  # g*x = 0 at x = g^-1
+        new, every = [edges[g]], list(edges.values())
+        old = len(reached)  # reached before g: only g's edges are new there
+        for i, y in enumerate(reached):
+            for h, row_h, h_inv in new if i < old else every:
+                z = row_h[y]
+                if not seen[z]:
+                    row = _gather(row_h, rows[y])  # row[x] is h*(y*x)
+                    if not given:
+                        rows[z] = row
+                    elif rows[z] != row:
+                        x = next(x for x, (u, v) in enumerate(zip(rows[z], row)) if u != v)
+                        raise NotAGroup(
+                            f"associativity fails on triple ({h},{y},{x}): "
+                            f"({h}*{y})*{x} = {rows[z][x]} but {h}*({y}*{x}) = {row[x]}")
+                    seen[z] = 1
+                    reached.append(z)
+                    tree.append((y, h_inv))
+    if len(reached) != n:
+        raise NotAGroup("stated generators do not generate the group")
+    inverse = [0] * n
+    for z, (y, g_inv) in zip(reached[1:], tree[1:]):
+        inverse[z] = rows[inverse[y]][g_inv]
+    return tuple(edges), tuple(inverse)
 
 
 def _check_columns(rows, gens, prefix: str = "") -> None:
@@ -222,12 +251,12 @@ def _check_columns(rows, gens, prefix: str = "") -> None:
     gathers of n entries at C speed, O(n k^2) for k generators.  A mismatch
     at x raises NotAGroup naming the triple (g, x, h), which fails.
 
-    After a breadth-first walk from 0 that reached every element and whose
-    tree edges checked row_(g*y) = row_g o row_y, this proves the table a
-    group's.  Let P be the permutation group the generators' rows L_g
-    generate.  The tree edges put every row in P, and row z sends 0 to z.
-    Each column R_h, x -> x*h, commutes with the generators' rows, hence
-    with P (inverses are positive powers).  The columns also reach every
+    After :func:`_walk` reached every element from 0 along tree edges with
+    row_(g*y) = row_g o row_y, this proves the table a group's.  Let P be
+    the permutation group the generators' rows L_g generate.  The tree
+    edges put every row in P, and row z sends 0 to z.  Each column R_h,
+    x -> x*h, commutes with the generators' rows, hence with P (inverses
+    are positive powers).  The columns also reach every
     element from 0: R_h(0) = h, and for c a composite of columns,
     L_g(c(0)) = c(L_g(0)) = (c o R_g)(0), so along the tree every element
     is some c(0); no right-multiplication walk is needed.  A member p of P
@@ -247,15 +276,6 @@ def _check_columns(rows, gens, prefix: str = "") -> None:
                 raise NotAGroup(
                     f"{prefix}associativity fails on triple ({g},{x},{h}): "
                     f"({g}*{x})*{h} = {rhs[x]} but {g}*({x}*{h}) = {lhs[x]}")
-
-
-def _tree_inverses(rows, reached, tree) -> tuple:
-    """The inverses along a walk's spanning tree, where ``tree[i] = (y,
-    g^-1)`` is the edge reaching ``reached[i] = g*y``: (g*y)^-1 = y^-1 * g^-1."""
-    inverse = [rows[0][0]] * len(rows)
-    for z, (y, g_inv) in zip(reached[1:], tree[1:]):
-        inverse[z] = rows[inverse[y]][g_inv]
-    return tuple(inverse)
 
 
 def _pair_group(N: "Group", H: "Group", acts, name: str) -> "Group":
@@ -285,20 +305,13 @@ class Group:
     reads entries with :func:`operator.index`, so a float or a string
     raises TypeError instead of being truncated, draws every entry from one
     tuple of the n indices, and checks that index 0 is a two-sided
-    identity.  Then one walk of the left Cayley graph and
-    :func:`_check_columns` prove every group axiom, the proof of
-    :func:`group_from_generator_rows` with every row given.  The generators
-    are the stated ones, or else each least element not yet reached; each
-    generator's row must be a permutation.  The walk compares its tree
-    edges only: the row of g*y must be g's row read at y's row, one
-    comparison of n entries at C speed, and a mismatch at x is a failing
-    triple, (g*y)*x != g*(y*x).  With the walk reaching all n elements and
-    the generators' columns commuting with their rows, the rows form the
-    regular permutation group the generator rows generate, so the table is
-    that group's.  The proof costs n - 1 row gathers and O(n k^2) for k
-    generators.  On a group each least unreached element is
-    :func:`_greedy_generators`' choice, and each at least doubles the
-    subgroup reached, so k <= log2(n) then.
+    identity.  Then :func:`_walk`, comparing the rows it gathers with the
+    given ones, and :func:`_check_columns` prove every group axiom.  The
+    generators are the stated ones, or else each least element not yet
+    reached; each generator's row must be a permutation.  The proof costs
+    n - 1 row gathers and O(n k^2) for k generators.  On a group each least
+    unreached element is :func:`_greedy_generators`' choice, and each at
+    least doubles the subgroup reached, so k <= log2(n) then.
 
     Every group the package builds itself (catalog families, permutation
     closures, quotients, subgroups, direct and semidirect products) comes
@@ -336,41 +349,20 @@ class Group:
                 raise NotAGroup(f"index 0 is not a left identity: 0*{j} = {rows[0][j]}")
             if rows[j][0] != j:
                 raise NotAGroup(f"index 0 is not a right identity: {j}*0 = {rows[j][0]}")
-        seen = bytearray(n)
-        seen[0] = 1
-        if generators is None:  # the least element not yet reached, until all are
-            stated = iter(lambda: seen.find(0), -1)
-        else:
-            stated = tuple(dict.fromkeys(map(operator.index, generators)))
-            for g in stated:
-                if not 0 <= g < n:
-                    raise NotAGroup(f"stated generator {g} out of range")
-        edges = []  # (g, row_g, g^-1) for each generator g
-        reached, tree = [0], [None]  # tree[i]: the edge (y, g^-1) reaching reached[i]
-        for g in stated:
-            row_g = rows[g]
-            if len(set(row_g)) != n:
-                raise NotAGroup(f"row {g} is not a permutation")
-            edges.append((g, row_g, row_g.index(0)))
-            old = len(reached)  # reached before g: only g's edges are new there
-            for i, y in enumerate(reached):
-                for h, row_h, h_inv in edges[-1:] if i < old else edges:
-                    z = row_h[y]
-                    if not seen[z]:  # a tree edge: compare the row of h*y
-                        row = _gather(row_h, rows[y])  # row[x] is h*(y*x)
-                        if rows[z] != row:
-                            x = next(x for x, (u, v) in enumerate(zip(rows[z], row)) if u != v)
-                            raise NotAGroup(
-                                f"associativity fails on triple ({h},{y},{x}): "
-                                f"({h}*{y})*{x} = {rows[z][x]} but {h}*({y}*{x}) = {row[x]}")
-                        seen[z] = 1
-                        reached.append(z)
-                        tree.append((y, h_inv))
-        if len(reached) != n:
-            raise NotAGroup("stated generators do not generate the group")
-        gens = tuple(map(itemgetter(0), edges))
+        stated = None if generators is None else tuple(map(operator.index, generators))
+        for g in stated or ():
+            if not 0 <= g < n:
+                raise NotAGroup(f"stated generator {g} out of range")
+
+        def generator_rows(seen):  # unless stated, each least element not yet reached
+            for g in iter(lambda: seen.find(0), -1) if stated is None else stated:
+                if len(set(rows[g])) != n:
+                    raise NotAGroup(f"row {g} is not a permutation")
+                yield g, rows[g]
+
+        gens, inverse = _walk(rows, generator_rows, True)
         _check_columns(rows, gens)
-        self._fill(name, rows, _tree_inverses(rows, reached, tree), gens)
+        self._fill(name, rows, inverse, gens)
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -617,11 +609,6 @@ def load_group(path, max_order_cap: int = DEFAULT_MAX_ORDER) -> Group:
 # ---------------------------------------------------------------------------
 # subgroup-valued operations
 
-def subgroup_generated(G: Group, seed) -> SubgroupSet:
-    """Smallest subgroup of G containing the seed indices."""
-    return SubgroupSet(G, _normal_closure_mask(G, seed, ()))
-
-
 def centralizer_mask(G: Group, hmask: int) -> int:
     """C_G(H) = {g : g commutes with every member of H}.  For each g the
     members commuting with g form a subgroup, so generators of H suffice."""
@@ -637,14 +624,6 @@ def centralizer_mask(G: Group, hmask: int) -> int:
 def centralizer(G: Group, S: SubgroupSet) -> SubgroupSet:
     """Elements commuting with every member of S."""
     return SubgroupSet(G, centralizer_mask(G, S.mask))
-
-
-def normalizer(G: Group, S: SubgroupSet) -> SubgroupSet:
-    out = 0
-    for g in range(G.order):
-        if conjugate_mask(G, g, S.mask) == S.mask:
-            out |= 1 << g
-    return SubgroupSet(G, out)
 
 
 def core(G: Group, H: SubgroupSet) -> SubgroupSet:
@@ -693,14 +672,6 @@ def commutator_mask(G: Group, a_mask: int, b_mask: int) -> int:
     ys = _greedy_generators(G.table, b_mask)
     seed = {G.commutator(x, y) for x in _greedy_generators(G.table, a_mask) for y in ys}
     return _normal_closure_mask(G, seed, ys)
-
-
-def derived_subgroup(G: Group) -> SubgroupSet:
-    return SubgroupSet(G, commutator_mask(G, (1 << G.order) - 1, (1 << G.order) - 1))
-
-
-def center(G: Group) -> SubgroupSet:
-    return centralizer(G, whole_group(G))
 
 
 def is_normal_subgroup(G: Group, S: SubgroupSet) -> bool:
@@ -782,7 +753,7 @@ def semidirect_product(N: Group, H: Group, action,
 
 
 # ---------------------------------------------------------------------------
-# arithmetic helpers, Sylow and Hall subgroups
+# arithmetic helpers
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division (desk scale)."""
@@ -816,61 +787,6 @@ def squarefree(n: int) -> bool:
 def prime_spectrum(G: Group) -> tuple[int, ...]:
     """Sorted distinct primes dividing |G|."""
     return tuple(sorted(factorize(G.order)))
-
-
-def sylow_subgroup(G: Group, p: int) -> SubgroupSet:
-    """A Sylow p-subgroup, grown deterministically via normalizers.
-
-    A p-subgroup below full p-order has index divisible by p in its
-    normalizer, so it can always be extended by the least suitable element.
-    """
-    p = operator.index(p)
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    p_part = 1
-    n = G.order
-    while n % p == 0:
-        p_part *= p
-        n //= p
-    current = SubgroupSet(G, 1)
-    while current.order < p_part:
-        nrm = normalizer(G, current)
-        chosen = None
-        for g in bits(nrm.mask & ~current.mask):
-            # image of g in N/current has order p iff g^p falls into current
-            gp = g
-            for _ in range(p - 1):
-                gp = G.table[gp][g]
-            if gp in current:
-                chosen = g
-                break
-        if chosen is None:  # cannot happen for a p-subgroup below full p-order
-            raise GroupError(f"Sylow growth stalled for p={p} in {G.name}")
-        current = SubgroupSet(G, _closure(G.table, current.mask, (chosen,)))
-    return current
-
-
-def hall_subgroup(G: Group, primes) -> SubgroupSet | None:
-    """A subgroup whose order is the full part of |G| over the given primes.
-
-    Searches the enumerated subgroup lattice; returns None when no such
-    subgroup exists (Hall subgroups can fail to exist outside soluble
-    groups).  The first lattice member in canonical order is returned.
-    """
-    pset = sorted(set(map(operator.index, primes)))
-    for p in pset:
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
-    target = 1
-    for p, e in factorize(G.order).items():
-        if p in pset:
-            target *= p ** e
-    from .lattice import lattice_of  # deferred: lattice builds on this module
-
-    for S in lattice_of(G).subgroups:
-        if S.order == target:
-            return S
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -963,10 +879,6 @@ def find_isomorphism(A: Group, B: Group) -> tuple[int, ...] | None:
     if sorted(A.element_orders()) != sorted(B.element_orders()):
         return None
     return next(_isomorphisms(A, B), None)
-
-
-def is_isomorphic(A: Group, B: Group) -> bool:
-    return find_isomorphism(A, B) is not None
 
 
 def automorphisms(G: Group) -> list[tuple[int, ...]]:

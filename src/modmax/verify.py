@@ -71,6 +71,7 @@ from .classify import (
 from .groups import (
     Group,
     SubgroupSet,
+    _forget,
     _memo,
     bits,
     centralizer,
@@ -743,8 +744,9 @@ def reports_for_group(name: str, checks, fast: bool = False,
     """All requested reports for one catalog group, deterministic order.
 
     Depth-parameterised checks run at every depth up to the longest maximal
-    chain unless ``depth`` pins a single value.  The group is built here
-    and nothing keeps it once the reports are returned.
+    chain unless ``depth`` pins a single value.  The group is built here,
+    and its memo is emptied once the reports are made, so that reference
+    counting frees it when they are returned.
     """
     try:
         G = catalog.construct(name)
@@ -768,6 +770,7 @@ def reports_for_group(name: str, checks, fast: bool = False,
             out.append(_SINGLE_RUNNERS[check](G, fast))
         else:
             raise UnknownSelector(f"unknown check {check!r}")
+    _forget(G)
     return out
 
 

@@ -12,7 +12,8 @@ against the lattice's rows built on first read.
 
 The chief-factor oracles decide C_G(H/K) and cyclicity of H/K by looping
 over every member, the way ``classify`` did before it read both off the
-normal sublattice.
+normal sublattice.  ``normalizer_by_members`` conjugates a subgroup by
+every element, and ``is_isomorphic`` asks ``find_isomorphism`` for a map.
 
 ``cached_group`` is ``catalog.construct`` memoised for the whole test
 session, so that tests share each group and the answers memoised on it;
@@ -25,7 +26,7 @@ elements.
 import functools
 
 from modmax import catalog
-from modmax.groups import _cycle_images, bits, conjugate_mask, factorize
+from modmax.groups import _cycle_images, bits, conjugate_mask, factorize, find_isomorphism
 
 cached_group = functools.cache(catalog.construct)
 
@@ -241,3 +242,12 @@ def factor_is_cyclic_by_cosets(G, kmask: int, hmask: int) -> bool:
         if m == factor_order:
             return True
     return factor_order == 1
+
+
+def normalizer_by_members(G, mask: int) -> int:
+    """N_G(H) = {g : gHg^-1 = H}, every element of G tried."""
+    return sum(1 << g for g in range(G.order) if conjugate_mask(G, g, mask) == mask)
+
+
+def is_isomorphic(A, B) -> bool:
+    return find_isomorphism(A, B) is not None

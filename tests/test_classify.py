@@ -13,14 +13,11 @@ from modmax.classify import (
     chief_series,
     classify,
     dispersive_orderings,
-    hypercyclic_center,
     is_abelian,
     is_critical,
-    is_hypercyclically_embedded,
     is_nearly_nilpotent,
     is_nilpotent,
     is_nilpotent_hall,
-    is_ore_dispersive,
     is_p_group_schmidt,
     is_phi_dispersive,
     is_schmidt_group,
@@ -34,7 +31,6 @@ from modmax.classify import (
     residual_supersoluble,
 )
 from modmax.groups import (
-    NotNormal,
     SubgroupSet,
     bits,
     centralizer_mask,
@@ -42,7 +38,6 @@ from modmax.groups import (
     core,
     factorize,
     group_from_permutations,
-    is_isomorphic,
     is_prime,
     prime_spectrum,
     quotient,
@@ -57,6 +52,7 @@ from oracles import (
     factor_centralizer_by_members,
     factor_is_cyclic_by_cosets,
     gaussian_binomial,
+    is_isomorphic,
     product_mask,
 )
 
@@ -291,13 +287,13 @@ def test_critical_groups(suite_groups):
 def test_dispersive_orderings(suite_groups):
     s3 = suite_groups["S3"]
     assert dispersive_orderings(s3) == ((3, 2),)
-    assert is_ore_dispersive(s3)
+    assert classify(s3).ore_dispersive
     a4 = suite_groups["A4"]
     assert dispersive_orderings(a4) == ((2, 3),)
-    assert not is_ore_dispersive(a4)
+    assert not classify(a4).ore_dispersive
     triv = suite_groups["1"]
     assert dispersive_orderings(triv) == ((),)
-    assert is_ore_dispersive(triv)
+    assert classify(triv).ore_dispersive
     for G in (suite_groups["Q8"], suite_groups["C12"], suite_groups["D8"]):
         spectrum = prime_spectrum(G)
         assert len(dispersive_orderings(G)) == math.factorial(len(spectrum))
@@ -310,33 +306,6 @@ def test_bad_ordering_rejected(suite_groups):
     for ordering in ((2.5, 3.1), (2.0, 3), ("2", "3")):
         with pytest.raises(TypeError):
             is_phi_dispersive(suite_groups["S3"], ordering)
-
-
-def test_hypercyclic_center(suite_groups):
-    assert hypercyclic_center(suite_groups["A4"]).order == 1
-    assert hypercyclic_center(suite_groups["S3"]).order == 6
-    assert hypercyclic_center(suite_groups["E9"]).order == 9
-    sl = suite_groups["SL23"]
-    z = hypercyclic_center(sl)
-    assert z.order == 2  # just the centre: the quaternion factor is non-cyclic
-
-
-def test_hypercyclically_embedded_requires_normal(suite_groups):
-    s3 = suite_groups["S3"]
-    lat = lattice_of(s3)
-    c2 = next(s for s in lat.subgroups if s.order == 2)
-    with pytest.raises(NotNormal):
-        is_hypercyclically_embedded(s3, c2)
-
-
-def test_hypercyclically_embedded_iff_inside_center(suite_groups):
-    # the join characterisation: normal A is embedded iff A lies in the join
-    for name in ("S3", "A4", "SL23", "C3:C4", "pq2_2_3"):
-        G = suite_groups[name]
-        z = hypercyclic_center(G)
-        for N in normal_subgroups(G):
-            embedded = is_hypercyclically_embedded(G, N)
-            assert embedded == (N.mask & z.mask == N.mask)
 
 
 def test_residuals(suite_groups):

@@ -19,40 +19,40 @@ from modmax.groups import (
     NotAGroup,
     NotAnAction,
     NotNormal,
-    NotPrime,
     SubgroupSet,
     _closure,
+    _normal_closure_mask,
     _greedy_generators,
     automorphisms,
     bits,
-    center,
     centralizer,
     commutator_mask,
     conjugate_mask,
     core,
-    derived_subgroup,
     direct_product,
     find_isomorphism,
     group_from_cayley_table,
     group_from_generator_rows,
     group_from_json,
     group_from_permutations,
-    hall_subgroup,
-    is_isomorphic,
     is_normal_subgroup,
     load_group,
     normal_closure,
-    normalizer,
     prime_spectrum,
     quotient,
     semidirect_product,
     subgroup_as_group,
-    subgroup_generated,
-    sylow_subgroup,
     trivial_subgroup,
     whole_group,
 )
-from oracles import cached_group, close_mask, cycles_to_perm, relabel
+from oracles import (
+    cached_group,
+    close_mask,
+    cycles_to_perm,
+    is_isomorphic,
+    normalizer_by_members,
+    relabel,
+)
 
 
 def test_symmetric_3_from_permutations():
@@ -303,7 +303,8 @@ def test_package_constructors_never_run_group_init(monkeypatch, tmp_path):
         "C1", "C3", "D2", "D12", "E2^0", "E5^2", "hol_C5", "pq2_3_7", "pgroup_7^2:3:2", "S3xQ8"}
     built = {name: catalog.construct(name) for name in sorted(names)}
     s4 = built["S4"]
-    a4 = derived_subgroup(s4)
+    full = (1 << s4.order) - 1
+    a4 = SubgroupSet(s4, commutator_mask(s4, full, full))
     assert quotient(s4, a4)[0].order == 2
     assert subgroup_as_group(s4, a4)[0].order == 12
     assert direct_product(built["S3"], built["C2"]).order == 12
@@ -339,23 +340,24 @@ def test_every_entry_is_read_as_an_int_before_any_check():
 
 
 def test_subgroup_generated_examples(suite_groups):
+    """The subgroup a seed generates is the closure normalised by no
+    generator."""
     s3 = suite_groups["S3"]
-    assert subgroup_generated(s3, []).order == 1
+    assert _normal_closure_mask(s3, [], ()) == 1
     three_cycle = next(x for x in range(6) if s3.element_orders()[x] == 3)
-    assert subgroup_generated(s3, [three_cycle]).order == 3
+    assert _normal_closure_mask(s3, [three_cycle], ()).bit_count() == 3
 
     a4 = suite_groups["A4"]
     doubles = [x for x in range(12) if a4.element_orders()[x] == 2]
-    v4 = subgroup_generated(a4, doubles[:2])
-    assert v4.order == 4
+    assert _normal_closure_mask(a4, doubles[:2], ()).bit_count() == 4
 
 
 def test_centralizer_and_normalizer(suite_groups):
     s3 = suite_groups["S3"]
     assert centralizer(s3, trivial_subgroup(s3)).order == 6
-    syl3 = sylow_subgroup(s3, 3)
+    syl3 = next(s for s in _subgroups_of_order(s3, 3))
     assert centralizer(s3, syl3).mask == syl3.mask
-    assert normalizer(s3, syl3).order == 6  # normal subgroup
+    assert normalizer_by_members(s3, syl3.mask) == (1 << 6) - 1  # normal subgroup
 
 
 def test_core_and_normal_closure(suite_groups):
@@ -376,7 +378,7 @@ def test_normalizer_of_normal_subgroup_is_whole_group(suite_groups):
         G = suite_groups[name]
         lat = lattice_of(G)
         for i in lat.normal_indices():
-            assert normalizer(G, lat.subgroups[i]).order == G.order
+            assert normalizer_by_members(G, lat.subgroups[i].mask) == (1 << G.order) - 1
 
 
 def test_core_and_closure_of_normal_subgroup(suite_groups):
@@ -397,7 +399,7 @@ def test_normality_by_generators_matches_all_elements(suite_groups):
             union = 0
             for c in conjugates:
                 union |= c
-            assert normal_closure(G, S) == subgroup_generated(G, bits(union))
+            assert normal_closure(G, S).mask == close_mask(G.table, bits(union), G.order)
 
 
 @pytest.mark.parametrize(
@@ -420,18 +422,16 @@ def _subgroups_of_order(G, k):
 
 
 def test_derived_and_center(suite_groups):
-    c12 = suite_groups["C12"]
-    assert derived_subgroup(c12).order == 1
-    assert center(c12).order == 12
+    def derived_and_center(G):
+        full = (1 << G.order) - 1
+        return commutator_mask(G, full, full), centralizer(G, whole_group(G)).mask
 
-    s3 = suite_groups["S3"]
-    assert derived_subgroup(s3).order == 3
-    assert center(s3).order == 1
-
-    q8 = suite_groups["Q8"]
-    assert derived_subgroup(q8).order == 2
-    assert center(q8).order == 2
-    assert derived_subgroup(q8).mask == center(q8).mask
+    derived, centre = derived_and_center(suite_groups["C12"])
+    assert (derived.bit_count(), centre.bit_count()) == (1, 12)
+    derived, centre = derived_and_center(suite_groups["S3"])
+    assert (derived.bit_count(), centre.bit_count()) == (3, 1)
+    derived, centre = derived_and_center(suite_groups["Q8"])
+    assert derived.bit_count() == 2 and derived == centre
 
 
 def test_quotient_examples(suite_groups):
@@ -497,44 +497,6 @@ def test_sl23_shape():
     assert g.order == 24
     # unique element of order 2 (the central involution)
     assert sum(1 for x in range(24) if g.element_orders()[x] == 2) == 1
-
-
-def test_sylow_subgroups(suite_groups):
-    s3 = suite_groups["S3"]
-    assert sylow_subgroup(s3, 3).order == 3
-    assert sylow_subgroup(s3, 2).order == 2
-    assert sylow_subgroup(s3, 5).order == 1
-    s4 = suite_groups["S4"]
-    assert sylow_subgroup(s4, 2).order == 8
-    assert sylow_subgroup(s4, 3).order == 3
-    with pytest.raises(NotPrime):
-        sylow_subgroup(s3, 4)
-    with pytest.raises(NotPrime, match="^1 is not prime$"):
-        sylow_subgroup(s3, True)  # read with operator.index, as hall_subgroup does
-    for p in (2.0, 5.0, "3"):
-        with pytest.raises(TypeError):
-            sylow_subgroup(s3, p)
-
-
-def test_hall_subgroups(suite_groups):
-    a4 = suite_groups["A4"]
-    h2 = hall_subgroup(a4, [2])
-    assert h2 is not None and h2.order == 4
-    h3 = hall_subgroup(a4, [3])
-    assert h3 is not None and h3.order == 3
-    h23 = hall_subgroup(a4, [2, 3])
-    assert h23 is not None and h23.order == 12
-    for primes in ([2.0], ["3"], [2, 3.5]):  # read with operator.index
-        with pytest.raises(TypeError):
-            hall_subgroup(a4, primes)
-
-
-def test_hall_subgroup_absence_in_insoluble_group():
-    a5 = catalog.construct("A5")
-    assert hall_subgroup(a5, [3, 5]) is None  # no subgroup of order 15
-    assert hall_subgroup(a5, [2, 5]) is None  # nor of order 20
-    h = hall_subgroup(a5, [2, 3])
-    assert h is not None and h.order == 12
 
 
 def test_prime_spectrum_examples(suite_groups):
@@ -657,7 +619,7 @@ def test_generated_subgroups_satisfy_lagrange(data):
     name = data.draw(st.sampled_from(_SEED_NAMES))
     G = cached_group(name)
     seed = data.draw(st.sets(st.integers(0, G.order - 1), max_size=3))
-    S = subgroup_generated(G, seed)
+    S = SubgroupSet(G, _normal_closure_mask(G, seed, ()))
     assert S.mask == close_mask(G.table, seed, G.order)
     assert G.order % S.order == 0
     members = S.members()
@@ -675,8 +637,9 @@ def test_closure_extends_a_subgroup_in_each_of_its_two_cases(data):
     subgroup N <= H that gens normalise, checked against the all-pairs
     closure on groups of at most 6 points in the two cases the package
     uses: N = 1 (gens generate H too) and N = H (gens normalise H).  The
-    callers built on the first, ``subgroup_generated`` and the greedy
-    generators, are checked the same way."""
+    callers built on the first, ``_normal_closure_mask`` with no
+    normalising generators and the greedy generators, are checked the same
+    way."""
     degree = data.draw(st.integers(1, 6), label="degree")
     perms = data.draw(st.lists(st.permutations(list(range(degree))),
                                min_size=1, max_size=3), label="generators")
@@ -693,13 +656,13 @@ def test_closure_extends_a_subgroup_in_each_of_its_two_cases(data):
     # N = 1
     top = span(a + b)
     assert _closure(t, H, a + b) == top
-    assert subgroup_generated(G, a + b).mask == top
+    assert _normal_closure_mask(G, a + b, ()) == top
     gens = _greedy_generators(t, top)
     for i, x in enumerate(gens):
         assert x == min(bits(top & ~span(gens[:i])))
     assert span(gens) == top
     # N = H
-    c = data.draw(st.lists(st.sampled_from(normalizer(G, SubgroupSet(G, H)).members()),
+    c = data.draw(st.lists(st.sampled_from(tuple(bits(normalizer_by_members(G, H)))),
                            max_size=3), label="normalising generators")
     assert _closure(t, H, c) == span(a + c)
 
@@ -710,7 +673,7 @@ def test_core_inside_subgroup_inside_closure(data):
     name = data.draw(st.sampled_from(_SEED_NAMES))
     G = cached_group(name)
     seed = data.draw(st.sets(st.integers(0, G.order - 1), max_size=2))
-    H = subgroup_generated(G, seed)
+    H = SubgroupSet(G, close_mask(G.table, seed, G.order))
     c = core(G, H)
     n = normal_closure(G, H)
     assert c.mask & H.mask == c.mask
@@ -724,7 +687,7 @@ def test_suite_tables_are_groups(suite_groups):
         G.validate()
         for g in G.generator_indices:
             assert 0 <= g < G.order
-        assert subgroup_generated(G, G.generator_indices).order == G.order
+        assert close_mask(G.table, G.generator_indices, G.order) == (1 << G.order) - 1
         for x, x_inv in enumerate(G.inverse):
             assert G.table[x][x_inv] == 0 == G.table[x_inv][x], (name, x)
 
@@ -1053,7 +1016,7 @@ def test_commutator_subgroups_from_generators_match_all_members(name):
             assert commutator_mask(G, A.mask, B.mask) == _commutators_of_members(
                 G, A.mask, B.mask), (name, a, b)
     full = (1 << G.order) - 1
-    assert derived_subgroup(G).mask == _commutators_of_members(G, full, full)
+    assert commutator_mask(G, full, full) == _commutators_of_members(G, full, full)
 
 
 @pytest.mark.parametrize("name", ORACLE_GROUPS)
@@ -1064,7 +1027,6 @@ def test_centralizer_from_generators_matches_all_members(name):
         expected = sum(1 << g for g in range(G.order)
                        if all(G.table[g][s] == G.table[s][g] for s in S))
         assert centralizer(G, S).mask == expected, (name, S)
-    assert center(G).mask == expected  # the last subgroup is G
 
 
 # -- construction: tables copied from generator rows against per-entry fillers

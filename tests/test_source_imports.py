@@ -4,7 +4,8 @@ A refactor that moves work elsewhere tends to leave its imports behind;
 this reads each module's syntax tree with the standard ``ast`` module and
 lists the imported names that no expression refers to.  ``__init__.py``
 imports names to re-export them and is left out.  The same trees also
-show module-level private helpers that nothing in the package refers to.
+show module-level private helpers that nothing in the package refers to,
+and exported names that nothing but tests calls.
 """
 
 import ast
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "modmax"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "modmax"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -42,10 +44,10 @@ def test_every_imported_name_is_used(path):
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _references(tree):
-    """(owner, name) for every name, attribute and imported name in a module,
-    where owner is the module-level definition the reference sits in (None
-    outside any)."""
+def _references(tree, imports=True):
+    """(owner, name) for every name, attribute and, unless ``imports`` is
+    false, imported name in a module, where owner is the module-level
+    definition the reference sits in (None outside any)."""
     for node in tree.body:
         owner = node.name if isinstance(node, _DEFINITIONS) else None
         for sub in ast.walk(node):
@@ -53,7 +55,7 @@ def _references(tree):
                 yield owner, sub.id
             elif isinstance(sub, ast.Attribute):
                 yield owner, sub.attr
-            elif isinstance(sub, ast.ImportFrom):
+            elif isinstance(sub, ast.ImportFrom) and imports:
                 for alias in sub.names:
                     yield owner, alias.name
 
@@ -104,13 +106,47 @@ def _cache_uses(node, scope=()):
 
 
 def test_only_memo_reads_or_writes_a_cache():
-    """Every memo goes through ``groups._memo``.  Besides it, a ``_cache``
-    is only set to ``{}``: where an owner is built, and by
-    ``Group.__getstate__``, which ships none to a worker process."""
-    allowed = {("groups.py", "_memo"), ("groups.py", "Group.__getstate__")}
+    """Every memo goes through ``groups._memo`` and is emptied only by
+    ``groups._forget``.  Besides them, a ``_cache`` is only set to ``{}``:
+    where an owner is built, and by ``Group.__getstate__``, which ships
+    none to a worker process."""
+    allowed = {("groups.py", "_memo"), ("groups.py", "_forget"),
+               ("groups.py", "Group.__getstate__")}
     uses = {(p.name, scope, line)
             for p in SRC.glob("*.py")
             for scope, line in _cache_uses(ast.parse(p.read_text(encoding="utf-8")))}
     assert {(name, scope) for name, scope, _ in uses} >= allowed
     stray = sorted(use for use in uses if use[:2] not in allowed)
     assert not stray, f"_cache read or written outside groups._memo: {stray}"
+
+
+# exported for the tests alone, each on purpose
+TEST_ONLY_EXPORTS = {
+    "chief_series": "a test kills a mutant of its choice of cover",
+    "find_isomorphism": "the tests' isomorphism oracle",
+}
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    """Every name ``modmax/__init__.py`` re-exports is referred to by the
+    package, the demos or the benchmark, from outside its own definition;
+    an import is no reference.  A reference from inside an export that has
+    no such caller does not count, so a helper only a dead export calls is
+    dead too."""
+    exported = {alias.asname or alias.name
+                for node in ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    callers = [*(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+               *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    refs = {(owner, name) for p in callers
+            for owner, name in _references(ast.parse(p.read_text(encoding="utf-8")), False)
+            if name in exported and owner != name}
+    dead = set()
+    while True:
+        newly = {name for name in exported - dead - set(TEST_ONLY_EXPORTS)
+                 if not any(n == name and owner not in dead for owner, n in refs)}
+        if not newly:
+            break
+        dead |= newly
+    assert not dead, f"exported names with no caller outside the tests: {sorted(dead)}"
+    assert set(TEST_ONLY_EXPORTS) <= exported

@@ -12,7 +12,7 @@ import pytest
 
 from modmax import catalog, verify
 from modmax.classify import is_supersoluble
-from modmax.groups import bits, core, direct_product
+from modmax.groups import bits, core, direct_product, find_isomorphism, semidirect_product
 from modmax.lattice import lattice_of
 from oracles import cached_group, close_mask
 from modmax.verify import (
@@ -470,6 +470,23 @@ def test_pooled_run_builds_no_group_before_the_pool_starts(monkeypatch):
     assert [name for name, _ in refs] == ["Q8", "S3", "C6", "V4"]
 
 
+def test_reports_for_group_frees_its_group_by_reference_counting(monkeypatch):
+    """The group's memo is emptied once its reports are made, which breaks
+    the cycle through its lattice: the group is gone when the reports are
+    returned, with the collector off."""
+    refs = _recording_construct(monkeypatch)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        reports = reports_for_group("S4", ("ThmA", "Prop2.9", "Lem2.2"))
+        alive = [name for name, ref in refs if ref() is not None]
+    finally:
+        if enabled:
+            gc.enable()
+    assert [name for name, _ in refs] == ["S4"] and reports
+    assert not alive, alive
+
+
 def test_run_suite_keeps_no_group_it_built(monkeypatch):
     """Every group the gate builds is garbage once ``run_suite`` returns,
     with its lattice and the answers memoised on it."""
@@ -646,3 +663,35 @@ def test_derived_groups_are_not_kept_on_their_parent(monkeypatch):
     gc.collect()
     alive = [ref().name for _, ref in refs if ref() is not None]
     assert not alive, alive
+
+
+def _groups_of_order_24():
+    """One group of each of the 15 isomorphism types of order 24 (OEIS
+    A000001): twelve catalog names, and C3 x| H for H = C8, Q8 and D8, H
+    acting by inversion with kernel C4, C4 and V4."""
+    names = ["C24", "C2xC12", "V4xC6", "S4", "SL23", "A4xC2", "D24", "C4xS3",
+             "V4xS3", "C3:C4xC2", "C3xD8", "C3xQ8"]
+    groups = {name: catalog.construct(name) for name in names}
+    c3 = catalog.cyclic(3)
+    for name, cyclic_kernel in (("C8", True), ("Q8", True), ("D8", False)):
+        H = catalog.construct(name)
+        orders = H.element_orders()
+        kernel = next(K for K in lattice_of(H).subgroups if 2 * K.order == H.order
+                      and (max(orders[x] for x in K) == K.order) == cyclic_kernel)
+        action = [tuple(range(3)) if h in kernel else c3.inverse for h in range(H.order)]
+        groups[f"C3:{name}"] = semidirect_product(c3, H, action)
+    return groups
+
+
+def test_quaternion_shape_names_sl23_alone_among_the_groups_of_order_24():
+    """The 15 groups are pairwise non-isomorphic, so every type of order 24
+    is here; the structural quaternion-complement check holds on exactly
+    the one isomorphic to SL(2, 3)."""
+    groups = _groups_of_order_24()
+    assert {G.order for G in groups.values()} == {24} and len(groups) == 15
+    for (a, A), (b, B) in itertools.combinations(groups.items(), 2):
+        assert find_isomorphism(A, B) is None, (a, b)
+    sl23 = catalog.construct("SL23")
+    shaped = [name for name, G in groups.items() if verify._quaternion_complement_structure(G)]
+    assert shaped == [name for name, G in groups.items()
+                      if find_isomorphism(G, sl23) is not None] == ["SL23"]
