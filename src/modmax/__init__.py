@@ -4,8 +4,9 @@ Core pieces:
 
 - :mod:`modmax.groups`: Cayley-table groups, products, quotients and
   subgroups as groups;
-- :mod:`modmax.lattice`: full subgroup lattice with modularity,
-  quasinormality, S-quasinormality, subnormality and n-maximality;
+- :mod:`modmax.lattice`: any finite lattice with modularity and
+  n-maximality, and the full subgroup lattice, which adds quasinormality,
+  S-quasinormality and subnormality;
 - :mod:`modmax.classify`: chief factors and the supersolubility hierarchy
   (supersoluble, strongly supersoluble, nearly nilpotent, dispersive, ...);
 - :mod:`modmax.verify`: the theorem verification harness and suite runner;

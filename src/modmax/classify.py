@@ -49,6 +49,7 @@ from typing import NamedTuple
 from .groups import (
     Group,
     SubgroupSet,
+    _ask_derived,
     _closure,
     _greedy_generators,
     _memo,
@@ -331,8 +332,7 @@ def is_critical(G: Group, predicate) -> bool:
         return False
     lat = lattice_of(G)
     for S in lat.subgroups[:-1]:
-        sub, _ = subgroup_as_group(G, S)
-        if not predicate(sub):
+        if not _ask_derived(G, subgroup_as_group(G, S)[0], predicate):
             return False
     return True
 
@@ -401,8 +401,8 @@ def _residual(G: Group, test, label: str) -> SubgroupSet:
         if not lat.up[n] & bad:
             mask &= lat.subgroups[n].mask
     r = SubgroupSet(G, mask)
-    Q, _ = quotient(G, r)
-    if not all(map(test, all_chief_factors(Q))):
+    if not _ask_derived(G, quotient(G, r)[0],
+                        lambda Q: all(map(test, all_chief_factors(Q)))):
         raise InternalCheckError(
             f"quotient by the {label} residual is not {label} in {G.name}")
     return r

@@ -77,6 +77,17 @@ def _forget(owner) -> None:
     owner._cache.clear()
 
 
+def _ask_derived(G, H, question):
+    """``question(H)`` for a subgroup or quotient H of G rebuilt as a group,
+    with H's memo emptied once the answer is read, so that H and its
+    lattice are freed as soon as the caller drops H.  ``quotient(G, 1)`` is
+    G itself, whose memo is kept."""
+    answer = question(H)
+    if H is not G:
+        _forget(H)
+    return answer
+
+
 def bits(mask: int):
     """Yield the set bit positions of ``mask`` in ascending order."""
     while mask:

@@ -1,5 +1,19 @@
 """Complete subgroup lattices and subgroup embedding predicates.
 
+Two classes split what the lattice alone decides from what needs the
+group.  ``Lattice`` is built from the up-sets of any finite lattice whose
+indices extend its order (0 the bottom, n - 1 the top) and holds no
+group: inclusion, covers, the n-maximal layers, join and meet rows,
+interval sizes and the modular column of every section [lo, hi].  Kurosh's
+conditions use only joins, meets and order, and an n-maximal element is the
+end of a chain of covers, so these answers are the same on every lattice
+isomorphic to it (R. Schmidt, *Subgroup Lattices of Groups*, 1994, section
+2.1).  ``SubgroupLattice(Lattice)`` computes the up-sets from the subgroups
+of a group and adds what needs the group: the subgroups themselves,
+normality, conjugacy classes and automorphism orbits (which let a column
+be evaluated once per block), the quasinormal and S-quasinormal columns,
+subnormality, ``frattini``, ``witness_chain`` and ``to_dot``.
+
 The lattice of a group is enumerated once by cyclic extension and cached on
 the group.  Starting from the trivial subgroup, a subgroup H is extended by
 one generator x of each cyclic subgroup of prime-power order with x not in
@@ -111,7 +125,6 @@ from .groups import (
 )
 
 
-_PREDICATES = ("modular", "quasinormal", "s_quasinormal")
 MAX_SUBGROUPS = 4096  # a lattice of n holds up to two n x n tables (join, meet)
 
 
@@ -195,38 +208,20 @@ class MaximalChain:
         return tuple(self.lattice.subgroups[i].order for i in self.indices)
 
 
-class SubgroupLattice:
-    """All subgroups of a group with inclusion, covers and predicate
-    columns, and join/meet tables whose rows are built on first read
-    (``join_t[i][j]``, ``meet_t[i][j]``; each row a tuple of shared ints)."""
+class Lattice:
+    """A finite lattice given by the up-sets of its elements, indexed in
+    an order that extends the lattice's (0 the bottom, n - 1 the top):
+    inclusion, covers, n-maximal layers, join/meet tables whose rows are
+    built on first read (``join_t[i][j]``, ``meet_t[i][j]``; each row a
+    tuple of shared ints), interval sizes and the modular column of every
+    section.  It holds no group."""
 
-    def __init__(self, group: Group, masks: list[int], classes: dict):
-        # ``classes`` maps each mask to its class and orbit representatives,
-        # as the enumeration found them.  It stays the third positional
-        # argument: perfbench's traced run subclasses this class with a
-        # (group, masks, joins) signature and forwards it unchanged.
-        keyed = sorted((m.bit_count(), tuple(bits(m)), m) for m in masks)
-        canonical = [m for _, _, m in keyed]
-        n = len(canonical)
+    def __init__(self, up):
+        n = len(up)
         # every index drawn from one tuple: past 256 a computed int is a
         # fresh object each time, a shared one is not
         ints = tuple(range(n))
-        self.group = group
-        self.subgroups = tuple(SubgroupSet(group, m) for m in canonical)
-        self.index_of = dict(zip(canonical, ints))
-        self._masks = canonical
-        self._orders = tuple(m.bit_count() for m in canonical)
         self.size = n
-
-        # inclusion bitsets: holding[x] is the subgroups containing the
-        # element x, and j contains i exactly when it holds every member of
-        # i, so up[i] is the AND of its members' bitsets
-        holding = [0] * group.order
-        for j, (_, members, _) in enumerate(keyed):
-            for x in members:
-                holding[x] |= 1 << j
-        up = [reduce(and_, map(holding.__getitem__, members))
-              for _, members, _ in keyed]
         above = [tuple(bits(u)) for u in up]
         below = [[] for _ in range(n)]
         down = [0] * n
@@ -269,6 +264,139 @@ class SubgroupLattice:
 
         self.join_t, self.meet_t = _Rows(n, join_row), _Rows(n, meet_row)
 
+        # layers[k]: the elements at the end of some maximal chain of
+        # length k, the covers of the layer above; the last layer is {0}
+        layers = [1 << (n - 1)]
+        while layers[-1] != 1:
+            nxt = 0
+            for j in bits(layers[-1]):
+                nxt |= cover_bits[j]
+            layers.append(nxt)
+        self.layers = tuple(layers)
+        self.max_chain_length = len(layers) - 1
+
+        # answers memoised through _memo: (predicate, lo, hi) -> column of
+        # the section [lo, hi], "sizes" -> interval sizes, and a subgroup
+        # lattice's ("generators", i) -> greedy generators and
+        # ("subnormal", orbit representative) -> bool
+        self._cache: dict = {}
+
+    def index(self, H) -> int:
+        """Accept a lattice index."""
+        if isinstance(H, int) and 0 <= H < self.size:
+            return H
+        raise KeyError(f"{H!r} is not an element of this lattice")
+
+    def top(self) -> int:
+        return self.size - 1
+
+    def interval_sizes(self) -> tuple[dict[int, int], ...]:
+        """``sizes[a][b]`` is |[a, b]|, the number of elements k with
+        a <= k <= b, for every b >= a: one AND of inclusion bitsets per
+        comparable pair, counted on first use."""
+        return _memo(self, "sizes", _interval_sizes, self.up, self.down, self.above)
+
+    # -- maximality ---------------------------------------------------------
+
+    def n_maximal_bits(self, n: int) -> int:
+        """Bitset of the n-maximal elements (0 beyond the longest chain)."""
+        if n < 1:
+            raise BadDepth(f"depth must be >= 1, got {n}")
+        return self.layers[n] if n < len(self.layers) else 0
+
+    def n_maximal_indices(self, n: int) -> tuple[int, ...]:
+        return tuple(bits(self.n_maximal_bits(n)))
+
+    def is_n_maximal(self, H, n: int) -> bool:
+        return bool(self.n_maximal_bits(n) >> self.index(H) & 1)
+
+    # -- predicate columns ----------------------------------------------------
+
+    def column(self, predicate: str, section=None) -> int:
+        """Bitset of the members of ``section`` that are ``predicate`` in
+        it ("modular"; a subgroup lattice also answers "quasinormal" and
+        "s_quasinormal").  ``section`` is (lo, hi) with lo <= hi, the
+        interval [lo, hi], and defaults to the whole lattice; in a subgroup
+        lattice it stands for the lattice of the subgroup hi (lo = 0) or of
+        the quotient by lo (hi = top)."""
+        lo, hi = (0, self.top()) if section is None else map(self.index, section)
+        return _memo(self, (predicate, lo, hi), self._evaluate, predicate, lo, hi)
+
+    @property
+    def modular(self) -> int:
+        return self.column("modular")
+
+    def _reads(self, predicate: str, H, section) -> bool:
+        i = self.index(H)
+        lo, hi = (0, self.top()) if section is None else map(self.index, section)
+        if not (self.up[lo] & self.down[hi]) >> i & 1:
+            raise KeyError(f"element {i} is not in the section [{lo}, {hi}]")
+        return bool(self.column(predicate, (lo, hi)) >> i & 1)
+
+    def is_modular(self, H, section=None) -> bool:
+        """Modular element of the lattice (or of the section): for all
+        X <= Z, <X, M^Z> = <X, M>^Z, and for all Y, Z with M <= Z,
+        <M, Y^Z> = <M, Y>^Z (juxtaposition = join, ^ = meet)."""
+        return self._reads("modular", H, section)
+
+    def _evaluate(self, predicate: str, lo: int, hi: int) -> int:
+        """One column: ``_plan`` gives the test of one member and, where a
+        group of symmetries keeps the answer, the bitset of each member's
+        block, and the least member of each block is tested and its block
+        ORed in.  The quantifier loops walk index tuples of the section:
+        walking bitsets there is several times slower."""
+        if not self.up[lo] >> hi & 1:
+            raise KeyError(f"no {predicate!r} column on [{lo}, {hi}]")
+        members = tuple(bits(self.up[lo] & self.down[hi]))
+        holds, same_of = self._plan(predicate, lo, hi, members)
+        column = done = 0
+        for i in members:
+            if not done >> i & 1:
+                same = same_of[i] if same_of else 1 << i
+                done |= same
+                if holds(i):
+                    column |= same
+        return column
+
+    def _plan(self, predicate: str, lo: int, hi: int, members):
+        """(test of one member, None): a lattice alone knows no symmetry,
+        so every member is tested, and it knows only modularity."""
+        if predicate != "modular":
+            raise KeyError(f"no {predicate!r} column on [{lo}, {hi}]")
+        get, sizes = _gatherer(members), self.interval_sizes()
+        return (lambda m: _kurosh(self, members, m, get, sizes)), None
+
+    def __len__(self) -> int:
+        return self.size
+
+
+class SubgroupLattice(Lattice):
+    """All subgroups of a group as a ``Lattice``, with the subgroups,
+    normality, conjugacy classes and automorphism orbits, the
+    (S-)quasinormal columns and subnormality."""
+
+    def __init__(self, group: Group, masks: list[int], classes: dict):
+        # ``classes`` maps each mask to its class and orbit representatives,
+        # as the enumeration found them.  It stays the third positional
+        # argument: perfbench's traced run subclasses this class with a
+        # (group, masks, joins) signature and forwards it unchanged.
+        keyed = sorted((m.bit_count(), tuple(bits(m)), m) for m in masks)
+        canonical = [m for _, _, m in keyed]
+        self.group = group
+        self.subgroups = tuple(SubgroupSet(group, m) for m in canonical)
+        self.index_of = {m: i for i, m in enumerate(canonical)}
+        self._orders = tuple(m.bit_count() for m in canonical)
+
+        # inclusion bitsets: holding[x] is the subgroups containing the
+        # element x, and j contains i exactly when it holds every member of
+        # i, so up[i] is the AND of its members' bitsets
+        holding = [0] * group.order
+        for j, (_, members, _) in enumerate(keyed):
+            for x in members:
+                holding[x] |= 1 << j
+        super().__init__([reduce(and_, map(holding.__getitem__, members))
+                          for _, members, _ in keyed])
+
         # class_of[i], orbit_of[i]: the bitsets of i's conjugacy class and
         # of its orbit (a union of classes); a subgroup is normal exactly
         # when its class is itself
@@ -283,60 +411,21 @@ class SubgroupLattice:
         self.normal = sum(
             1 << i for i, c in enumerate(self.class_of) if c == 1 << i)
 
-        # layers[k]: the subgroups at the end of some maximal chain of
-        # length k, the covers of the layer above; the last layer is {1}
-        layers = [1 << (n - 1)]
-        while layers[-1] != 1:
-            nxt = 0
-            for j in bits(layers[-1]):
-                nxt |= cover_bits[j]
-            layers.append(nxt)
-        self.layers = tuple(layers)
-        self.max_chain_length = len(layers) - 1
-
-        # answers memoised through _memo: (predicate, lo, hi) -> column of
-        # the section [lo, hi], "sizes" -> interval sizes, ("generators", i)
-        # -> greedy generators, ("subnormal", orbit representative) -> bool
-        self._cache: dict = {}
-
-    # -- indexing helpers ---------------------------------------------------
-
     def index(self, H) -> int:
         """Accept a SubgroupSet or a lattice index (never a raw mask)."""
+        # written out, not through ``Lattice.index``: every ``is_*`` read
+        # calls it, and the extra call is a visible share of a column read
         if isinstance(H, SubgroupSet):
             return self.index_of[H.mask]
         if isinstance(H, int) and 0 <= H < self.size:
             return H
         raise KeyError(f"{H!r} is not a subgroup of this lattice")
 
-    def top(self) -> int:
-        return self.size - 1
-
     def is_normal(self, H) -> bool:
         return bool(self.normal >> self.index(H) & 1)
 
     def normal_indices(self) -> tuple[int, ...]:
         return tuple(bits(self.normal))
-
-    def interval_sizes(self) -> tuple[dict[int, int], ...]:
-        """``sizes[a][b]`` is |[a, b]|, the number of subgroups k with
-        a <= k <= b, for every b >= a: one AND of inclusion bitsets per
-        comparable pair, counted on first use."""
-        return _memo(self, "sizes", _interval_sizes, self.up, self.down, self.above)
-
-    # -- maximality ---------------------------------------------------------
-
-    def n_maximal_bits(self, n: int) -> int:
-        """Bitset of the n-maximal subgroups (0 beyond the longest chain)."""
-        if n < 1:
-            raise BadDepth(f"depth must be >= 1, got {n}")
-        return self.layers[n] if n < len(self.layers) else 0
-
-    def n_maximal_indices(self, n: int) -> tuple[int, ...]:
-        return tuple(bits(self.n_maximal_bits(n)))
-
-    def is_n_maximal(self, H, n: int) -> bool:
-        return bool(self.n_maximal_bits(n) >> self.index(H) & 1)
 
     def witness_chain(self, H, n: int) -> MaximalChain:
         """One maximal chain of length n from the whole group down to H,
@@ -358,28 +447,13 @@ class SubgroupLattice:
         contain K (every one when K is None).  For K normal it is the
         preimage of the Frattini subgroup of G/K (correspondence theorem)."""
         inside_k = self.up[0 if K is None else self.index(K)]
-        mask = self._masks[self.top()]
+        mask = self.subgroups[self.top()].mask
         for i in self.covers_down[self.top()]:
             if inside_k >> i & 1:
-                mask &= self._masks[i]
+                mask &= self.subgroups[i].mask
         return self.subgroups[self.index_of[mask]]
 
     # -- predicate columns ----------------------------------------------------
-
-    def column(self, predicate: str, section=None) -> int:
-        """Bitset of the members of ``section`` that are ``predicate``
-        ("modular", "quasinormal" or "s_quasinormal") in it, evaluated once
-        per orbit on the whole lattice, once per conjugacy class on the
-        other sections that conjugation fixes, else once per member.
-        ``section`` is (lo, hi) with lo <= hi, standing for the lattice of
-        the subgroup hi (lo = 0) or of the quotient by lo (hi = top); it
-        defaults to the whole lattice."""
-        lo, hi = (0, self.top()) if section is None else map(self.index, section)
-        return _memo(self, (predicate, lo, hi), self._evaluate, predicate, lo, hi)
-
-    @property
-    def modular(self) -> int:
-        return self.column("modular")
 
     @property
     def quasinormal(self) -> int:
@@ -388,19 +462,6 @@ class SubgroupLattice:
     @property
     def s_quasinormal(self) -> int:
         return self.column("s_quasinormal")
-
-    def _reads(self, predicate: str, H, section) -> bool:
-        i = self.index(H)
-        lo, hi = (0, self.top()) if section is None else map(self.index, section)
-        if not (self.up[lo] & self.down[hi]) >> i & 1:
-            raise KeyError(f"subgroup {i} is not in the section [{lo}, {hi}]")
-        return bool(self.column(predicate, (lo, hi)) >> i & 1)
-
-    def is_modular(self, H, section=None) -> bool:
-        """Modular element of the lattice (or of the section): for all
-        X <= Z, <X, M^Z> = <X, M>^Z, and for all Y, Z with M <= Z,
-        <M, Y^Z> = <M, Y>^Z (juxtaposition = join, ^ = meet)."""
-        return self._reads("modular", H, section)
 
     def is_quasinormal(self, H) -> bool:
         """HP = PH as sets for every subgroup P.
@@ -419,25 +480,18 @@ class SubgroupLattice:
         conjugates; of the section)."""
         return self._reads("s_quasinormal", H, section)
 
-    def _evaluate(self, predicate: str, lo: int, hi: int) -> int:
-        """One column.  On the whole lattice the automorphisms found permute
-        the members and keep the answer, and on a section [N, G] with N
-        normal conjugation does, so the least member of each orbit (of
-        each class) is tested and its orbit (class) ORed in.  The
-        quantifier loops walk index tuples of the section: walking bitsets
-        there is several times slower.  Quasinormality in a
-        subgroup section [1, hi] quantifies over hi's primary cyclic
-        subgroups (see ``is_quasinormal``); in a quotient section [lo, hi]
-        with lo > 0 over every member."""
-        if predicate not in _PREDICATES or not self.up[lo] >> hi & 1:
-            raise KeyError(f"no {predicate!r} column on [{lo}, {hi}]")
-        o, join_t, meet_t = self._orders, self.join_t, self.meet_t
-        inside = self.up[lo] & self.down[hi]
-        members = tuple(bits(inside))
-        if predicate == "modular":
-            get, sizes = _gatherer(members), self.interval_sizes()
-            holds = lambda m: _kurosh(self, members, m, get, sizes)
-        else:
+    def _plan(self, predicate: str, lo: int, hi: int, members):
+        """The two permutability tests besides modularity, and the blocks
+        that keep each answer.  On the whole lattice the automorphisms
+        found permute the members and keep the answer, and on a section
+        [N, G] with N normal conjugation does, so one member per orbit
+        (per class) is tested; a subgroup section [1, hi] with hi < G is
+        not fixed by conjugation and is tested member by member.
+        Quasinormality in a subgroup section [1, hi] quantifies over hi's
+        primary cyclic subgroups (see ``is_quasinormal``); in a quotient
+        section [lo, hi] with lo > 0 over every member."""
+        if predicate in ("quasinormal", "s_quasinormal"):
+            o, join_t, meet_t = self._orders, self.join_t, self.meet_t
             others = members
             if predicate == "s_quasinormal":
                 # Sylow members: |P|/|lo| is the full p-part of |hi|/|lo|
@@ -445,23 +499,19 @@ class SubgroupLattice:
                 others = tuple(k for k in members if o[k] // o[lo] in parts)
             elif lo == 0:
                 index_of = self.index_of
-                others = tuple(bits(inside & sum(
+                others = tuple(bits(self.down[hi] & sum(
                     1 << index_of[c] for c in primary_cyclic(self.group))))
+
             def holds(i):
                 oi, join_i, meet_i = o[i], join_t[i], meet_t[i]
                 return all(oi * o[j] == o[join_i[j]] * o[meet_i[j]]
                            for j in others)
-        same_of = None  # member by member where conjugation moves the section
+        else:  # "modular", or the lattice's KeyError
+            holds = super()._plan(predicate, lo, hi, members)[0]
+        same_of = None
         if hi == self.top() and self.normal >> lo & 1:
             same_of = self.orbit_of if lo == 0 else self.class_of
-        column = done = 0
-        for i in members:
-            if not done >> i & 1:
-                same = same_of[i] if same_of else 1 << i
-                done |= same
-                if holds(i):
-                    column |= same
-        return column
+        return holds, same_of
 
     # -- subnormality ---------------------------------------------------------
 
@@ -491,7 +541,7 @@ class SubgroupLattice:
 
     def _greedy(self, i: int) -> tuple[int, ...]:
         return _memo(self, ("generators", i), _greedy_generators,
-                     self.group.table, self._masks[i])
+                     self.group.table, self.subgroups[i].mask)
 
     # -- export ----------------------------------------------------------------
 
@@ -523,9 +573,6 @@ class SubgroupLattice:
                 lines.append(f"  s{i} -> s{j};")
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-    def __len__(self) -> int:
-        return self.size
 
     def __repr__(self) -> str:
         return f"SubgroupLattice({self.group.name}, {self.size} subgroups)"

@@ -71,6 +71,7 @@ from .classify import (
 from .groups import (
     Group,
     SubgroupSet,
+    _ask_derived,
     _forget,
     _memo,
     bits,
@@ -314,7 +315,7 @@ def _quotient_nearly_nilpotent(G: Group, lat, N: SubgroupSet) -> bool:
     orbit = lat.orbit_of[lat.index(N)]
     rep = lat.subgroups[(orbit & -orbit).bit_length() - 1]
     return _memo(G, ("nearly nilpotent quotient", rep.mask),
-                 lambda: is_nearly_nilpotent(quotient(G, rep)[0]))
+                 lambda: _ask_derived(G, quotient(G, rep)[0], is_nearly_nilpotent))
 
 
 def _prop_2_9_cases(G: Group, lat) -> tuple[bool, bool]:
@@ -661,21 +662,7 @@ def _sharpness_B_conclusion(G: Group, lat):
 # ---------------------------------------------------------------------------
 # the check tables
 
-THEOREM_CHECKS = ("ThmA", "Thm2.12", "ThmB", "Thm3.4")
-LEMMA_CHECKS = ("Lem2.1", "Lem2.2", "Lem2.3", "Lem2.10")
-PROP_CHECKS = ("Prop2.9", "Prop2.11", "Prop3.2")
-COROLLARY_CHECKS = ("Cor4.1", "Cor4.2", "Cor4.3", "Cor4.4")
-SHARPNESS_CHECKS = ("SharpnessA", "SharpnessB")
-
 SHARPNESS_TARGETS = {"SharpnessA": "A4", "SharpnessB": "A4xC2"}
-
-CHECK_SELECTORS = {
-    "all": THEOREM_CHECKS + PROP_CHECKS + LEMMA_CHECKS + COROLLARY_CHECKS
-            + SHARPNESS_CHECKS,
-    "theorems": THEOREM_CHECKS,
-    "lemmas": LEMMA_CHECKS,
-    "sharpness": SHARPNESS_CHECKS,
-}
 
 # id -> verify(G, n, fast=False); ThmA and Thm2.12 conclude strong
 # supersolubility, ThmB and Thm3.4 relax the bound by one and conclude a
@@ -717,21 +704,15 @@ _SINGLE_RUNNERS = {
     )
 }
 
+CHECK_SELECTORS = {
+    "all": (*_NMAX_RUNNERS, *_SINGLE_RUNNERS),
+    "theorems": tuple(_NMAX_RUNNERS),
+    "lemmas": tuple(c for c in _SINGLE_RUNNERS if c.startswith("Lem")),
+    "sharpness": tuple(SHARPNESS_TARGETS),
+}
+
 verify_theorem_A = _NMAX_RUNNERS["ThmA"]
-verify_theorem_2_12 = _NMAX_RUNNERS["Thm2.12"]
 verify_theorem_B = _NMAX_RUNNERS["ThmB"]
-verify_theorem_3_4 = _NMAX_RUNNERS["Thm3.4"]
-verify_prop_2_9 = _SINGLE_RUNNERS["Prop2.9"]
-verify_prop_2_11 = _SINGLE_RUNNERS["Prop2.11"]
-verify_prop_3_2 = _SINGLE_RUNNERS["Prop3.2"]
-lemma_2_1_suite = _SINGLE_RUNNERS["Lem2.1"]
-verify_lemma_2_2 = _SINGLE_RUNNERS["Lem2.2"]
-verify_lemma_2_3 = _SINGLE_RUNNERS["Lem2.3"]
-verify_lemma_2_10 = _SINGLE_RUNNERS["Lem2.10"]
-verify_corollary_4_1 = _SINGLE_RUNNERS["Cor4.1"]
-verify_corollary_4_2 = _SINGLE_RUNNERS["Cor4.2"]
-verify_corollary_4_3 = _SINGLE_RUNNERS["Cor4.3"]
-verify_corollary_4_4 = _SINGLE_RUNNERS["Cor4.4"]
 verify_sharpness_A = _SINGLE_RUNNERS["SharpnessA"]
 verify_sharpness_B = _SINGLE_RUNNERS["SharpnessB"]
 
@@ -867,9 +848,8 @@ def resolve_check_selector(selector) -> tuple[str, ...]:
                 f"unknown suite {selector!r}, expected one of "
                 f"{sorted(CHECK_SELECTORS)}")
         checks = CHECK_SELECTORS[selector]
-    known = set(_NMAX_RUNNERS) | set(_SINGLE_RUNNERS)
     for c in checks:
-        if c not in known:
+        if c not in CHECK_SELECTORS["all"]:
             raise UnknownSelector(f"unknown check {c!r}")
     return checks
 

@@ -15,6 +15,10 @@ over every member, the way ``classify`` did before it read both off the
 normal sublattice.  ``normalizer_by_members`` conjugates a subgroup by
 every element, and ``is_isomorphic`` asks ``find_isomorphism`` for a map.
 
+``lattice_isomorphism`` searches for a map between two lattices that
+keeps joins and meets, reading nothing but their order; it works on any
+finite lattice, a subgroup lattice or not.
+
 ``cached_group`` is ``catalog.construct`` memoised for the whole test
 session, so that tests share each group and the answers memoised on it;
 the package itself keeps no group.  ``cycles_to_perm`` writes cycle
@@ -251,3 +255,58 @@ def normalizer_by_members(G, mask: int) -> int:
 
 def is_isomorphic(A, B) -> bool:
     return find_isomorphism(A, B) is not None
+
+
+def lattice_isomorphism(A, B):
+    """A bijection ``phi`` (``phi[i]`` the image of A's element i) from
+    lattice A onto lattice B that keeps joins and meets, or None when there
+    is none.
+
+    Every element is the join of the join-irreducible elements below it
+    (those with exactly one lower cover), so ``phi`` is fixed by its values
+    on them.  They are tried in index order, each against every
+    join-irreducible element of B with as many elements above and below it,
+    and each partial map is closed under joins and meets; it fails where it
+    would send two elements to one or one element to two.  Once every
+    join-irreducible element is mapped, the closure holds every element."""
+    def irreducible(L):
+        return [i for i in range(L.size) if len(L.covers_down[i]) == 1]
+
+    def shape(L, i):
+        return L.up[i].bit_count(), L.down[i].bit_count()
+
+    ja, jb = irreducible(A), irreducible(B)
+    if A.size != B.size or sorted(shape(A, i) for i in ja) != sorted(
+            shape(B, i) for i in jb):
+        return None
+
+    def close(phi, inv, a, b):
+        phi, inv, todo = dict(phi), dict(inv), [(a, b)]
+        while todo:
+            a, b = todo.pop()
+            if phi.get(a, b) != b or inv.get(b, a) != a:
+                return None
+            if a not in phi:
+                phi[a], inv[b] = b, a
+                for c, d in list(phi.items()):
+                    todo.append((A.join_t[a][c], B.join_t[b][d]))
+                    todo.append((A.meet_t[a][c], B.meet_t[b][d]))
+        return phi, inv
+
+    def search(phi, inv, k):
+        while k < len(ja) and ja[k] in phi:
+            k += 1
+        if k == len(ja):
+            return tuple(phi[i] for i in range(A.size))
+        a = ja[k]
+        for b in jb:
+            if b not in inv and shape(B, b) == shape(A, a):
+                closed = close(phi, inv, a, b)
+                found = closed and search(*closed, k + 1)
+                if found:
+                    return found
+        return None
+
+    start = close({}, {}, 0, 0)
+    start = start and close(*start, A.size - 1, B.size - 1)
+    return start and search(*start, 0)

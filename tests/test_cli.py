@@ -340,7 +340,7 @@ def test_report_witnesses_are_capped(monkeypatch):
     """A report with more than MAX_WITNESSES witnesses keeps the first
     MAX_WITNESSES - 1 and counts the rest."""
     monkeypatch.setattr(verify, "is_nilpotent", lambda *args: False)
-    report = verify.lemma_2_1_suite(catalog.construct("E2^3"))
+    report = verify._SINGLE_RUNNERS["Lem2.1"](catalog.construct("E2^3"))
     assert report.is_failure()
     # 16 modular subgroups: one count line and one line per subgroup
     assert verify.MAX_WITNESSES == 10

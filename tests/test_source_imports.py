@@ -5,7 +5,7 @@ this reads each module's syntax tree with the standard ``ast`` module and
 lists the imported names that no expression refers to.  ``__init__.py``
 imports names to re-export them and is left out.  The same trees also
 show module-level private helpers that nothing in the package refers to,
-and exported names that nothing but tests calls.
+and public names that nothing but tests calls.
 """
 
 import ast
@@ -44,12 +44,23 @@ def test_every_imported_name_is_used(path):
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def _defined(node):
+    """The name a module-level statement defines: a function, a class or
+    the first name assigned (None for any other statement)."""
+    if isinstance(node, _DEFINITIONS):
+        return node.name
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+        return target.id if isinstance(target, ast.Name) else None
+    return None
+
+
 def _references(tree, imports=True):
     """(owner, name) for every name, attribute and, unless ``imports`` is
     false, imported name in a module, where owner is the module-level
-    definition the reference sits in (None outside any)."""
+    definition or assignment the reference sits in (None outside any)."""
     for node in tree.body:
-        owner = node.name if isinstance(node, _DEFINITIONS) else None
+        owner = _defined(node)
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 yield owner, sub.id
@@ -120,7 +131,7 @@ def test_only_memo_reads_or_writes_a_cache():
     assert not stray, f"_cache read or written outside groups._memo: {stray}"
 
 
-# exported for the tests alone, each on purpose
+# public for the tests alone, each on purpose
 TEST_ONLY_EXPORTS = {
     "chief_series": "a test kills a mutant of its choice of cover",
     "find_isomorphism": "the tests' isomorphism oracle",
@@ -128,25 +139,24 @@ TEST_ONLY_EXPORTS = {
 
 
 def test_every_export_has_a_caller_outside_the_tests():
-    """Every name ``modmax/__init__.py`` re-exports is referred to by the
-    package, the demos or the benchmark, from outside its own definition;
-    an import is no reference.  A reference from inside an export that has
-    no such caller does not count, so a helper only a dead export calls is
-    dead too."""
-    exported = {alias.asname or alias.name
-                for node in ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")).body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    callers = [*(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
-               *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    """Every public name a package module defines at module level (a
+    function, a class or an assigned name) is referred to by the package,
+    the demos or the benchmark, from outside its own definition; an import
+    is no reference.  A reference from inside a name that has no such
+    caller does not count, so a helper only a dead name calls is dead
+    too."""
+    public = {name for p in MODULES for node in ast.parse(p.read_text(encoding="utf-8")).body
+              if (name := _defined(node)) and not name.startswith("_")}
+    callers = [*MODULES, *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     refs = {(owner, name) for p in callers
             for owner, name in _references(ast.parse(p.read_text(encoding="utf-8")), False)
-            if name in exported and owner != name}
+            if name in public and owner != name}
     dead = set()
     while True:
-        newly = {name for name in exported - dead - set(TEST_ONLY_EXPORTS)
+        newly = {name for name in public - dead - set(TEST_ONLY_EXPORTS)
                  if not any(n == name and owner not in dead for owner, n in refs)}
         if not newly:
             break
         dead |= newly
-    assert not dead, f"exported names with no caller outside the tests: {sorted(dead)}"
-    assert set(TEST_ONLY_EXPORTS) <= exported
+    assert not dead, f"public names with no caller outside the tests: {sorted(dead)}"
+    assert set(TEST_ONLY_EXPORTS) <= public

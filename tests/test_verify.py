@@ -21,26 +21,15 @@ from modmax.verify import (
     NOT_EVALUATED,
     VACUOUS,
     UnknownSelector,
+    _NMAX_RUNNERS,
+    _SINGLE_RUNNERS,
     census,
-    lemma_2_1_suite,
     reports_for_group,
     run_suite,
-    verify_corollary_4_1,
-    verify_corollary_4_2,
-    verify_corollary_4_3,
-    verify_corollary_4_4,
-    verify_lemma_2_2,
-    verify_lemma_2_3,
-    verify_lemma_2_10,
-    verify_prop_2_9,
-    verify_prop_2_11,
-    verify_prop_3_2,
     verify_sharpness_A,
     verify_sharpness_B,
     verify_theorem_A,
     verify_theorem_B,
-    verify_theorem_2_12,
-    verify_theorem_3_4,
 )
 
 
@@ -99,7 +88,7 @@ def test_theorem_B_trivial_group_vacuous(suite_groups):
 
 
 def test_theorem_3_4_bound_blocks_a4xc2(suite_groups):
-    r = verify_theorem_3_4(suite_groups["A4xC2"], 4)
+    r = _NMAX_RUNNERS["Thm3.4"](suite_groups["A4xC2"], 4)
     assert r.hypothesis == FAILS
     assert r.conclusion == FAILS  # residual V4 is not Hall: sharpness
 
@@ -110,7 +99,7 @@ def test_theorem_A_implies_2_12(suite_groups):
         lat = lattice_of(G)
         for n in range(1, max(1, lat.max_chain_length) + 1):
             a = verify_theorem_A(G, n)
-            b = verify_theorem_2_12(G, n)
+            b = _NMAX_RUNNERS["Thm2.12"](G, n)
             if a.hypothesis in (HOLDS, VACUOUS):
                 assert not a.is_failure()
                 assert b.conclusion == a.conclusion
@@ -119,33 +108,33 @@ def test_theorem_A_implies_2_12(suite_groups):
 
 
 def test_prop_2_9(suite_groups):
-    r = verify_prop_2_9(suite_groups["S3"])
+    r = _SINGLE_RUNNERS["Prop2.9"](suite_groups["S3"])
     assert (r.hypothesis, r.conclusion) == (HOLDS, HOLDS)
-    r = verify_prop_2_9(suite_groups["A4"])
+    r = _SINGLE_RUNNERS["Prop2.9"](suite_groups["A4"])
     assert r.hypothesis == VACUOUS and r.conclusion == HOLDS
 
 
 def test_prop_2_11(suite_groups):
-    r = verify_prop_2_11(suite_groups["S3"])
+    r = _SINGLE_RUNNERS["Prop2.11"](suite_groups["S3"])
     assert (r.hypothesis, r.conclusion) == (HOLDS, HOLDS)
-    r = verify_prop_2_11(suite_groups["Q8"])
+    r = _SINGLE_RUNNERS["Prop2.11"](suite_groups["Q8"])
     assert (r.hypothesis, r.conclusion) == (HOLDS, HOLDS)
     # contrapositive on the order-42 separating example
-    r = verify_prop_2_11(suite_groups["hol_C7"])
+    r = _SINGLE_RUNNERS["Prop2.11"](suite_groups["hol_C7"])
     assert r.hypothesis == FAILS
     # and on the order-156 one
-    r = verify_prop_2_11(suite_groups["hol_C13"])
+    r = _SINGLE_RUNNERS["Prop2.11"](suite_groups["hol_C13"])
     assert r.hypothesis == FAILS
 
 
 def test_prop_3_2(suite_groups):
-    r = verify_prop_3_2(suite_groups["A4"])
+    r = _SINGLE_RUNNERS["Prop3.2"](suite_groups["A4"])
     assert (r.hypothesis, r.conclusion) == (HOLDS, HOLDS)
     assert any("p*q^2" in w for w in r.witnesses)
-    r = verify_prop_3_2(suite_groups["SL23"])
+    r = _SINGLE_RUNNERS["Prop3.2"](suite_groups["SL23"])
     assert (r.hypothesis, r.conclusion) == (HOLDS, HOLDS)
     assert any("quaternion" in w for w in r.witnesses)
-    r = verify_prop_3_2(suite_groups["S3"])
+    r = _SINGLE_RUNNERS["Prop3.2"](suite_groups["S3"])
     assert (r.hypothesis, r.conclusion) == (FAILS, NOT_EVALUATED)
 
 
@@ -207,30 +196,30 @@ def test_lemma_2_1_finds_power_split_candidates_once_per_group(monkeypatch):
     real = verify.is_p_group_schmidt
     monkeypatch.setattr(verify, "is_p_group_schmidt",
                         lambda G, S: calls.append(S) or real(G, S))
-    assert lemma_2_1_suite(G).conclusion == HOLDS
+    assert _SINGLE_RUNNERS["Lem2.1"](G).conclusion == HOLDS
     assert len(calls) == 6
 
 
 def test_lemma_suites_hold_everywhere(suite_groups):
     for G in suite_groups.values():
-        assert lemma_2_1_suite(G).conclusion == HOLDS, G.name
-        assert verify_lemma_2_2(G).conclusion == HOLDS, G.name
-        assert verify_lemma_2_3(G).conclusion == HOLDS, G.name
-        r = verify_lemma_2_10(G)
+        assert _SINGLE_RUNNERS["Lem2.1"](G).conclusion == HOLDS, G.name
+        assert _SINGLE_RUNNERS["Lem2.2"](G).conclusion == HOLDS, G.name
+        assert _SINGLE_RUNNERS["Lem2.3"](G).conclusion == HOLDS, G.name
+        r = _SINGLE_RUNNERS["Lem2.10"](G)
         assert not r.is_failure(), (G.name, r.witnesses)
 
 
 def test_lemma_2_10_examples(suite_groups):
-    r = verify_lemma_2_10(suite_groups["hol_C13"])
+    r = _SINGLE_RUNNERS["Lem2.10"](suite_groups["hol_C13"])
     assert (r.hypothesis, r.conclusion) == (HOLDS, HOLDS)
-    r = verify_lemma_2_10(suite_groups["A4"])
+    r = _SINGLE_RUNNERS["Lem2.10"](suite_groups["A4"])
     assert (r.hypothesis, r.conclusion) == (HOLDS, HOLDS)
-    r = verify_lemma_2_10(suite_groups["S3"])
+    r = _SINGLE_RUNNERS["Lem2.10"](suite_groups["S3"])
     assert r.hypothesis == VACUOUS  # nearly nilpotent, out of scope
 
 
-_COROLLARIES = (verify_corollary_4_1, verify_corollary_4_2,
-                verify_corollary_4_3, verify_corollary_4_4)
+_COROLLARIES = (_SINGLE_RUNNERS["Cor4.1"], _SINGLE_RUNNERS["Cor4.2"],
+                _SINGLE_RUNNERS["Cor4.3"], _SINGLE_RUNNERS["Cor4.4"])
 
 
 def test_corollaries(suite_groups):
@@ -239,7 +228,7 @@ def test_corollaries(suite_groups):
             r = check(suite_groups[name])
             assert not r.is_failure(), (name, r.theorem, r.witnesses)
     # the quaternion-shape branch of Cor4.4 on the order-24 witness
-    r = verify_corollary_4_4(suite_groups["SL23"])
+    r = _SINGLE_RUNNERS["Cor4.4"](suite_groups["SL23"])
     assert r.theorem == "Cor4.4"
     assert (r.hypothesis, r.conclusion) == (HOLDS, HOLDS)
     # trivial group: everything vacuous or satisfied
@@ -357,14 +346,13 @@ def test_report_json_shape(suite_groups):
 
 def test_contrapositive_separating_examples(suite_groups):
     """Where the conclusion is known false, the hypothesis must fail."""
-    for name, check in (("hol_C7", verify_prop_2_11),
-                        ("hol_C13", verify_prop_2_11)):
+    for name, check in (("hol_C7", _SINGLE_RUNNERS["Prop2.11"]),
+                        ("hol_C13", _SINGLE_RUNNERS["Prop2.11"])):
         r = check(suite_groups[name])
         assert r.hypothesis == FAILS and r.conclusion == FAILS
         assert not r.is_failure()
     # A4 is not supersoluble, so Cor4.3's hypothesis cannot hold there
-    from modmax.verify import verify_corollary_4_3
-    r = verify_corollary_4_3(suite_groups["A4"])
+    r = _SINGLE_RUNNERS["Cor4.3"](suite_groups["A4"])
     assert not is_supersoluble(suite_groups["A4"])
     assert r.hypothesis == FAILS
 
@@ -606,8 +594,8 @@ def test_residual_and_lemmas_ask_quotients_inside_the_group(monkeypatch, name):
         real = getattr(modules[module], attr)
         monkeypatch.setattr(modules[module], attr, lambda *args, real=real, attr=attr:
                             builds.append((attr, args[0].name)) or real(*args))
-    lemma_2_1_suite(G)
-    verify_lemma_2_3(G)
+    _SINGLE_RUNNERS["Lem2.1"](G)
+    _SINGLE_RUNNERS["Lem2.3"](G)
     assert builds == []
     r = residual_strongly_supersoluble(G)
     is_nilpotent_hall(G, r)
@@ -636,9 +624,10 @@ def test_suite_builds_each_lattice_once(monkeypatch):
 
 def test_derived_groups_are_not_kept_on_their_parent(monkeypatch):
     """Every quotient and subgroup rebuilt as a group during the gate and
-    ``classify`` is garbage once they return, although the two parents
-    given to ``classify`` are still alive: only answers are memoised on G.
-    G/1 is G itself, left out."""
+    ``classify`` is freed once they return, with the cycle collector off,
+    although the two parents given to ``classify`` are still alive: only
+    answers are memoised on G, and each derived group's memo is emptied
+    once its answer is read.  G/1 is G itself, left out."""
     # modmax.classify the module: the package binds the name to the function
     classify, groups = map(importlib.import_module, ("modmax.classify", "modmax.groups"))
 
@@ -655,13 +644,18 @@ def test_derived_groups_are_not_kept_on_their_parent(monkeypatch):
         for module in (groups, classify, verify):
             if getattr(module, attr, None) is real:
                 monkeypatch.setattr(module, attr, recording)
-    run_suite("all", "all")
-    parents = [catalog.construct(name) for name in ("S4", "SL23")]
-    for G in parents:
-        classify.classify(G)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        run_suite("all", "all")
+        parents = [catalog.construct(name) for name in ("S4", "SL23")]
+        for G in parents:
+            classify.classify(G)
+        alive = [ref().name for _, ref in refs if ref() is not None]
+    finally:
+        if collecting:
+            gc.enable()
     assert {attr for attr, _ in refs} == {"quotient", "subgroup_as_group"}
-    gc.collect()
-    alive = [ref().name for _, ref in refs if ref() is not None]
     assert not alive, alive
 
 
