@@ -43,15 +43,12 @@ from .classify import (
 from .groups import (
     Group,
     SubgroupSet,
-    centralizer,
-    core,
     direct_product,
     find_isomorphism,
     group_from_cayley_table,
     group_from_json,
     group_from_permutations,
     load_group,
-    normal_closure,
     prime_spectrum,
     quotient,
     semidirect_product,

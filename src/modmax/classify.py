@@ -8,8 +8,9 @@ The automizer order of a factor H/K is |G| / |C_G(H/K)| where
 C_G(H/K) = {g : [g, h] in K for all h in H}, i.e. the order of the
 automorphism group the whole group induces on the factor.  Both it and
 cyclicity are read off the normal sublattice (``_chief_factors``):
-C_G(H/K) is the largest normal N with [N, H] <= K, tested on generators,
-and a chief factor is cyclic exactly when its order is prime.
+C_G(H/K) is the largest normal N with [N, H] <= K, the lattice's
+``centralizer(h, k)``, and a chief factor is cyclic exactly when its order
+is prime.
 
 Quotients and sections of G are asked about inside G.  The chief factors of
 G/N are G's factors H/K with N <= K, with the same order, cyclicity,
@@ -142,38 +143,25 @@ def all_chief_factors(G: Group) -> tuple[ChiefFactor, ...]:
 
 
 def _chief_factors(G: Group) -> tuple[ChiefFactor, ...]:
-    """Both answers of each factor H/K are read off the normal sublattice.
-
-    Automizer.  C_G(H/K) is normal and contains K.  For normal N, [N, H] <= K
-    exactly when N's generators commute with H's modulo K (K is normal, so
-    for fixed n the h with [n, h] in K form a subgroup containing K, and so
-    for fixed h).  Those N are closed under products, so C_G(H/K) is the
-    largest of them.  Canonical indices ascend with order, so it is the
-    first normal subgroup above K to pass, met from the top (K passes).
-
-    Cyclicity.  H/K is minimal normal in G/K, so characteristically simple.
-    A cyclic group has a characteristic subgroup of each order dividing its
-    own, so H/K is cyclic exactly when its order is prime.
-
-    Neither fact is a theorem under test."""
+    """Both answers of each factor H/K are read off the normal sublattice:
+    the automizer order is |G| over C_G(H/K), the lattice's
+    ``centralizer(h, k)``, and H/K is cyclic exactly when its order is
+    prime.  H/K is minimal normal in G/K, so characteristically simple, and
+    a cyclic group has a characteristic subgroup of each order dividing its
+    own.  Neither fact is a theorem under test."""
     lat = lattice_of(G)
     factors = []
     for k in bits(lat.normal):
-        normals = lat.up[k] & lat.normal
-        above = normals & ~(1 << k)
+        above = lat.up[k] & lat.normal & ~(1 << k)
         shadow = 0
         for h in bits(above):
             shadow |= lat.up[h] & ~(1 << h)
         K = lat.subgroups[k]
-        km, frattini = K.mask, lat.frattini(k).mask
-        from_top = [*bits(normals)][::-1]
+        frattini = lat.frattini(k).mask
         for h in bits(above & ~shadow):
-            H, h_gens = lat.subgroups[h], lat._greedy(h)
-            c = next(n for n in from_top
-                     if all(km >> G.commutator(a, x) & 1
-                            for a in lat._greedy(n) for x in h_gens))
+            H = lat.subgroups[h]
             forder = H.order // K.order
-            aut = G.order // lat.subgroups[c].order
+            aut = G.order // lat.subgroups[lat.centralizer(h, k)].order
             factors.append(ChiefFactor(K, H, forder, aut, is_prime(forder),
                                        H.mask & frattini == H.mask))
     return tuple(factors)

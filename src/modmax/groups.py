@@ -620,37 +620,6 @@ def load_group(path, max_order_cap: int = DEFAULT_MAX_ORDER) -> Group:
 # ---------------------------------------------------------------------------
 # subgroup-valued operations
 
-def centralizer_mask(G: Group, hmask: int) -> int:
-    """C_G(H) = {g : g commutes with every member of H}.  For each g the
-    members commuting with g form a subgroup, so generators of H suffice."""
-    t = G.table
-    gens = _greedy_generators(t, hmask)
-    out = 0
-    for g, row in enumerate(t):
-        if all(row[h] == t[h][g] for h in gens):
-            out |= 1 << g
-    return out
-
-
-def centralizer(G: Group, S: SubgroupSet) -> SubgroupSet:
-    """Elements commuting with every member of S."""
-    return SubgroupSet(G, centralizer_mask(G, S.mask))
-
-
-def core(G: Group, H: SubgroupSet) -> SubgroupSet:
-    """Largest normal subgroup of G inside H: H intersected with its
-    conjugates by the generators of G until the intersection stops
-    shrinking (a subgroup the generators normalise is normal)."""
-    mask = H.mask
-    while True:
-        meet = mask
-        for g in G.generator_indices:
-            meet &= conjugate_mask(G, g, mask)
-        if meet == mask:
-            return SubgroupSet(G, mask)
-        mask = meet
-
-
 def _normal_closure_mask(G: Group, seed, gens) -> int:
     """Smallest subgroup containing ``seed`` that ``gens`` normalise: each
     seed or conjugate not yet reached becomes a generator, and its
@@ -668,11 +637,6 @@ def _normal_closure_mask(G: Group, seed, gens) -> int:
             mask = _closure(table, mask, found)
             stack.extend(G.conj(g, x) for g in gens)
     return mask
-
-
-def normal_closure(G: Group, H: SubgroupSet) -> SubgroupSet:
-    """Smallest normal subgroup of G containing H."""
-    return SubgroupSet(G, _normal_closure_mask(G, bits(H.mask), G.generator_indices))
 
 
 def commutator_mask(G: Group, a_mask: int, b_mask: int) -> int:

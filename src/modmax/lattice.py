@@ -11,8 +11,10 @@ isomorphic to it (R. Schmidt, *Subgroup Lattices of Groups*, 1994, section
 2.1).  ``SubgroupLattice(Lattice)`` computes the up-sets from the subgroups
 of a group and adds what needs the group: the subgroups themselves,
 normality, conjugacy classes and automorphism orbits (which let a column
-be evaluated once per block), the quasinormal and S-quasinormal columns,
-subnormality, ``frattini``, ``witness_chain`` and ``to_dot``.
+be evaluated once per block), the quasinormal, S-quasinormal and
+subnormal columns, the readers of the normal column (``core``,
+``normal_closure`` and ``centralizer``), ``frattini``, ``witness_chain``
+and ``to_dot``.
 
 The lattice of a group is enumerated once by cyclic extension and cached on
 the group.  Starting from the trivial subgroup, a subgroup H is extended by
@@ -53,17 +55,18 @@ chief factors) builds none.  ``tests/oracles.py`` builds both tables
 whole, as the oracle.
 
 Each embedding predicate is one int bitset over those indices, a column:
-``normal`` is built with the lattice, ``modular``, ``quasinormal`` and
-``s_quasinormal`` are evaluated on first use.  The n-maximal subgroups are
-one bitset per depth, ``layers[n]``; n-maximality is read existentially
-(some maximal chain G = M0 > ... > Mn ends at H, so H can be n-maximal for
-several n) and each layer is the covers of the one above.  "Every
-n-maximal subgroup is modular" is ``layers[n] & ~modular`` being 0.
+``normal`` is built with the lattice, ``modular``, ``quasinormal``,
+``s_quasinormal`` and ``subnormal`` are evaluated on first use.  The
+n-maximal subgroups are one bitset per depth, ``layers[n]``; n-maximality
+is read existentially (some maximal chain G = M0 > ... > Mn ends at H, so
+H can be n-maximal for several n) and each layer is the covers of the one
+above.  "Every n-maximal subgroup is modular" is ``layers[n] & ~modular``
+being 0.
 
 An automorphism phi of G maps the subgroup lattice onto itself, keeping
 orders, joins and meets, and maps Sylow subgroups to Sylow subgroups and
-normal subgroups to normal ones.  So the modular, quasinormal and
-S-quasinormal columns of the whole lattice, and subnormality, give the same
+normal subgroups to normal ones.  So the modular, quasinormal,
+S-quasinormal and subnormal columns of the whole lattice give the same
 answer on every member of an orbit of the group of automorphisms (this is
 not a theorem of the paper, and no predicate uses one).  Conjugation is the
 inner case: it also fixes every normal subgroup N, so each predicate inside
@@ -101,6 +104,14 @@ included) quantifies over the primary cyclic subgroups of B only, the
 cyclic subgroups of prime-power order (``primary_cyclic``; the proof is in
 ``is_quasinormal``).  The literal comparison of product sets, against
 every subgroup, is the oracle in the tests.
+
+The package's other normal-subgroup answers are read off the normal column
+too, and nowhere else: the core H_G is the highest normal index below H,
+the normal closure H^G the lowest above it, and C_G(H/K) for normal K <= H
+the first normal subgroup above K, met from the top, whose generators
+commute with H's modulo K.  The intersection of all conjugates, the closure
+of all conjugates and the centraliser over every member are the oracles in
+the tests.
 """
 
 from __future__ import annotations
@@ -277,8 +288,7 @@ class Lattice:
 
         # answers memoised through _memo: (predicate, lo, hi) -> column of
         # the section [lo, hi], "sizes" -> interval sizes, and a subgroup
-        # lattice's ("generators", i) -> greedy generators and
-        # ("subnormal", orbit representative) -> bool
+        # lattice's ("generators", i) -> greedy generators
         self._cache: dict = {}
 
     def index(self, H) -> int:
@@ -314,11 +324,12 @@ class Lattice:
 
     def column(self, predicate: str, section=None) -> int:
         """Bitset of the members of ``section`` that are ``predicate`` in
-        it ("modular"; a subgroup lattice also answers "quasinormal" and
-        "s_quasinormal").  ``section`` is (lo, hi) with lo <= hi, the
-        interval [lo, hi], and defaults to the whole lattice; in a subgroup
-        lattice it stands for the lattice of the subgroup hi (lo = 0) or of
-        the quotient by lo (hi = top)."""
+        it ("modular"; a subgroup lattice also answers "quasinormal",
+        "s_quasinormal" and, on the whole lattice, "subnormal").
+        ``section`` is (lo, hi) with lo <= hi, the interval [lo, hi], and
+        defaults to the whole lattice; in a subgroup lattice it stands for
+        the lattice of the subgroup hi (lo = 0) or of the quotient by lo
+        (hi = top)."""
         lo, hi = (0, self.top()) if section is None else map(self.index, section)
         return _memo(self, (predicate, lo, hi), self._evaluate, predicate, lo, hi)
 
@@ -412,10 +423,11 @@ class SubgroupLattice(Lattice):
             1 << i for i, c in enumerate(self.class_of) if c == 1 << i)
 
     def index(self, H) -> int:
-        """Accept a SubgroupSet or a lattice index (never a raw mask)."""
+        """Accept a SubgroupSet of this group or a lattice index (never a
+        raw mask)."""
         # written out, not through ``Lattice.index``: every ``is_*`` read
         # calls it, and the extra call is a visible share of a column read
-        if isinstance(H, SubgroupSet):
+        if isinstance(H, SubgroupSet) and H.parent is self.group:
             return self.index_of[H.mask]
         if isinstance(H, int) and 0 <= H < self.size:
             return H
@@ -426,6 +438,37 @@ class SubgroupLattice(Lattice):
 
     def normal_indices(self) -> tuple[int, ...]:
         return tuple(bits(self.normal))
+
+    # -- the normal column's readers: each takes and returns lattice indices --
+
+    def core(self, i: int) -> int:
+        """H_G, the largest normal subgroup inside i.  The normal subgroups
+        below i are closed under joins, so the largest of them contains
+        every other and has the highest index."""
+        return (self.down[i] & self.normal).bit_length() - 1
+
+    def normal_closure(self, i: int) -> int:
+        """H^G, the least normal subgroup above i.  The normal subgroups
+        above i are closed under meets, so the least of them lies inside
+        every other and has the lowest index."""
+        above = self.up[i] & self.normal
+        return (above & -above).bit_length() - 1
+
+    def centralizer(self, h: int, k: int = 0) -> int:
+        """C_G(H/K) = {g : [g, x] in K for all x in H}, for K <= H both
+        normal (C_G(H) at k = 0).  It is normal and contains K, and for
+        normal N, [N, H] <= K exactly when N's generators commute with H's
+        modulo K: K is normal, so for fixed n the x with [n, x] in K form a
+        subgroup containing K, and so for fixed x.  Those N are closed under
+        products, so C_G(H/K) is the largest of them: the first normal
+        subgroup above K to pass, met from the top (K passes)."""
+        G, km, gens = self.group, self.subgroups[k].mask, self._greedy
+        h_gens, normals = gens(h), self.up[k] & self.normal
+        while True:
+            n = normals.bit_length() - 1
+            if all(km >> G.commutator(a, x) & 1 for a in gens(n) for x in h_gens):
+                return n
+            normals ^= 1 << n
 
     def witness_chain(self, H, n: int) -> MaximalChain:
         """One maximal chain of length n from the whole group down to H,
@@ -481,16 +524,19 @@ class SubgroupLattice(Lattice):
         return self._reads("s_quasinormal", H, section)
 
     def _plan(self, predicate: str, lo: int, hi: int, members):
-        """The two permutability tests besides modularity, and the blocks
-        that keep each answer.  On the whole lattice the automorphisms
-        found permute the members and keep the answer, and on a section
-        [N, G] with N normal conjugation does, so one member per orbit
-        (per class) is tested; a subgroup section [1, hi] with hi < G is
-        not fixed by conjugation and is tested member by member.
+        """The two permutability tests and subnormality besides modularity,
+        and the blocks that keep each answer.  On the whole lattice the
+        automorphisms found permute the members and keep the answer, and on
+        a section [N, G] with N normal conjugation does, so one member per
+        orbit (per class) is tested; a subgroup section [1, hi] with hi < G
+        is not fixed by conjugation and is tested member by member.
         Quasinormality in a subgroup section [1, hi] quantifies over hi's
         primary cyclic subgroups (see ``is_quasinormal``); in a quotient
-        section [lo, hi] with lo > 0 over every member."""
-        if predicate in ("quasinormal", "s_quasinormal"):
+        section [lo, hi] with lo > 0 over every member.  Subnormality is
+        answered on the whole lattice only."""
+        if predicate == "subnormal" and (lo, hi) == (0, self.top()):
+            holds = self._descends
+        elif predicate in ("quasinormal", "s_quasinormal"):
             o, join_t, meet_t = self._orders, self.join_t, self.meet_t
             others = members
             if predicate == "s_quasinormal":
@@ -516,23 +562,19 @@ class SubgroupLattice(Lattice):
     # -- subnormality ---------------------------------------------------------
 
     def is_subnormal(self, H) -> bool:
-        """Iterated normal closure inside the previous term descends to H.
-        An automorphism maps a subnormal series of H to one of its image,
-        so the answer is memoised per orbit representative."""
-        c = self.orbit_of[self.index(H)]
-        rep = (c & -c).bit_length() - 1
-        return _memo(self, ("subnormal", rep), self._descends, rep)
+        """Iterated normal closure inside the previous term descends to H,
+        read off the "subnormal" column of the whole lattice.  An
+        automorphism maps a subnormal series of H to one of its image, so
+        the column is evaluated once per orbit."""
+        return self._reads("subnormal", H, None)
 
     def _descends(self, mi: int) -> bool:
         """Each term's normal closure of mi, closed from mi's greedy
         generators under conjugation by the term's, until it stops at mi
         (subnormal) or at the term itself (not subnormal).  The first term,
-        the normal closure in G, is read off the lattice: the normal
-        subgroups above mi are closed under meets, so the least of them
-        lies inside every other and has the lowest index."""
+        the normal closure in G, is read off the normal column."""
         G, index_of, gens = self.group, self.index_of, self._greedy
-        above = self.up[mi] & self.normal
-        prev, cur = self.top(), (above & -above).bit_length() - 1
+        prev, cur = self.top(), self.normal_closure(mi)
         while cur != mi:
             if cur == prev:
                 return False

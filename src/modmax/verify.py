@@ -75,12 +75,9 @@ from .groups import (
     _forget,
     _memo,
     bits,
-    centralizer,
     conjugate_mask,
-    core,
     factorize,
     is_prime,
-    normal_closure,
     prime_spectrum,
     quotient,
     squarefree,
@@ -366,15 +363,16 @@ def _quaternion_complement_structure(G: Group) -> bool:
     if G.order != 24:
         return False
     lat = lattice_of(G)
-    has_order3 = any(s.order == 3 for s in lat.subgroups)
     orders = G.element_orders()
     for i in lat.normal_indices():
         S = lat.subgroups[i]
         if S.order != 8 or sum(1 for x in S if orders[x] == 2) != 1:
             continue
-        # one involution and non-abelian (not inside its centraliser): Q8
-        cent = centralizer(G, S).mask
-        if S.mask & ~cent and cent & ~S.mask == 0 and has_order3:
+        # one involution and non-abelian: Q8.  Non-abelian and
+        # self-centralising: C_G(S) lies strictly inside S.  An element of
+        # order 3, a complement, exists at |G| = 24 by Cauchy's theorem.
+        c = lat.centralizer(i)
+        if c != i and lat.down[i] >> c & 1:
             return True
     return False
 
@@ -416,7 +414,8 @@ def _lemma_2_1_conclusion(G: Group, lat):
     for i in modular:
         M = lat.subgroups[i]
         witnesses = []
-        mg, closure = core(G, M).mask, normal_closure(G, M).mask
+        mg = lat.subgroups[lat.core(i)].mask
+        closure = lat.subgroups[lat.normal_closure(i)].mask
         if not is_nilpotent(G, (mg, M.mask)):
             witnesses.append("M over its core is not nilpotent")
         if any(f.below.mask & mg == mg and f.above.mask & ~closure == 0
@@ -537,12 +536,13 @@ def _lemma_2_3_conclusion(G: Group, lat):
                 bad.append(
                     f"quotient correspondence fails for {_descriptor(lat, k)} "
                     f"over normal of order {lat.subgroups[hi].order}")
+    subs = lat.subgroups
     for h in squasi:
-        H = lat.subgroups[h]
         if not lat.is_subnormal(h):
             bad.append(f"{_descriptor(lat, h)} is not subnormal")
         # H^G over H_G, the section [H_G, H^G] of G
-        if not is_nilpotent(G, (core(G, H).mask, normal_closure(G, H).mask)):
+        section = subs[lat.core(h)].mask, subs[lat.normal_closure(h)].mask
+        if not is_nilpotent(G, section):
             bad.append(
                 f"closure over core of {_descriptor(lat, h)} is not nilpotent")
     return not bad, [f"{len(squasi)} S-quasinormal subgroups"] + bad
@@ -557,11 +557,11 @@ def _primitive_pairs(G: Group, lat):
             continue  # R is minimal normal: 1 < R is a chief factor
         R = f.above
         ri = lat.index(R)
-        if centralizer(G, R).mask != R.mask:
+        if lat.centralizer(ri) != ri:
             continue
         for mi in lat.covers_down[lat.top()]:
             M = lat.subgroups[mi]
-            if (core(G, M).order == 1 and R.mask & M.mask == 1
+            if (lat.core(mi) == 0 and R.mask & M.mask == 1
                     and R.order * M.order == G.order):
                 pairs.append((ri, mi))
     return pairs

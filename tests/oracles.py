@@ -11,9 +11,12 @@ quantifier loops rather than by counting interval sizes.  ``join_meet_tables`` b
 against the lattice's rows built on first read.
 
 The chief-factor oracles decide C_G(H/K) and cyclicity of H/K by looping
-over every member, the way ``classify`` did before it read both off the
-normal sublattice.  ``normalizer_by_members`` conjugates a subgroup by
-every element, and ``is_isomorphic`` asks ``find_isomorphism`` for a map.
+over every member (every coset of K, which decides the same), the way
+``classify`` did before it read both off the normal sublattice.
+``core_by_conjugates`` and ``normal_closure_by_conjugates`` intersect and
+close every conjugate of a subgroup, against the lattice's readers of its
+normal column.  ``normalizer_by_members`` conjugates a subgroup by every
+element, and ``is_isomorphic`` asks ``find_isomorphism`` for a map.
 
 ``lattice_isomorphism`` searches for a map between two lattices that
 keeps joins and meets, reading nothing but their order; it works on any
@@ -28,6 +31,7 @@ elements.
 """
 
 import functools
+import operator
 
 from modmax import catalog
 from modmax.groups import _cycle_images, bits, conjugate_mask, factorize, find_isomorphism
@@ -228,10 +232,45 @@ def column_by_members(lat, predicate: str, lo: int, hi: int) -> int:
         o[i] * o[j] == o[join_t[i][j]] * o[meet_t[i][j]] for j in others))
 
 
+def _cosets(G, mask: int, kmask: int):
+    """(least member x, mask of xK) for each left coset xK of the subgroup
+    K inside ``mask``, a union of such cosets."""
+    table, ks, seen = G.table, tuple(bits(kmask)), 0
+    for x in bits(mask):
+        if not seen >> x & 1:
+            row_x = table[x]
+            coset = sum(1 << row_x[k] for k in ks)
+            seen |= coset
+            yield x, coset
+
+
 def factor_centralizer_by_members(G, kmask: int, hmask: int) -> int:
-    """{g : [g, h] in K for every member h of H}, for K <= H normal in G."""
-    return sum(1 << g for g in range(G.order)
-               if all((kmask >> G.commutator(g, h)) & 1 for h in bits(hmask)))
+    """{g : [g, h] in K for every member h of H}, for K <= H normal in G.
+    K is normal, so [g, h] lies in K or not with g and h changed inside
+    their cosets gK and hK (the images in G/K do not change), and one
+    member of each coset is tried on each side."""
+    comm, whole = G.commutator, (1 << G.order) - 1
+    hs = [h for h, _ in _cosets(G, hmask, kmask)]
+    return sum(coset for g, coset in _cosets(G, whole, kmask)
+               if all(kmask >> comm(g, h) & 1 for h in hs))
+
+
+def conjugates_by_members(G, mask: int):
+    """Every conjugate gHg^-1 of H, g running over one member of each left
+    coset gH: (gh)H(gh)^-1 = gHg^-1 for h in H."""
+    for g, _ in _cosets(G, (1 << G.order) - 1, mask):
+        yield conjugate_mask(G, g, mask)
+
+
+def core_by_conjugates(G, mask: int) -> int:
+    """H_G, the intersection of every conjugate of H."""
+    return functools.reduce(operator.and_, conjugates_by_members(G, mask))
+
+
+def normal_closure_by_conjugates(G, mask: int) -> int:
+    """H^G, the subgroup generated by every conjugate of H."""
+    union = functools.reduce(operator.or_, conjugates_by_members(G, mask))
+    return close_mask(G.table, bits(union), G.order)
 
 
 def factor_is_cyclic_by_cosets(G, kmask: int, hmask: int) -> bool:

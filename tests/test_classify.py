@@ -33,9 +33,7 @@ from modmax.classify import (
 from modmax.groups import (
     SubgroupSet,
     bits,
-    centralizer_mask,
     conjugate_mask,
-    core,
     factorize,
     group_from_permutations,
     is_prime,
@@ -91,14 +89,12 @@ def test_frattini_factor_flag():
 @pytest.mark.parametrize("name", catalog.suite_names() + ["S4xC2", "A5", "E2^5"])
 def test_factor_centralizer_from_generators_matches_all_members(name):
     """Each chief factor's automizer order, read off the normal sublattice,
-    is |G| over the literal all-members C_G(H/K); and the centraliser read
-    off generators of H is the literal one on every subgroup H."""
+    is |G| over the literal all-members C_G(H/K).  The lattice's
+    ``centralizer`` on every normal pair is checked in ``test_groups``."""
     G = cached_group(name)
     for f in all_chief_factors(G):
         cent = factor_centralizer_by_members(G, f.below.mask, f.above.mask)
         assert f.automizer_order == G.order // cent.bit_count(), f.descriptor()
-    for H in lattice_of(G).subgroups:
-        assert centralizer_mask(G, H.mask) == factor_centralizer_by_members(G, 1, H.mask)
 
 
 @pytest.mark.parametrize("name", catalog.suite_names() + ["S4xC2", "A5", "E2^5"])
@@ -470,7 +466,7 @@ def test_primitive_quotient_semidirect_shape(suite_groups):
                     continue
                 if product_mask(G, M.mask, f.above.mask) != (1 << G.order) - 1:
                     continue
-                mg = core(G, M)
+                mg = lat.subgroups[lat.core(lat.index(M))]
                 q_core, _ = quotient(G, mg)
                 built = _semidirect_factor_by_automizer(G, f)
                 assert built.order == q_core.order

@@ -25,10 +25,8 @@ from modmax.groups import (
     _greedy_generators,
     automorphisms,
     bits,
-    centralizer,
     commutator_mask,
     conjugate_mask,
-    core,
     direct_product,
     find_isomorphism,
     group_from_cayley_table,
@@ -37,7 +35,6 @@ from modmax.groups import (
     group_from_permutations,
     is_normal_subgroup,
     load_group,
-    normal_closure,
     prime_spectrum,
     quotient,
     semidirect_product,
@@ -48,8 +45,11 @@ from modmax.groups import (
 from oracles import (
     cached_group,
     close_mask,
+    core_by_conjugates,
     cycles_to_perm,
+    factor_centralizer_by_members,
     is_isomorphic,
+    normal_closure_by_conjugates,
     normalizer_by_members,
     relabel,
 )
@@ -190,20 +190,28 @@ def test_generator_rows_that_give_no_group_table_are_refused(gen_rows, message):
 
 
 def _rows_along_the_tree(gen_rows):
-    """The rows a breadth-first walk from 0 builds from the permutations
-    ``gen_rows``, row_(g*y) = row_g o row_y along its spanning tree, as
+    """The rows the walk from 0 builds from the permutations ``gen_rows``,
+    row_(g*y) = row_g o row_y along its spanning tree, as
     ``group_from_generator_rows`` builds them: the table of a group only
-    when the permutations generate a regular one."""
+    when the permutations generate a regular one.  The generators are taken
+    one at a time, as the package takes them: a new generator's edges are
+    walked from every element reached before it, and every generator's
+    edges so far from each element reached after."""
     n = len(gen_rows[0])
     rows = [None] * n
     rows[0] = list(range(n))
-    reached = [0]
-    for y in reached:
-        for row_g in gen_rows:
-            z = row_g[y]
-            if rows[z] is None:
-                rows[z] = [row_g[v] for v in rows[y]]
-                reached.append(z)
+    reached, edges = [0], {}
+    for row_g in gen_rows:
+        if row_g[0] in edges:
+            continue
+        edges[row_g[0]] = row_g
+        old, every = len(reached), list(edges.values())
+        for i, y in enumerate(reached):
+            for row_h in [row_g] if i < old else every:
+                z = row_h[y]
+                if rows[z] is None:
+                    rows[z] = [row_h[v] for v in rows[y]]
+                    reached.append(z)
     return rows
 
 
@@ -353,23 +361,22 @@ def test_subgroup_generated_examples(suite_groups):
 
 
 def test_centralizer_and_normalizer(suite_groups):
+    from modmax.lattice import lattice_of
     s3 = suite_groups["S3"]
-    assert centralizer(s3, trivial_subgroup(s3)).order == 6
-    syl3 = next(s for s in _subgroups_of_order(s3, 3))
-    assert centralizer(s3, syl3).mask == syl3.mask
-    assert normalizer_by_members(s3, syl3.mask) == (1 << 6) - 1  # normal subgroup
+    lat = lattice_of(s3)
+    assert lat.centralizer(0) == lat.top()
+    syl3 = lat.index(_subgroups_of_order(s3, 3)[0])
+    assert lat.centralizer(syl3) == syl3
+    assert normalizer_by_members(s3, lat.subgroups[syl3].mask) == (1 << 6) - 1  # normal
 
 
 def test_core_and_normal_closure(suite_groups):
-    s3 = suite_groups["S3"]
-    c2 = next(s for s in _subgroups_of_order(s3, 2))
-    assert core(s3, c2).order == 1
-    assert normal_closure(s3, c2).order == 6
-
-    a4 = suite_groups["A4"]
-    c2 = next(s for s in _subgroups_of_order(a4, 2))
-    assert core(a4, c2).order == 1
-    assert normal_closure(a4, c2).order == 4
+    from modmax.lattice import lattice_of
+    for name, closure_order in (("S3", 6), ("A4", 4)):
+        lat = lattice_of(suite_groups[name])
+        c2 = lat.index(_subgroups_of_order(lat.group, 2)[0])
+        assert lat.core(c2) == 0
+        assert lat.subgroups[lat.normal_closure(c2)].order == closure_order
 
 
 def test_normalizer_of_normal_subgroup_is_whole_group(suite_groups):
@@ -382,38 +389,47 @@ def test_normalizer_of_normal_subgroup_is_whole_group(suite_groups):
 
 
 def test_core_and_closure_of_normal_subgroup(suite_groups):
-    a4 = suite_groups["A4"]
-    v4 = next(s for s in _subgroups_of_order(a4, 4))
-    assert core(a4, v4).mask == v4.mask
-    assert normal_closure(a4, v4).mask == v4.mask
+    from modmax.lattice import lattice_of
+    lat = lattice_of(suite_groups["A4"])
+    v4 = lat.index(_subgroups_of_order(lat.group, 4)[0])
+    assert lat.core(v4) == v4 == lat.normal_closure(v4)
 
 
 def test_normality_by_generators_matches_all_elements(suite_groups):
-    """Normality and normal closure read off the generators agree with the
-    definitions over every element, on every subgroup of the suite."""
+    """Normality read off the generators agrees with the definition over
+    every element, on every subgroup of the suite."""
     from modmax.lattice import lattice_of
     for G in suite_groups.values():
         for S in lattice_of(G).subgroups:
             conjugates = [conjugate_mask(G, g, S.mask) for g in range(G.order)]
             assert is_normal_subgroup(G, S) == all(c == S.mask for c in conjugates)
-            union = 0
-            for c in conjugates:
-                union |= c
-            assert normal_closure(G, S).mask == close_mask(G.table, bits(union), G.order)
 
 
-@pytest.mark.parametrize(
-    "name", catalog.suite_names() + ["S4xC2", "A5", "E2^3xS3", "S5"])
+# the suite and the largest groups whose every subgroup the conjugate
+# oracles reach within a few seconds
+READER_GROUPS = catalog.suite_names() + [
+    "S4xC2", "A5", "E2^3xS3", "S5", "SL23xS3", "pq2_5_19"]
+
+
+@pytest.mark.parametrize("name", READER_GROUPS)
 def test_core_by_generators_matches_all_elements(name):
-    """The core read off the generators is the intersection of the
-    conjugates by every element, on every subgroup."""
+    """The core read off the lattice's normal column is the intersection
+    of every conjugate, on every subgroup."""
     from modmax.lattice import lattice_of
-    G = cached_group(name)
-    for S in lattice_of(G).subgroups:
-        meet = S.mask
-        for g in range(G.order):
-            meet &= conjugate_mask(G, g, S.mask)
-        assert core(G, S).mask == meet
+    lat = lattice_of(cached_group(name))
+    for i, S in enumerate(lat.subgroups):
+        assert lat.subgroups[lat.core(i)].mask == core_by_conjugates(lat.group, S.mask), i
+
+
+@pytest.mark.parametrize("name", READER_GROUPS)
+def test_normal_closure_matches_the_closure_of_all_conjugates(name):
+    """The normal closure read off the lattice's normal column is the
+    subgroup every conjugate generates, on every subgroup."""
+    from modmax.lattice import lattice_of
+    lat = lattice_of(cached_group(name))
+    for i, S in enumerate(lat.subgroups):
+        assert (lat.subgroups[lat.normal_closure(i)].mask
+                == normal_closure_by_conjugates(lat.group, S.mask)), i
 
 
 def _subgroups_of_order(G, k):
@@ -422,9 +438,11 @@ def _subgroups_of_order(G, k):
 
 
 def test_derived_and_center(suite_groups):
+    from modmax.lattice import lattice_of
+
     def derived_and_center(G):
-        full = (1 << G.order) - 1
-        return commutator_mask(G, full, full), centralizer(G, whole_group(G)).mask
+        full, lat = (1 << G.order) - 1, lattice_of(G)
+        return commutator_mask(G, full, full), lat.subgroups[lat.centralizer(lat.top())].mask
 
     derived, centre = derived_and_center(suite_groups["C12"])
     assert (derived.bit_count(), centre.bit_count()) == (1, 12)
@@ -670,12 +688,14 @@ def test_closure_extends_a_subgroup_in_each_of_its_two_cases(data):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_core_inside_subgroup_inside_closure(data):
+    from modmax.lattice import lattice_of
     name = data.draw(st.sampled_from(_SEED_NAMES))
     G = cached_group(name)
+    lat = lattice_of(G)
     seed = data.draw(st.sets(st.integers(0, G.order - 1), max_size=2))
-    H = SubgroupSet(G, close_mask(G.table, seed, G.order))
-    c = core(G, H)
-    n = normal_closure(G, H)
+    h = lat.index(SubgroupSet(G, close_mask(G.table, seed, G.order)))
+    c, n = lat.subgroups[lat.core(h)], lat.subgroups[lat.normal_closure(h)]
+    H = lat.subgroups[h]
     assert c.mask & H.mask == c.mask
     assert H.mask & n.mask == H.mask
     assert is_normal_subgroup(G, c)
@@ -1019,14 +1039,17 @@ def test_commutator_subgroups_from_generators_match_all_members(name):
     assert commutator_mask(G, full, full) == _commutators_of_members(G, full, full)
 
 
-@pytest.mark.parametrize("name", ORACLE_GROUPS)
+@pytest.mark.parametrize("name", ORACLE_GROUPS + ["S5", "SL23xS3", "pq2_5_19"])
 def test_centralizer_from_generators_matches_all_members(name):
+    """C_G(H/K) read off the normal column is the literal one on every
+    pair K <= H of normal subgroups (C_G(H) at K = 1)."""
     from modmax.lattice import lattice_of
-    G = cached_group(name)
-    for S in lattice_of(G).subgroups:
-        expected = sum(1 << g for g in range(G.order)
-                       if all(G.table[g][s] == G.table[s][g] for s in S))
-        assert centralizer(G, S).mask == expected, (name, S)
+    lat = lattice_of(cached_group(name))
+    masks = [s.mask for s in lat.subgroups]
+    for h in lat.normal_indices():
+        for k in bits(lat.down[h] & lat.normal):
+            expected = factor_centralizer_by_members(lat.group, masks[k], masks[h])
+            assert masks[lat.centralizer(h, k)] == expected, (name, h, k)
 
 
 # -- construction: tables copied from generator rows against per-entry fillers

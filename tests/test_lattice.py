@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from modmax import catalog
 from modmax import lattice as lattice_module
-from modmax.groups import SubgroupSet, centralizer, quotient, whole_group
+from modmax.groups import SubgroupSet, quotient, whole_group
 from modmax.lattice import (
     BadDepth, TooManySubgroups, enumerate_lattice, lattice_of)
 from modmax.verify import run_suite
@@ -205,13 +205,44 @@ def test_subnormality(suite_groups):
             assert lat.is_subnormal(i)
 
 
+def test_subnormal_column_is_answered_on_the_whole_lattice_only(suite_groups):
+    """``is_subnormal`` reads the "subnormal" column of the whole lattice;
+    a subgroup or quotient section has no such column."""
+    lat = lattice_of(suite_groups["S4"])
+    column = lat.column("subnormal")
+    assert column == sum(1 << i for i in range(lat.size) if lat.is_subnormal(i))
+    assert column & lat.normal == lat.normal != column  # a non-normal subnormal V4 <= A4
+    top, v4 = lat.top(), lat.normal_indices()[1]
+    for section in ((0, lat.covers_down[top][0]), (v4, top)):
+        with pytest.raises(KeyError, match="subnormal"):
+            lat.column("subnormal", section)
+
+
+def test_index_refuses_a_subgroup_set_of_another_group(suite_groups):
+    """A ``SubgroupSet`` is read only by the lattice of its own group, not
+    by its mask in another: C6's subgroups of order 2 and 3 have masks of
+    S3's subgroups, and an S3 built again is another group."""
+    s3 = suite_groups["S3"]
+    lat = lattice_of(s3)
+    foreign = [s for s in lattice_of(catalog.construct("C6")).subgroups
+               if s.order in (2, 3)]
+    foreign.append(SubgroupSet(catalog.construct("S3"), lat.subgroups[1].mask))
+    for H in foreign:
+        assert H.mask in lat.index_of
+        for read in (lat.index, lat.is_normal, lat.is_subnormal, lat.is_modular):
+            with pytest.raises(KeyError):
+                read(H)
+    assert lat.index(lat.subgroups[1]) == 1
+
+
 def test_frattini_examples(suite_groups):
     assert lattice_of(suite_groups["S3"]).frattini().order == 1
     assert lattice_of(catalog.construct("C4")).frattini().order == 2
     q8 = suite_groups["Q8"]
-    phi = lattice_of(q8).frattini()
+    lat = lattice_of(q8)
+    phi = lat.frattini()
     assert phi.order == 2
-    assert phi.mask == centralizer(q8, whole_group(q8)).mask
+    assert phi == lat.subgroups[lat.centralizer(lat.top())]  # the centre
 
 
 @pytest.mark.parametrize("name", ["C12", "D8", "Q8", "A4", "S4", "A4xC2", "pq2_2_3"])

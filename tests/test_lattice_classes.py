@@ -4,10 +4,10 @@ per-member evaluation.
 The enumeration finds the subgroups one orbit at a time, under the group
 that conjugation and the automorphisms ``found_automorphisms`` finds and
 verifies generate, and each orbit class by class, so the lattice records
-both each subgroup's conjugacy class and its orbit.  It evaluates the predicate
-columns of the whole lattice on one representative per orbit, those of
-every other quotient section [N, G] on one per class, and memoises
-subnormality per orbit.  The oracles in ``oracles.py`` evaluate every
+both each subgroup's conjugacy class and its orbit.  It evaluates the
+predicate columns of the whole lattice, subnormality's included, on one
+representative per orbit, and those of every other quotient section
+[N, G] on one per class.  The oracles in ``oracles.py`` evaluate every
 member on its own: the columns with quantifier loops (Kurosh's conditions
 (i) and (ii) literally, not by counting; permutability against every
 member, not only the primary cyclic ones), subnormality by joining the
@@ -125,7 +125,7 @@ def test_orbit_answers_on_relabelled_tables(name, seed):
     _assert_orbit_answers_match(lat, G.name)
 
 
-@pytest.mark.parametrize("name", GROUPS)
+@pytest.mark.parametrize("name", GROUPS + ["SL23xS3", "pq2_5_19"])
 def test_subnormality_matches_the_all_members_loop(name):
     lat = lattice_of(cached_group(name))
     for i in range(lat.size):
