@@ -24,7 +24,7 @@ print(f"   3-maximal subgroups: {[s.order for s in n3]} "
       "(just the trivial one, which is modular)")
 chain = lat.witness_chain(0, 3)
 print(f"   a witnessing chain of subgroup orders: "
-      f"{' > '.join(map(str, chain.orders()))}")
+      f"{' > '.join(str(lat.subgroups[i].order) for i in chain)}")
 print(f"   supersoluble: {is_supersoluble(a4)}")
 print("   So at n=3 every n-maximal subgroup is modular, yet the conclusion")
 print("   is false. The theorem survives only because 3 > 2: the bound on n")

@@ -22,7 +22,6 @@ from .classify import (
     ChiefFactor,
     ClassProfile,
     all_chief_factors,
-    chief_series,
     classify,
     dispersive_orderings,
     is_abelian,
@@ -53,10 +52,9 @@ from .groups import (
     quotient,
     semidirect_product,
     subgroup_as_group,
-    trivial_subgroup,
     whole_group,
 )
-from .lattice import MaximalChain, SubgroupLattice, enumerate_lattice, lattice_of
+from .lattice import SubgroupLattice, enumerate_lattice, lattice_of
 from .verify import (
     ModularityCensus,
     SuiteResult,

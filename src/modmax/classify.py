@@ -63,7 +63,6 @@ from .groups import (
     quotient,
     squarefree,
     subgroup_as_group,
-    trivial_subgroup,
     whole_group,
 )
 from .lattice import lattice_of
@@ -143,11 +142,12 @@ def all_chief_factors(G: Group) -> tuple[ChiefFactor, ...]:
 
 
 def _chief_factors(G: Group) -> tuple[ChiefFactor, ...]:
-    """Both answers of each factor H/K are read off the normal sublattice:
-    the automizer order is |G| over C_G(H/K), the lattice's
-    ``centralizer(h, k)``, and H/K is cyclic exactly when its order is
-    prime.  H/K is minimal normal in G/K, so characteristically simple, and
-    a cyclic group has a characteristic subgroup of each order dividing its
+    """Each factor H/K is read off the lattice: the automizer order is
+    |G| over C_G(H/K), the lattice's ``centralizer(h, k)``, H/K is a
+    Frattini factor when H lies below ``frattini(k)``, the preimage of
+    Frattini(G/K), and H/K is cyclic exactly when its order is prime.
+    H/K is minimal normal in G/K, so characteristically simple, and a
+    cyclic group has a characteristic subgroup of each order dividing its
     own.  Neither fact is a theorem under test."""
     lat = lattice_of(G)
     factors = []
@@ -157,36 +157,14 @@ def _chief_factors(G: Group) -> tuple[ChiefFactor, ...]:
         for h in bits(above):
             shadow |= lat.up[h] & ~(1 << h)
         K = lat.subgroups[k]
-        frattini = lat.frattini(k).mask
+        frattini = lat.down[lat.frattini(k)]
         for h in bits(above & ~shadow):
             H = lat.subgroups[h]
             forder = H.order // K.order
             aut = G.order // lat.subgroups[lat.centralizer(h, k)].order
             factors.append(ChiefFactor(K, H, forder, aut, is_prime(forder),
-                                       H.mask & frattini == H.mask))
+                                       bool(frattini >> h & 1)))
     return tuple(factors)
-
-
-def chief_series(G: Group, prefer: str = "first") -> tuple[ChiefFactor, ...]:
-    """One ascending chief series, extracted greedily.
-
-    ``prefer`` picks which normal cover to take at each step ("first" or
-    "last" in canonical order); used to cross-check series independence.
-    """
-    if prefer not in ("first", "last"):
-        raise ValueError(f"prefer must be 'first' or 'last', not {prefer!r}")
-    factors = all_chief_factors(G)
-    series = []
-    current = trivial_subgroup(G).mask
-    full = whole_group(G).mask
-    while current != full:
-        choices = [f for f in factors if f.below.mask == current]
-        if not choices:
-            raise InternalCheckError("chief series extraction stalled")
-        step = choices[0] if prefer == "first" else choices[-1]
-        series.append(step)
-        current = step.above.mask
-    return tuple(series)
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +362,11 @@ def _residual(G: Group, test, label: str) -> SubgroupSet:
     for f in all_chief_factors(G):
         if not test(f):
             bad |= 1 << lat.index(f.below)
-    mask = whole_group(G).mask
+    inside = lat.down[lat.top()]
     for n in bits(lat.normal):
         if not lat.up[n] & bad:
-            mask &= lat.subgroups[n].mask
-    r = SubgroupSet(G, mask)
+            inside &= lat.down[n]
+    r = lat.subgroups[inside.bit_length() - 1]
     if not _ask_derived(G, quotient(G, r)[0],
                         lambda Q: all(map(test, all_chief_factors(Q)))):
         raise InternalCheckError(

@@ -487,10 +487,6 @@ _set_parent = SubgroupSet.parent.__set__
 _set_mask = SubgroupSet.mask.__set__
 
 
-def trivial_subgroup(G: Group) -> SubgroupSet:
-    return SubgroupSet(G, 1)
-
-
 def whole_group(G: Group) -> SubgroupSet:
     return SubgroupSet(G, (1 << G.order) - 1)
 

@@ -3,18 +3,21 @@
 Two classes split what the lattice alone decides from what needs the
 group.  ``Lattice`` is built from the up-sets of any finite lattice whose
 indices extend its order (0 the bottom, n - 1 the top) and holds no
-group: inclusion, covers, the n-maximal layers, join and meet rows,
-interval sizes and the modular column of every section [lo, hi].  Kurosh's
-conditions use only joins, meets and order, and an n-maximal element is the
-end of a chain of covers, so these answers are the same on every lattice
-isomorphic to it (R. Schmidt, *Subgroup Lattices of Groups*, 1994, section
-2.1).  ``SubgroupLattice(Lattice)`` computes the up-sets from the subgroups
-of a group and adds what needs the group: the subgroups themselves,
-normality, conjugacy classes and automorphism orbits (which let a column
-be evaluated once per block), the quasinormal, S-quasinormal and
-subnormal columns, the readers of the normal column (``core``,
-``normal_closure`` and ``centralizer``), ``frattini``, ``witness_chain``
-and ``to_dot``.
+group: inclusion, covers, the n-maximal layers with a chain of covers down
+to each member (``witness_chain``), the meet of the maximal elements above
+an element (``frattini``), join and meet rows, interval sizes and the
+modular column of every section [lo, hi].  Kurosh's conditions use only
+joins, meets and order, and an n-maximal element is the end of a chain of
+covers, so these answers are the same on every lattice isomorphic to it
+(R. Schmidt, *Subgroup Lattices of Groups*, 1994, section 2.1).
+``SubgroupLattice(Lattice)`` computes the up-sets from the subgroups of a
+group and adds what needs the group: the subgroups themselves, normality,
+conjugacy classes and automorphism orbits (which let a column be evaluated
+once per block), the quasinormal, S-quasinormal and subnormal columns, the
+readers of the normal column (``core``, ``normal_closure`` and
+``centralizer``) and ``to_dot``.  Every reader that answers with elements
+takes and returns lattice indices; ``subgroups[i]`` is the subgroup at
+index i, read where one is shown or rebuilt.
 
 The lattice of a group is enumerated once by cyclic extension and cached on
 the group.  Starting from the trivial subgroup, a subgroup H is extended by
@@ -172,60 +175,14 @@ class _Rows(dict):
         return map(self.__getitem__, range(self._n))
 
 
-class MaximalChain:
-    """A chain G = M0 > M1 > ... > Mn of lattice indices, each step a cover.
-
-    Read-only, and equal and hashed by ``(lattice, indices)``.
-    """
-
-    __slots__ = ("lattice", "indices")
-
-    def __init__(self, lattice: SubgroupLattice, indices: tuple[int, ...]):
-        if not indices or indices[0] != lattice.top():
-            raise BadDepth("chain must start at the whole group")
-        for parent, child in zip(indices, indices[1:]):
-            if child not in lattice.covers_down[parent]:
-                raise BadDepth(
-                    f"step {parent} > {child} is not a cover")
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "indices", indices)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.lattice, self.indices) == (other.lattice, other.indices)
-
-    def __hash__(self) -> int:
-        return hash((self.lattice, self.indices))
-
-    def __reduce__(self):
-        return self.__class__, (self.lattice, self.indices)
-
-    def __repr__(self) -> str:
-        return (f"{self.__class__.__qualname__}(lattice={self.lattice!r}, "
-                f"indices={self.indices!r})")
-
-    @property
-    def length(self) -> int:
-        return len(self.indices) - 1
-
-    def orders(self) -> tuple[int, ...]:
-        return tuple(self.lattice.subgroups[i].order for i in self.indices)
-
-
 class Lattice:
     """A finite lattice given by the up-sets of its elements, indexed in
     an order that extends the lattice's (0 the bottom, n - 1 the top):
-    inclusion, covers, n-maximal layers, join/meet tables whose rows are
-    built on first read (``join_t[i][j]``, ``meet_t[i][j]``; each row a
-    tuple of shared ints), interval sizes and the modular column of every
-    section.  It holds no group."""
+    inclusion, covers, n-maximal layers and their witness chains, the
+    meet of the maximal elements above one (``frattini``), join/meet
+    tables whose rows are built on first read (``join_t[i][j]``,
+    ``meet_t[i][j]``; each row a tuple of shared ints), interval sizes and
+    the modular column of every section.  It holds no group."""
 
     def __init__(self, up):
         n = len(up)
@@ -319,6 +276,30 @@ class Lattice:
 
     def is_n_maximal(self, H, n: int) -> bool:
         return bool(self.n_maximal_bits(n) >> self.index(H) & 1)
+
+    def witness_chain(self, H, n: int) -> tuple[int, ...]:
+        """A chain top = M0 > M1 > ... > Mn = H of indices, each step a
+        cover, climbed from H through the least cover in the layer above.
+        Raises BadDepth when H is not n-maximal."""
+        i = self.index(H)
+        if not self.is_n_maximal(i, n):
+            raise BadDepth(f"element {i} is not {n}-maximal")
+        chain = [i]
+        for k in range(n - 1, -1, -1):
+            chain.append(min(p for p in self.covers_up[chain[-1]]
+                             if self.layers[k] >> p & 1))
+        return tuple(reversed(chain))
+
+    def frattini(self, k=0) -> int:
+        """The meet of the maximal elements above k (of every one at
+        k = 0): the highest index inside all of them.  In a subgroup
+        lattice it is the Frattini subgroup at k = 0, and for k normal the
+        preimage of the Frattini subgroup of G/K (correspondence theorem)."""
+        down = self.down
+        inside = down[self.top()]
+        for i in bits(self.up[self.index(k)] & self.n_maximal_bits(1)):
+            inside &= down[i]
+        return inside.bit_length() - 1
 
     # -- predicate columns ----------------------------------------------------
 
@@ -469,32 +450,6 @@ class SubgroupLattice(Lattice):
             if all(km >> G.commutator(a, x) & 1 for a in gens(n) for x in h_gens):
                 return n
             normals ^= 1 << n
-
-    def witness_chain(self, H, n: int) -> MaximalChain:
-        """One maximal chain of length n from the whole group down to H,
-        reconstructed over the cover relation (least parent index at each
-        step).  Raises BadDepth when H is not n-maximal."""
-        i = self.index(H)
-        if not self.is_n_maximal(i, n):
-            raise BadDepth(
-                f"subgroup of order {self.subgroups[i].order} is not "
-                f"{n}-maximal")
-        chain = [i]
-        for k in range(n - 1, -1, -1):
-            chain.append(min(p for p in self.covers_up[chain[-1]]
-                             if self.layers[k] >> p & 1))
-        return MaximalChain(self, tuple(reversed(chain)))
-
-    def frattini(self, K=None) -> SubgroupSet:
-        """Intersection of the maximal subgroups of the whole group that
-        contain K (every one when K is None).  For K normal it is the
-        preimage of the Frattini subgroup of G/K (correspondence theorem)."""
-        inside_k = self.up[0 if K is None else self.index(K)]
-        mask = self.subgroups[self.top()].mask
-        for i in self.covers_down[self.top()]:
-            if inside_k >> i & 1:
-                mask &= self.subgroups[i].mask
-        return self.subgroups[self.index_of[mask]]
 
     # -- predicate columns ----------------------------------------------------
 

@@ -65,7 +65,6 @@ from .classify import (
     is_soluble,
     is_strongly_supersoluble,
     is_supersoluble,
-    normal_subgroups,
     residual_strongly_supersoluble,
 )
 from .groups import (
@@ -73,6 +72,7 @@ from .groups import (
     SubgroupSet,
     _ask_derived,
     _forget,
+    _greedy_generators,
     _memo,
     bits,
     conjugate_mask,
@@ -303,16 +303,17 @@ def _residual_hall_conclusion(G: Group, lat, n: int):
 # ---------------------------------------------------------------------------
 # propositions
 
-def _quotient_nearly_nilpotent(G: Group, lat, N: SubgroupSet) -> bool:
-    """G/N is nearly nilpotent, asked of the rebuilt quotient: read through
-    G's chief factors the check would be a tautology.  G/N is isomorphic to
-    G/phi(N) for every automorphism phi, so the answer is memoised on G per
-    orbit of N (``lat.orbit_of``) and asked of the quotient by the orbit's
-    least member, which is not kept."""
-    orbit = lat.orbit_of[lat.index(N)]
-    rep = lat.subgroups[(orbit & -orbit).bit_length() - 1]
-    return _memo(G, ("nearly nilpotent quotient", rep.mask),
-                 lambda: _ask_derived(G, quotient(G, rep)[0], is_nearly_nilpotent))
+def _quotient_nearly_nilpotent(G: Group, lat, n: int) -> bool:
+    """G/N is nearly nilpotent, for N the normal subgroup at index n, asked
+    of the rebuilt quotient: read through G's chief factors the check would
+    be a tautology.  G/N is isomorphic to G/phi(N) for every automorphism
+    phi, so the answer is memoised on G per orbit of n (``lat.orbit_of``)
+    and asked of the quotient by the orbit's least member, which is not
+    kept."""
+    orbit = lat.orbit_of[n]
+    rep = (orbit & -orbit).bit_length() - 1
+    return _memo(G, ("nearly nilpotent quotient", rep), lambda: _ask_derived(
+        G, quotient(G, lat.subgroups[rep])[0], is_nearly_nilpotent))
 
 
 def _prop_2_9_cases(G: Group, lat) -> tuple[bool, bool]:
@@ -335,11 +336,10 @@ def _prop_2_9_conclusion(G: Group, lat):
     if nn_here:
         if not is_strongly_supersoluble(G):
             witnesses.append("nearly nilpotent but not strongly supersoluble")
-        for N in normal_subgroups(G):
-            if not _quotient_nearly_nilpotent(G, lat, N):
-                witnesses.append(
-                    f"quotient by normal subgroup of order {N.order} "
-                    "is not nearly nilpotent")
+        for n in lat.normal_indices():
+            if not _quotient_nearly_nilpotent(G, lat, n):
+                witnesses.append(f"quotient by normal subgroup of order "
+                                 f"{lat.subgroups[n].order} is not nearly nilpotent")
     if nn_frattini_quotient and not nn_here:
         witnesses.append("Frattini quotient nearly nilpotent, group is not")
     return not witnesses, witnesses
@@ -474,14 +474,16 @@ def _core_free_decomposition(G: Group, lat, M: SubgroupSet, decompositions) -> b
 
 
 def _is_nonnormal_sylow_of(G: Group, S: SubgroupSet, q_mask: int) -> bool:
-    """The subgroup ``q_mask`` of S is a Sylow subgroup of S, not normal in S."""
+    """The subgroup ``q_mask`` of S is a Sylow subgroup of S, not normal in
+    S: S normalises it exactly when each of S's generators does."""
     fac = factorize(q_mask.bit_count())
     if len(fac) != 1:
         return False
     (p, e), = fac.items()
     if e != factorize(S.order)[p]:
         return False
-    return any(conjugate_mask(G, g, q_mask) != q_mask for g in S.members())
+    return any(conjugate_mask(G, g, q_mask) != q_mask
+               for g in _greedy_generators(G.table, S.mask))
 
 
 def _restriction_failures(lat, predicate: str, members, word: str) -> list[str]:
@@ -531,11 +533,10 @@ def _lemma_2_3_conclusion(G: Group, lat):
     for hi in lat.normal_indices():
         # G/H is the section [H, G]; K >= H is its own image there
         in_quotient = lat.column("s_quasinormal", (hi, top))
-        for k in lat.above[hi]:
-            if (squasi_bits ^ in_quotient) >> k & 1:
-                bad.append(
-                    f"quotient correspondence fails for {_descriptor(lat, k)} "
-                    f"over normal of order {lat.subgroups[hi].order}")
+        for k in bits((squasi_bits ^ in_quotient) & lat.up[hi]):
+            bad.append(
+                f"quotient correspondence fails for {_descriptor(lat, k)} "
+                f"over normal of order {lat.subgroups[hi].order}")
     subs = lat.subgroups
     for h in squasi:
         if not lat.is_subnormal(h):
@@ -585,26 +586,22 @@ def _lemma_2_10_conclusion(G: Group, lat):
     a subgroup that is neither."""
     bad = []
     pairs = _primitive_pairs(G, lat)
-    placed = lat.modular | lat.s_quasinormal
+    placed, subs = lat.modular | lat.s_quasinormal, lat.subgroups
     for ri, mi in pairs:
-        R, M = lat.subgroups[ri], lat.subgroups[mi]
+        R, M = subs[ri], subs[mi]
         proper = lat.down[mi] & ~(1 << mi | 1)
         for ti in bits(proper & placed):
             bad.append(
                 f"{_descriptor(lat, ti)} inside the stabiliser is "
                 "modular or S-quasinormal")
         if is_prime(M.order):
-            sizes = sorted({lat.subgroups[v].order for v in lat.below[ri]
-                            if 1 < lat.subgroups[v].order < R.order})
-            for size in sizes:
-                found = any(
-                    not placed >> v & 1
-                    for v in lat.below[ri]
-                    if lat.subgroups[v].order == size)
-                if not found:
-                    bad.append(
-                        f"every subgroup of order {size} inside the socle is "
-                        "modular or S-quasinormal")
+            # the orders inside R that no unplaced subgroup of R has
+            orders = {subs[v].order for v in lat.below[ri]}
+            orders -= {subs[v].order for v in bits(lat.down[ri] & ~placed)}
+            for size in sorted(o for o in orders if 1 < o < R.order):
+                bad.append(
+                    f"every subgroup of order {size} inside the socle is "
+                    "modular or S-quasinormal")
     return not bad, [f"{len(pairs)} primitive decompositions checked"] + bad
 
 

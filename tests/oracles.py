@@ -13,6 +13,8 @@ against the lattice's rows built on first read.
 The chief-factor oracles decide C_G(H/K) and cyclicity of H/K by looping
 over every member (every coset of K, which decides the same), the way
 ``classify`` did before it read both off the normal sublattice.
+``chief_series`` climbs one chief series through them, taking the first or
+the last normal cover at each step, for the Jordan-Hoelder comparison.
 ``core_by_conjugates`` and ``normal_closure_by_conjugates`` intersect and
 close every conjugate of a subgroup, against the lattice's readers of its
 normal column.  ``normalizer_by_members`` conjugates a subgroup by every
@@ -34,6 +36,7 @@ import functools
 import operator
 
 from modmax import catalog
+from modmax.classify import all_chief_factors
 from modmax.groups import _cycle_images, bits, conjugate_mask, factorize, find_isomorphism
 
 cached_group = functools.cache(catalog.construct)
@@ -253,6 +256,19 @@ def factor_centralizer_by_members(G, kmask: int, hmask: int) -> int:
     hs = [h for h, _ in _cosets(G, hmask, kmask)]
     return sum(coset for g, coset in _cosets(G, whole, kmask)
                if all(kmask >> comm(g, h) & 1 for h in hs))
+
+
+def chief_series(G, last: bool = False) -> tuple:
+    """One ascending chief series of ``all_chief_factors``, each factor
+    starting where the one before ended: at each step the first normal
+    cover of the current term in canonical order, or the last with
+    ``last``."""
+    factors, current, series = all_chief_factors(G), 1, []
+    while current != (1 << G.order) - 1:
+        step = [f for f in factors if f.below.mask == current][-1 if last else 0]
+        series.append(step)
+        current = step.above.mask
+    return tuple(series)
 
 
 def conjugates_by_members(G, mask: int):

@@ -15,6 +15,9 @@ lattices", *Algebra Universalis*, 1971): 1 + 6 + 4 + 1 = 12 of Pi_4's and
 1 + 10 + 10 + 5 + 1 = 27 of Pi_5's.  Condition (ii) cuts them to 6 and 7.
 In N_5, a satisfies (i) but not (ii) (a v (c ^ b) = a, (a v c) ^ b = b),
 and c fails (i) at a <= b; b, 0 and 1 are modular.
+
+``frattini`` and ``witness_chain`` read only the order too, and are
+checked on the same lattices against the meet table built whole.
 """
 
 import pytest
@@ -110,3 +113,23 @@ def test_a_lattice_holds_no_group():
         lat.column("quasinormal")
     with pytest.raises(KeyError, match="not an element of this lattice"):
         lat.index(lat.size)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_frattini_and_witness_chains_need_no_group(name):
+    """frattini(k) is the meet, read in the table built whole, of the
+    maximal elements above k (the top when there is none), and each
+    n-maximal element's witness chain climbs n covers to the top."""
+    lat = Lattice(LATTICES[name][0])
+    _, meet_t = join_meet_tables(lat)
+    top = lat.top()
+    for k in range(lat.size):
+        meet = top
+        for m in bits(lat.up[k] & lat.layers[1]):
+            meet = meet_t[meet][m]
+        assert lat.frattini(k) == meet, (name, k)
+    for n in range(1, len(lat.layers)):
+        for i in bits(lat.layers[n]):
+            chain = lat.witness_chain(i, n)
+            assert len(chain) == n + 1 and (chain[0], chain[-1]) == (top, i)
+            assert all(c in lat.covers_down[p] for p, c in zip(chain, chain[1:]))

@@ -46,3 +46,12 @@ def test_main_prints_each_file_and_the_total(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["8", "1", "9"]
     assert lines[-1].split()[1] == "total"
+
+
+def test_a_missing_path_is_named_and_nothing_is_counted(tmp_path, capsys):
+    (tmp_path / "a.py").write_text("x = 1\n", encoding="utf-8")
+    missing = str(tmp_path / "nonexist")
+    assert code_lines.main([str(tmp_path), missing]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"code_lines: no such file or directory: {missing}\n"

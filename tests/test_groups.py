@@ -39,7 +39,6 @@ from modmax.groups import (
     quotient,
     semidirect_product,
     subgroup_as_group,
-    trivial_subgroup,
     whole_group,
 )
 from oracles import (
@@ -454,7 +453,7 @@ def test_derived_and_center(suite_groups):
 
 def test_quotient_examples(suite_groups):
     a4 = suite_groups["A4"]
-    q, proj = quotient(a4, trivial_subgroup(a4))
+    q, proj = quotient(a4, SubgroupSet(a4, 1))
     assert q.order == 12 and is_isomorphic(q, a4)
     q, proj = quotient(a4, whole_group(a4))
     assert q.order == 1
@@ -1008,8 +1007,8 @@ def _quotient_by_cosets(G, N):
 @pytest.mark.parametrize("name", sorted(set(catalog._NAMED) | set(catalog.suite_names())))
 def test_quotient_by_the_trivial_subgroup_is_the_group(name):
     G = cached_group(name)
-    Q, proj = _quotient_by_cosets(G, trivial_subgroup(G))
-    assert quotient(G, trivial_subgroup(G)) == (G, proj)
+    Q, proj = _quotient_by_cosets(G, SubgroupSet(G, 1))
+    assert quotient(G, SubgroupSet(G, 1)) == (G, proj)
     assert Q.table == G.table and Q.generator_indices == G.generator_indices
 
 

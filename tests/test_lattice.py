@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from modmax import catalog
 from modmax import lattice as lattice_module
-from modmax.groups import SubgroupSet, quotient, whole_group
+from modmax.groups import SubgroupSet, bits, quotient, whole_group
 from modmax.lattice import (
     BadDepth, TooManySubgroups, enumerate_lattice, lattice_of)
 from modmax.verify import run_suite
@@ -103,48 +103,45 @@ def test_one_member_sections_are_modular(suite_groups):
     assert lattice_of(suite_groups["1"]).modular == 1
 
 
+@pytest.mark.parametrize("name", [*SUITE, "S5", "SL23xS3"])
+def test_witness_chains_climb_covers_from_the_top(name):
+    """Every n-maximal i has a chain of n covers from the top down to i,
+    as a tuple of n + 1 indices."""
+    lat = lattice_of(cached_group(name))
+    for n in range(1, len(lat.layers)):
+        for i in bits(lat.layers[n]):
+            chain = lat.witness_chain(i, n)
+            assert type(chain) is tuple and len(chain) == n + 1
+            assert chain[0] == lat.top() and chain[-1] == i
+            for parent, child in zip(chain, chain[1:]):
+                assert child in lat.covers_down[parent], (name, i, n, chain)
+
+
 def test_witness_chains(suite_groups):
     a4 = lattice_of(suite_groups["A4"])
     chain = a4.witness_chain(0, 3)
-    assert chain.orders() == (12, 4, 2, 1)
-    assert chain.length == 3
-    # every (H, n) with H in layer n has a reconstructible chain
-    for name in ("S3", "A4", "SL23", "C3:C4"):
-        lat = lattice_of(suite_groups[name])
-        for i in range(lat.size):
-            for n in range(1, len(lat.layers)):
-                if not lat.layers[n] >> i & 1:
-                    continue
-                ch = lat.witness_chain(i, n)
-                assert ch.length == n
-                assert ch.indices[-1] == i
+    assert tuple(a4.subgroups[i].order for i in chain) == (12, 4, 2, 1)
+    assert a4.witness_chain(a4.subgroups[0], 3) == chain
+    # 1 is covered by S3's three subgroups of order 2 and by C3, all
+    # maximal: the chain climbs through the least index, of order 2
+    s3 = lattice_of(suite_groups["S3"])
+    assert tuple(s3.subgroups[i].order for i in s3.witness_chain(0, 2)) == (6, 2, 1)
     with pytest.raises(BadDepth):
-        lattice_of(suite_groups["S3"]).witness_chain(0, 3)  # only 2-maximal
+        s3.witness_chain(0, 3)  # only 2-maximal
 
 
-def test_maximal_chain_validates_cover_steps(suite_groups):
-    from modmax.lattice import MaximalChain
-    lat = lattice_of(suite_groups["S3"])
-    with pytest.raises(BadDepth):
-        MaximalChain(lat, (lat.top(), 0))  # whole group does not cover 1
-
-
-def test_subgroup_sets_and_chains_are_read_only_values(suite_groups):
+def test_subgroup_sets_are_read_only_values(suite_groups):
     """Assignment and deletion raise, equality and hashing go by the
     fields, and copies and pickles round-trip."""
     G = suite_groups["S3"]
-    lat = lattice_of(G)
-    H = lat.subgroups[1]
-    chain = lat.witness_chain(H, 1)
-    for record, field in ((H, "mask"), (chain, "indices")):
-        with pytest.raises(AttributeError, match=field):
-            setattr(record, field, None)
-        with pytest.raises(AttributeError, match=field):
-            delattr(record, field)
+    H = lattice_of(G).subgroups[1]
+    with pytest.raises(AttributeError, match="mask"):
+        H.mask = None
+    with pytest.raises(AttributeError, match="mask"):
+        del H.mask
     again = SubgroupSet(G, H.mask)
     assert again == H and hash(again) == hash(H) and again is not H
     assert SubgroupSet(catalog.construct("S3"), H.mask) != H  # another parent
-    assert {chain, lat.witness_chain(H, 1), copy.copy(chain)} == {chain}
     assert copy.copy(H) == H
     unpickled = pickle.loads(pickle.dumps(H))
     assert (unpickled.parent.table, unpickled.mask) == (G.table, H.mask)
@@ -236,13 +233,19 @@ def test_index_refuses_a_subgroup_set_of_another_group(suite_groups):
 
 
 def test_frattini_examples(suite_groups):
-    assert lattice_of(suite_groups["S3"]).frattini().order == 1
-    assert lattice_of(catalog.construct("C4")).frattini().order == 2
-    q8 = suite_groups["Q8"]
-    lat = lattice_of(q8)
+    """frattini answers with an index: 1 in S3, the subgroup of order 2 in
+    C4, and the centre in Q8."""
+    assert lattice_of(suite_groups["S3"]).frattini() == 0
+    c4 = lattice_of(catalog.construct("C4"))
+    assert c4.subgroups[c4.frattini()].order == 2
+    lat = lattice_of(suite_groups["Q8"])
     phi = lat.frattini()
-    assert phi.order == 2
-    assert phi == lat.subgroups[lat.centralizer(lat.top())]  # the centre
+    assert type(phi) is int and lat.subgroups[phi].order == 2
+    assert phi == lat.centralizer(lat.top())  # the centre
+    assert lat.frattini(lat.top()) == lat.top()  # no maximal subgroup above G
+    for bad in (-1, lat.size):
+        with pytest.raises(KeyError):
+            lat.frattini(bad)
 
 
 @pytest.mark.parametrize("name", ["C12", "D8", "Q8", "A4", "S4", "A4xC2", "pq2_2_3"])
@@ -255,9 +258,10 @@ def test_frattini_above_k_is_the_preimage_of_the_quotients(name):
     assert lat.frattini() == lat.frattini(0) == lat.frattini(lat.subgroups[0])
     for k in lat.normal_indices():
         Q, proj = quotient(G, lat.subgroups[k])
-        phi = lattice_of(Q).frattini().mask
+        lat_q = lattice_of(Q)
+        phi = lat_q.subgroups[lat_q.frattini()].mask
         preimage = sum(1 << x for x in range(G.order) if phi >> proj[x] & 1)
-        assert lat.frattini(k).mask == preimage
+        assert lat.subgroups[lat.frattini(k)].mask == preimage
 
 
 def test_covers_are_transitive_reduction(suite_groups):

@@ -133,7 +133,6 @@ def test_only_memo_reads_or_writes_a_cache():
 
 # public for the tests alone, each on purpose
 TEST_ONLY_EXPORTS = {
-    "chief_series": "a test kills a mutant of its choice of cover",
     "find_isomorphism": "the tests' isomorphism oracle",
 }
 

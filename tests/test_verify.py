@@ -541,7 +541,7 @@ def test_run_suite_rejects_fewer_than_one_job():
 
 @pytest.mark.parametrize("name", ["S3", "A4", "S4", "D8", "hol_C7"])
 def test_nonnormal_sylow_test_matches_the_subgroup_lattice(suite_groups, name):
-    """The lemma-2.1 helper, which conjugates by S's members, against the
+    """The lemma-2.1 helper, which conjugates by S's generators, against the
     lattice of S rebuilt as a group, for every S and every subgroup Q <= S."""
     from modmax.groups import subgroup_as_group
     from oracles import restrict_mask
@@ -560,6 +560,78 @@ def test_nonnormal_sylow_test_matches_the_subgroup_lattice(suite_groups, name):
                      and (S.order // Q.order) % min(primes) != 0)
             expected = sylow and not sublat.is_normal(local)
             assert _is_nonnormal_sylow_of(G, S, Q.mask) == expected, (name, s, q)
+
+
+def _force(lat, **columns):
+    """Memoise the whole-lattice columns named in ``columns`` as the given
+    bitsets instead of their evaluation, so that witness paths that are
+    empty on every real lattice are walked.  The group must be one the
+    test built itself: a forced column on a session-shared group would
+    reach every later test."""
+    for predicate, column in columns.items():
+        lat._cache[(predicate, 0, lat.top())] = column
+
+
+def _lemma_2_3_quotient_witnesses_by_rescans(lat):
+    """Lem2.3's quotient clause, literally: every subgroup above each
+    normal one, one bit tested at a time."""
+    top, squasi = lat.top(), lat.s_quasinormal
+    return [f"quotient correspondence fails for {verify._descriptor(lat, k)} "
+            f"over normal of order {lat.subgroups[hi].order}"
+            for hi in lat.normal_indices()
+            for k in lat.above[hi]
+            if (squasi ^ lat.column("s_quasinormal", (hi, top))) >> k & 1]
+
+
+@pytest.mark.parametrize("name", ["S4", "SL23", "S3xS3"])
+def test_lemma_2_3_quotient_witnesses_match_the_rescan(name):
+    """With every subgroup forced S-quasinormal in G, the quotient clause
+    names each subgroup K above a normal H that is not S-quasinormal in
+    G/H, in the order of the rescan over every K above H."""
+    lat = lattice_of(catalog.construct(name))
+    _force(lat, s_quasinormal=(1 << lat.size) - 1)
+    _, witnesses = verify._lemma_2_3_conclusion(lat.group, lat)
+    found = [w for w in witnesses if w.startswith("quotient correspondence")]
+    assert found and found == _lemma_2_3_quotient_witnesses_by_rescans(lat)
+
+
+def _lemma_2_10_sizes_by_rescans(lat, ri, placed):
+    """Lem2.10's sizes, literally: the orders strictly between 1 and |R|
+    of the subgroups of R, each rescanned for an unplaced subgroup of that
+    order."""
+    subs, below = lat.subgroups, lat.below[ri]
+    sizes = sorted({subs[v].order for v in below if 1 < subs[v].order < subs[ri].order})
+    return [size for size in sizes
+            if not any(not placed >> v & 1 for v in below if subs[v].order == size)]
+
+
+@pytest.mark.parametrize("name", ["A4", "pq2_3_5"])
+def test_lemma_2_10_size_witnesses_match_the_rescan(name):
+    """Over forced modular columns (every subgroup, every one but a single
+    subgroup of each order, and seeded random sets), the sizes Lem2.10
+    names inside each socle R are those the rescan per order finds."""
+    import random
+
+    lat = lattice_of(catalog.construct(name))
+    every = (1 << lat.size) - 1
+    by_order = {}
+    for i, S in enumerate(lat.subgroups):
+        by_order.setdefault(S.order, i)
+    rng = random.Random(name)
+    forced = [every, every & ~sum(1 << i for i in by_order.values())]
+    forced += [rng.getrandbits(lat.size) for _ in range(40)]
+    named = 0
+    for placed in forced:
+        _force(lat, modular=placed, s_quasinormal=0)
+        _, witnesses = verify._lemma_2_10_conclusion(lat.group, lat)
+        expected = [
+            f"every subgroup of order {size} inside the socle is "
+            "modular or S-quasinormal"
+            for ri, _ in verify._primitive_pairs(lat.group, lat)
+            for size in _lemma_2_10_sizes_by_rescans(lat, ri, placed)]
+        assert [w for w in witnesses if w.startswith("every subgroup")] == expected
+        named += len(expected)
+    assert named
 
 
 def _prime_factors(n):

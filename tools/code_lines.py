@@ -8,7 +8,8 @@ it covers.
 
 Usage: ``python tools/code_lines.py [PATH ...]`` prints the count of each
 file (every ``*.py`` under a directory) and the total; with no path it
-counts ``src/modmax``.
+counts ``src/modmax``.  A path that does not exist is named on stderr,
+and nothing is counted (exit status 2).
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ def _sources(paths):
 
 def main(argv=None) -> int:
     paths = (sys.argv[1:] if argv is None else argv) or ["src/modmax"]
+    missing = [path for path in paths if not Path(path).exists()]
+    for path in missing:
+        print(f"code_lines: no such file or directory: {path}", file=sys.stderr)
+    if missing:
+        return 2
     total = 0
     for path in _sources(paths):
         count = code_lines(path.read_text(encoding="utf-8"))
